@@ -35,7 +35,7 @@ from .sim import (EmConfig, ExitBatch, ExitRecord, PathSample, WosConfig,
 from .stats import (Estimate, HardyEstimate, IdentityCheck, IncreasingReport,
                     KarafylliaReport, MomentEstimate, ProportionEstimate,
                     estimate_hardy_number, estimate_harmonic_measure,
-                    estimate_moment, estimate_tail_index, run_exits,
+                    estimate_moment, exit_proportion, run_exits,
                     verify_cauchy_identities, verify_increasing_domains,
                     verify_karafyllia)
 

@@ -37,15 +37,11 @@ from .hyperbolic import QhConfig
 from .rng import RngStream
 from .sim import EmConfig, WosConfig
 from .stats import (CLASS_FINITE, estimate_hardy_number, estimate_moment,
-                    proportion_estimate, region_matches, run_exits,
-                    verify_cauchy_identities, verify_increasing_domains,
-                    verify_karafyllia)
+                    exit_proportion, run_exits, verify_cauchy_identities,
+                    verify_increasing_domains, verify_karafyllia)
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
-
-EXPERIMENTS = ("harmonic_measure", "moment", "hardy", "karafyllia", "cauchy",
-               "modulus", "comb_sequence", "pushforward_check")
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +151,14 @@ _MAP_BUILDERS = {
 }
 
 
-def parse_map(expr: str):
-    name, args = parse_call(expr)
+def parse_map(expr):
+    """A map from ``name(args)`` text or from a call ``parse_call`` already
+    split; ``compose`` takes map calls, nested to any depth."""
+    name, args = parse_call(expr) if isinstance(expr, str) else expr
     if name == "compose":
-        stages = []
-        for sub in args:
-            if not isinstance(sub, tuple):
-                raise ConfigError("compose() arguments must be map calls")
-            stages.append(_build_map(sub))
-        return maps_mod.Compose(tuple(stages))
-    return _build_map((name, args))
-
-
-def _build_map(call):
-    name, args = call
-    if name == "compose":
-        return maps_mod.Compose(tuple(_build_map(sub) for sub in args))
+        if not all(isinstance(sub, tuple) for sub in args):
+            raise ConfigError("compose() arguments must be map calls")
+        return maps_mod.Compose(tuple(parse_map(sub) for sub in args))
     if name not in _MAP_BUILDERS:
         raise ConfigError(f"unknown map {name!r}")
     try:
@@ -190,7 +178,12 @@ def parse_region(expr: str):
     m = re.fullmatch(r"(re|im|abs)\s*([<>])\s*([-+0-9.eE]+)", s)
     if not m:
         raise ConfigError(f"cannot parse region {expr!r}")
-    coord, op, val = m.group(1), m.group(2), float(m.group(3))
+    coord, op = m.group(1), m.group(2)
+    try:
+        val = float(m.group(3))
+    except ValueError:
+        raise ConfigError(
+            f"bad number {m.group(3)!r} in region {expr!r}") from None
     extract = {"re": lambda z: z.real, "im": lambda z: z.imag,
                "abs": lambda z: np.abs(z)}[coord]
     if op == ">":
@@ -224,48 +217,8 @@ class Scenario:
         return default
 
 
-# Per-experiment key schema: {key: default-string-or-None (None = required)}.
+# Keys every experiment accepts besides its own schema (see EXPERIMENTS).
 _COMMON_KEYS = {"seed": "0", "workers": "1", "out": None}
-
-_SCHEMAS = {
-    "harmonic_measure": {
-        "domain": None, "start": None, "region": None, "n": "100000",
-        "kernel": "wos", "expect_prob": "", "expect_sigmas": "3",
-    },
-    "moment": {
-        "domain": None, "start": None, "p": None, "n": "100000",
-        "kernel": "em", "top_fraction": "0.05", "c": "0.1",
-        "max_steps": "1000000", "expect_verdict": "",
-        "expect_tail_index": "", "expect_tail_tol": "0.15",
-    },
-    "hardy": {
-        "domain": None, "a": None, "r_schedule": None,
-        "cell_factor": "0.2", "rel_floor": "0.02", "prune_clearance": "0",
-        "min_cell": "", "max_rounds": "3", "max_nodes": "600000",
-        "expect_contains": "", "expect_classification": "",
-    },
-    "karafyllia": {
-        "domain": None, "a": None, "split_re": None, "n": "100000",
-        "expect_ratio": "", "expect_ratio_tol": "0.1",
-        "expect_bound_sigmas": "3",
-    },
-    "cauchy": {
-        "gamma": None, "alpha_mobius": None, "alpha_power": None,
-        "lambda": None, "n": "1000000", "expect_sigmas": "4",
-    },
-    "modulus": {
-        "domain": None, "start": "", "n": "100000", "map_scale": "3",
-        "expect_modulus": "", "expect_sigmas": "3",
-    },
-    "comb_sequence": {
-        "a": None, "b": None, "iterations": "1 3 5", "start": "1",
-        "p": "0.25", "n": "20000", "kernel": "wos", "growth": "",
-    },
-    "pushforward_check": {
-        "domain": None, "start": None, "map": None, "image": None,
-        "n": "20000",
-    },
-}
 
 
 def parse_config(path: str, overrides=None) -> list[Scenario]:
@@ -293,7 +246,7 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
             raise ConfigError(f"[{section}] is missing 'experiment'")
         if exp not in EXPERIMENTS:
             raise ConfigError(f"[{section}] unknown experiment {exp!r}")
-        schema = dict(_SCHEMAS[exp])
+        schema, _ = EXPERIMENTS[exp]
 
         seed = int(raw.pop("seed", _COMMON_KEYS["seed"]))
         workers = int(raw.pop("workers", _COMMON_KEYS["workers"]))
@@ -343,19 +296,16 @@ def _estimate_dict(est):
     return d
 
 
-def _run_harmonic_measure(sc: Scenario, raw_sink):
+def _run_harmonic_measure(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     start = complex(_parse_number(sc.param("start")))
     region = parse_region(sc.param("region"))
     n = int(sc.param("n"))
     kernel = sc.param("kernel")
-    rng = RngStream(sc.seed)
     cfg = WosConfig() if kernel == "wos" else EmConfig()
-    batch, _ = run_exits(domain, start, n, kernel, cfg, rng, sc.workers)
-    ok = batch.ok
-    hits = int(np.sum(region_matches(region, batch) & ok))
-    est = proportion_estimate(hits, int(np.sum(ok)), excluded=batch.n_excluded)
-    raw_sink(sc, batch)
+    batch = run_exits(domain, start, n, kernel, cfg, RngStream(sc.seed),
+                      sc.workers)
+    est = exit_proportion(region, batch)
 
     results = {"probability": _estimate_dict(est)}
     expectations = []
@@ -367,10 +317,10 @@ def _run_harmonic_measure(sc: Scenario, raw_sink):
             "probability", passed,
             f"{est.value:.5f} vs {float(target):.5f} "
             f"(+-{sig} sigma = {sig * est.stderr:.5f})"))
-    return results, expectations
+    return results, expectations, batch
 
 
-def _run_moment(sc: Scenario, raw_sink):
+def _run_moment(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     start = complex(_parse_number(sc.param("start")))
     p = float(sc.param("p"))
@@ -404,10 +354,10 @@ def _run_moment(sc: Scenario, raw_sink):
             "tail_index", off <= tol,
             f"alpha {me.tail_index.value:.4f} vs {float(want_alpha)} "
             f"(tol {tol})"))
-    return results, expectations
+    return results, expectations, None
 
 
-def _run_hardy(sc: Scenario, raw_sink):
+def _run_hardy(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     a = complex(_parse_number(sc.param("a")))
     schedule = _parse_floats(sc.param("r_schedule"))
@@ -440,10 +390,10 @@ def _run_hardy(sc: Scenario, raw_sink):
         expectations.append(_expectation(
             "classification", he.classification == want_cls,
             f"{he.classification} vs {want_cls}"))
-    return results, expectations
+    return results, expectations, None
 
 
-def _run_karafyllia(sc: Scenario, raw_sink):
+def _run_karafyllia(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     a = complex(_parse_number(sc.param("a")))
     split = float(sc.param("split_re"))
@@ -468,10 +418,10 @@ def _run_karafyllia(sc: Scenario, raw_sink):
     expectations.append(_expectation(
         "doubling_bound", rep.ratio.value <= 2.0 + sig * rep.ratio.stderr,
         f"ratio {rep.ratio.value:.4f} <= 2 + {sig} se ({rep.ratio.stderr:.4f})"))
-    return results, expectations
+    return results, expectations, None
 
 
-def _run_cauchy(sc: Scenario, raw_sink):
+def _run_cauchy(sc: Scenario):
     checks = verify_cauchy_identities(
         complex(_parse_number(sc.param("gamma"))),
         complex(_parse_number(sc.param("alpha_mobius"))),
@@ -491,10 +441,10 @@ def _run_cauchy(sc: Scenario, raw_sink):
         expectations.append(_expectation(
             f"identity_{c.name}", c.sigmas_off <= sig,
             f"{c.sigmas_off:.2f} sigma <= {sig}"))
-    return results, expectations
+    return results, expectations, None
 
 
-def _run_modulus(sc: Scenario, raw_sink):
+def _run_modulus(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     n = int(sc.param("n"))
     rng = RngStream(sc.seed)
@@ -502,14 +452,9 @@ def _run_modulus(sc: Scenario, raw_sink):
     results, expectations = {}, []
     if isinstance(domain, Annulus):
         start = complex(_parse_number(sc.param("start")))
-        batch, _ = run_exits(domain, start, n, "wos", WosConfig(), rng,
-                             sc.workers)
-        ok = batch.ok
-        inner = int(np.sum((batch.label == int(BoundaryLabel.ANNULUS_INNER))
-                           & ok))
-        est = proportion_estimate(inner, int(np.sum(ok)),
-                                  excluded=batch.n_excluded)
-        raw_sink(sc, batch)
+        batch = run_exits(domain, start, n, "wos", WosConfig(), rng,
+                          sc.workers)
+        est = exit_proportion(BoundaryLabel.ANNULUS_INNER, batch)
         num = math.log(domain.R / abs(start))
         modulus = num / est.value
         mod_se = num * est.stderr / est.value ** 2
@@ -523,26 +468,21 @@ def _run_modulus(sc: Scenario, raw_sink):
                 "modulus", off <= sig * mod_se,
                 f"{modulus:.4f} vs {want} (+-{sig} se = {sig * mod_se:.4f})"))
     elif isinstance(domain, Rectangle):
-        batch, _ = run_exits(domain, 0j, n, "wos", WosConfig(), rng,
+        batch = run_exits(domain, 0j, n, "wos", WosConfig(), rng, sc.workers)
+        em_batch = run_exits(domain, 0j, n, "em", EmConfig(), rng.child(1),
                              sc.workers)
         okw = batch.ok
-        em_batch, _ = run_exits(domain, 0j, n, "em", EmConfig(),
-                                rng.child(1), sc.workers)
-        oke = em_batch.ok
         scale = complex(_parse_number(sc.param("map_scale")))
         image = Rectangle(abs(scale) * domain.a, abs(scale) * domain.b)
         mapped = maps_mod.Linear(scale).evaluate(batch.exit_point[okw])
         same = np.array_equal(image.label_codes(mapped),
                               batch.label[okw])
-        raw_sink(sc, batch)
         freqs_w, freqs_e = [], []
         agree = True
         for side in (BoundaryLabel.S1, BoundaryLabel.S2,
                      BoundaryLabel.S3, BoundaryLabel.S4):
-            kw = int(np.sum((batch.label == int(side)) & okw))
-            ke = int(np.sum((em_batch.label == int(side)) & oke))
-            pw = proportion_estimate(kw, int(np.sum(okw)))
-            pe = proportion_estimate(ke, int(np.sum(oke)))
+            pw = exit_proportion(side, batch)
+            pe = exit_proportion(side, em_batch)
             freqs_w.append(pw.value)
             freqs_e.append(pe.value)
             joint = math.hypot(pw.stderr, pe.stderr)
@@ -559,10 +499,10 @@ def _run_modulus(sc: Scenario, raw_sink):
             f"WoS vs EM side frequencies within {sig} joint se"))
     else:
         raise ConfigError("modulus experiment needs an annulus or rectangle")
-    return results, expectations
+    return results, expectations, batch
 
 
-def _run_comb_sequence(sc: Scenario, raw_sink):
+def _run_comb_sequence(sc: Scenario):
     a = _parse_floats(sc.param("a"))
     b = _parse_floats(sc.param("b"))
     iterations = [int(x) for x in _parse_floats(sc.param("iterations"))]
@@ -586,22 +526,21 @@ def _run_comb_sequence(sc: Scenario, raw_sink):
         for k, okg in zip(iterations, rep.growth_ok):
             expectations.append(_expectation(
                 f"growth_V{k}", okg, "estimate - 2 se above its floor"))
-    return results, expectations
+    return results, expectations, None
 
 
-def _run_pushforward(sc: Scenario, raw_sink):
+def _run_pushforward(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     image = parse_domain(sc.param("image"))
     amap = parse_map(sc.param("map"))
     start = complex(_parse_number(sc.param("start")))
     n = int(sc.param("n"))
-    batch, _ = run_exits(domain, start, n, "em", EmConfig(),
-                         RngStream(sc.seed), sc.workers)
+    batch = run_exits(domain, start, n, "em", EmConfig(),
+                      RngStream(sc.seed), sc.workers)
     ok = batch.ok
     mapped = amap.evaluate(batch.exit_point[ok])
     mapped_labels = image.label_codes(mapped)
     same = np.array_equal(mapped_labels, batch.label[ok])
-    raw_sink(sc, batch)
     results = {
         "n_ok": int(np.sum(ok)),
         "excluded": batch.n_excluded,
@@ -610,18 +549,50 @@ def _run_pushforward(sc: Scenario, raw_sink):
     expectations = [_expectation(
         "labels_identical", same,
         "pushforward preserves exit labels path by path")]
-    return results, expectations
+    return results, expectations, batch
 
 
-_RUNNERS = {
-    "harmonic_measure": _run_harmonic_measure,
-    "moment": _run_moment,
-    "hardy": _run_hardy,
-    "karafyllia": _run_karafyllia,
-    "cauchy": _run_cauchy,
-    "modulus": _run_modulus,
-    "comb_sequence": _run_comb_sequence,
-    "pushforward_check": _run_pushforward,
+# name -> (key schema, runner).  A schema maps each key to its default
+# string, None marking a required key.  A runner takes a Scenario and returns
+# (results, expectations, the exit batch --raw writes or None).
+EXPERIMENTS = {
+    "harmonic_measure": ({
+        "domain": None, "start": None, "region": None, "n": "100000",
+        "kernel": "wos", "expect_prob": "", "expect_sigmas": "3",
+    }, _run_harmonic_measure),
+    "moment": ({
+        "domain": None, "start": None, "p": None, "n": "100000",
+        "kernel": "em", "top_fraction": "0.05", "c": "0.1",
+        "max_steps": "1000000", "expect_verdict": "",
+        "expect_tail_index": "", "expect_tail_tol": "0.15",
+    }, _run_moment),
+    "hardy": ({
+        "domain": None, "a": None, "r_schedule": None,
+        "cell_factor": "0.2", "rel_floor": "0.02", "prune_clearance": "0",
+        "min_cell": "", "max_rounds": "3", "max_nodes": "600000",
+        "expect_contains": "", "expect_classification": "",
+    }, _run_hardy),
+    "karafyllia": ({
+        "domain": None, "a": None, "split_re": None, "n": "100000",
+        "expect_ratio": "", "expect_ratio_tol": "0.1",
+        "expect_bound_sigmas": "3",
+    }, _run_karafyllia),
+    "cauchy": ({
+        "gamma": None, "alpha_mobius": None, "alpha_power": None,
+        "lambda": None, "n": "1000000", "expect_sigmas": "4",
+    }, _run_cauchy),
+    "modulus": ({
+        "domain": None, "start": "", "n": "100000", "map_scale": "3",
+        "expect_modulus": "", "expect_sigmas": "3",
+    }, _run_modulus),
+    "comb_sequence": ({
+        "a": None, "b": None, "iterations": "1 3 5", "start": "1",
+        "p": "0.25", "n": "20000", "kernel": "wos", "growth": "",
+    }, _run_comb_sequence),
+    "pushforward_check": ({
+        "domain": None, "start": None, "map": None, "image": None,
+        "n": "20000",
+    }, _run_pushforward),
 }
 
 
@@ -650,20 +621,9 @@ def _write_raw_csv(path: str, scenario: str, batch):
             ])
 
 
-def run_scenario(sc: Scenario, out_dir: str | None = None,
-                 write_raw: bool = False) -> dict:
-    """Execute one scenario and return its report dictionary."""
-    raw_rows = []
-
-    def raw_sink(scenario, batch):
-        if write_raw:
-            raw_rows.append(batch)
-
-    t0 = time.perf_counter()
-    runner = _RUNNERS[sc.experiment]
-    results, expectations = runner(sc, raw_sink)
-    wall = time.perf_counter() - t0
-    report = {
+def _report_header(sc: Scenario) -> dict:
+    """Schema, version and scenario echo that open every report."""
+    return {
         "schema": SCHEMA_VERSION,
         "artifact_version": ARTIFACT_VERSION,
         "scenario": {
@@ -674,6 +634,18 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
             "workers": sc.workers,
             "out": sc.out,
         },
+    }
+
+
+def run_scenario(sc: Scenario, out_dir: str | None = None,
+                 write_raw: bool = False) -> dict:
+    """Execute one scenario and return its report dictionary."""
+    t0 = time.perf_counter()
+    _, runner = EXPERIMENTS[sc.experiment]
+    results, expectations, raw_batch = runner(sc)
+    wall = time.perf_counter() - t0
+    report = {
+        **_report_header(sc),
         "wall_time_s": wall,
         "results": results,
         "expectations": expectations,
@@ -684,9 +656,9 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
         with open(os.path.join(out_dir, f"{sc.name}.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
-        if write_raw and raw_rows:
+        if write_raw and raw_batch is not None:
             _write_raw_csv(os.path.join(out_dir, f"{sc.name}.csv"),
-                           sc.name, raw_rows[0])
+                           sc.name, raw_batch)
     return report
 
 
@@ -706,11 +678,7 @@ def run(config_path: str, overrides=None, out_dir: str | None = None,
             reports.append(run_scenario(sc, target_dir, write_raw))
         except BmxError as exc:
             reports.append({
-                "schema": SCHEMA_VERSION,
-                "artifact_version": ARTIFACT_VERSION,
-                "scenario": {"name": sc.name, "experiment": sc.experiment,
-                             "params": dict(sc.params), "seed": sc.seed,
-                             "workers": sc.workers, "out": sc.out},
+                **_report_header(sc),
                 "error": f"{type(exc).__name__}: {exc}",
                 "expectations": [],
                 "passed": False,

@@ -49,13 +49,5 @@ class NestingViolation(BmxError):
     """A claimed domain inclusion failed a containment check."""
 
 
-class DomainNotDeltaStarlike(BmxError):
-    """Starlike precondition failed; carries the witness point."""
-
-    def __init__(self, witness, message="domain failed the leftward-ray check"):
-        super().__init__(f"{message} (witness {witness})")
-        self.witness = witness
-
-
 class ConfigError(BmxError):
     """Scenario configuration is malformed or references unknown entities."""

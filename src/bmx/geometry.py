@@ -17,7 +17,7 @@ Module-level wrappers (:func:`contains`, :func:`dist_to_boundary`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -43,6 +43,7 @@ class BoundaryLabel(IntEnum):
     GAMMA1 = 8          # spiral arm t -> t e^{it}
     GAMMA2 = 9          # spiral arm t -> t e^{i(t-pi)}
     GENERIC = 10
+    LINE = 11           # absorbing line of em_exit_batch, never a domain side
 
 
 def _asarr(z):

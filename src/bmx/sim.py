@@ -112,9 +112,6 @@ class ExitBatch:
             status=STATUS_OK if ok else STATUS_MAX_STEPS,
         )
 
-    def records(self) -> list[ExitRecord]:
-        return [self.record(i) for i in range(len(self))]
-
 
 @dataclass
 class PathSample:
@@ -277,16 +274,16 @@ def _first_domain_exit(domain: Domain, z0, z1, tol):
 
 def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                   cfg: EmConfig = EmConfig(),
-                  absorb_line_re: float | None = None):
+                  absorb_line_re: float | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
     Gaussian increments with dt = min(dt_max, c * dist^2); boundary
     crossings are located along the step segment (exactly for slit and ray
     pieces, by bisection to ``boundary_tol`` otherwise) and the exit time is
     interpolated linearly.  With ``absorb_line_re`` the vertical line
-    {Re z = r} also absorbs and the earlier of the two crossings wins;
-    returns (batch, hit_line) in that case, line exits carrying the line
-    point and a GENERIC label.
+    {Re z = r} also absorbs and the earlier of the two crossings wins; line
+    exits carry the line point and the ``BoundaryLabel.LINE`` label, which
+    no domain side uses.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
@@ -303,7 +300,6 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     exit_t = np.full(n, np.nan)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
-    hit_line = np.zeros(n, dtype=bool)
 
     alive = np.arange(n)
     while alive.size:
@@ -342,10 +338,9 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
             idx = alive[line_exit]
             zc = za[line_exit] + (z1 - za)[line_exit] * s_line[line_exit]
             exit_pt[idx] = line + 1j * zc.imag
-            labels[idx] = int(BoundaryLabel.GENERIC)
+            labels[idx] = int(BoundaryLabel.LINE)
             exit_t[idx] = t[idx] + s_line[line_exit] * dt[line_exit]
             ok[idx] = True
-            hit_line[idx] = True
 
         t[alive] += dt
         steps[alive] += 1
@@ -355,11 +350,8 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         alive = alive[keep]
 
     exit_t = np.where(ok, exit_t, np.nan)
-    batch = ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                      steps=steps, ok=ok, method=METHOD_EM)
-    if line is not None:
-        return batch, hit_line
-    return batch
+    return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
+                     steps=steps, ok=ok, method=METHOD_EM)
 
 
 def em_exit(domain: Domain, start: complex, cfg: EmConfig,

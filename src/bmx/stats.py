@@ -18,8 +18,7 @@ import numpy as np
 from .errors import (BadParameters, NestingViolation, TooFewTailSamples)
 from .geometry import (BoundaryLabel, Domain, StarlikeVerdict,
                        check_delta_starlike, sample_interior)
-from .hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
-                         quasi_hyperbolic_profile)
+from .hyperbolic import CircleTarget, QhConfig, quasi_hyperbolic_profile
 from .rng import RngStream, chunk_ranges
 from .sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch,
                   sample_halfplane_exit_batch, wos_exit_batch)
@@ -83,26 +82,19 @@ def _chunk_task(payload):
     gen = RngStream(seed, stream_id).substream(chunk_idx)
     starts = np.full(count, complex(start))
     if kind == "wos":
-        batch = wos_exit_batch(domain, starts, gen, cfg)
-        return batch, None
+        return wos_exit_batch(domain, starts, gen, cfg)
     if kind == "em":
-        if line is None:
-            return em_exit_batch(domain, starts, gen, cfg), None
-        batch, hit = em_exit_batch(domain, starts, gen, cfg,
-                                   absorb_line_re=line)
-        return batch, hit
+        return em_exit_batch(domain, starts, gen, cfg, absorb_line_re=line)
     if kind == "halfplane":
-        return sample_halfplane_exit_batch(complex(start), gen, count), None
+        return sample_halfplane_exit_batch(complex(start), gen, count)
     raise BadParameters(f"unknown kernel {kind!r}")
 
 
-def _concat_batches(parts):
-    batches = [b for b, _ in parts]
-    hits = [h for _, h in parts]
+def _concat_batches(batches):
     times = None
     if batches[0].exit_time is not None:
         times = np.concatenate([b.exit_time for b in batches])
-    merged = ExitBatch(
+    return ExitBatch(
         exit_point=np.concatenate([b.exit_point for b in batches]),
         exit_time=times,
         label=np.concatenate([b.label for b in batches]),
@@ -111,15 +103,13 @@ def _concat_batches(parts):
         method=batches[0].method,
         eps=max(b.eps for b in batches),
     )
-    hit = None if hits[0] is None else np.concatenate(hits)
-    return merged, hit
 
 
 def run_exits(domain: Domain | None, start: complex, n: int, kernel: str,
               cfg, rng: RngStream, workers: int = 1,
-              absorb_line_re: float | None = None):
-    """n exit paths in deterministic chunks; identical output for any
-    ``workers``.  Returns (ExitBatch, hit_line-or-None)."""
+              absorb_line_re: float | None = None) -> ExitBatch:
+    """n exit paths in deterministic chunks, merged in path order; identical
+    output for any ``workers``."""
     payloads = [(kernel, domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
                  ci, absorb_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
@@ -146,6 +136,14 @@ def region_matches(region, batch: ExitBatch) -> np.ndarray:
     return np.asarray(region(batch.exit_point, batch.label), dtype=bool)
 
 
+def exit_proportion(region, batch: ExitBatch) -> ProportionEstimate:
+    """Share of the ok paths whose exit lies in ``region``.  Step-capped
+    paths are left out of both counts and reported in ``excluded``."""
+    ok = batch.ok
+    hits = int(np.sum(region_matches(region, batch) & ok))
+    return proportion_estimate(hits, int(np.sum(ok)), excluded=batch.n_excluded)
+
+
 def estimate_harmonic_measure(domain: Domain, start: complex, region, n: int,
                               kernel: str = "wos", rng: RngStream = RngStream(0),
                               cfg=None, workers: int = 1) -> ProportionEstimate:
@@ -158,10 +156,8 @@ def estimate_harmonic_measure(domain: Domain, start: complex, region, n: int,
         raise BadParameters("need at least 100 paths")
     if cfg is None:
         cfg = WosConfig() if kernel == "wos" else EmConfig()
-    batch, _ = run_exits(domain, start, n, kernel, cfg, rng, workers)
-    ok = batch.ok
-    hits = int(np.sum(region_matches(region, batch) & ok))
-    return proportion_estimate(hits, int(np.sum(ok)), excluded=batch.n_excluded)
+    batch = run_exits(domain, start, n, kernel, cfg, rng, workers)
+    return exit_proportion(region, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,6 @@ def hill_tail_index(samples: np.ndarray, top_fraction: float,
     threshold = x[-k - 1] if len(x) > k else tail[0]
     alpha = k / float(np.sum(np.log(tail / threshold)))
     return Estimate(value=alpha, stderr=alpha / math.sqrt(k), n=k)
-
-
-def estimate_tail_index(samples, top_fraction: float = 0.05) -> Estimate:
-    return hill_tail_index(samples, top_fraction)
 
 
 VERDICT_FINITE = "finite"
@@ -241,7 +233,7 @@ def estimate_moment(domain: Domain, start: complex, p: float, n: int,
         cfg = WosConfig(with_time=True) if kernel == "wos" else EmConfig()
     if kernel == "wos" and not cfg.with_time:
         raise BadParameters("moment estimation needs a time-tracking kernel")
-    batch, _ = run_exits(domain, start, n, kernel, cfg, rng, workers)
+    batch = run_exits(domain, start, n, kernel, cfg, rng, workers)
     tau = batch.exit_time[batch.ok]
     powered = tau ** p
     est = Estimate(value=float(np.mean(powered)),
@@ -363,16 +355,11 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
     if starlike_probes > 0:
         verdict = check_delta_starlike(domain, starlike_probes, rng.child(901))
 
-    full, _ = run_exits(domain, a, n, "em", cfg, rng.child(902), workers)
-    nu_hits = int(np.sum((full.exit_point.real > split_re) & full.ok))
-    nu = proportion_estimate(nu_hits, int(np.sum(full.ok)),
-                             excluded=full.n_excluded)
-
-    cut, hit_line = run_exits(domain, a, n, "em", cfg, rng.child(903), workers,
-                              absorb_line_re=split_re)
-    hat_hits = int(np.sum(hit_line & cut.ok))
-    nu_hat = proportion_estimate(hat_hits, int(np.sum(cut.ok)),
-                                 excluded=cut.n_excluded)
+    full = run_exits(domain, a, n, "em", cfg, rng.child(902), workers)
+    nu = exit_proportion(lambda z, lab: z.real > split_re, full)
+    cut = run_exits(domain, a, n, "em", cfg, rng.child(903), workers,
+                    absorb_line_re=split_re)
+    nu_hat = exit_proportion(BoundaryLabel.LINE, cut)
 
     if nu.value > 0:
         ratio = nu_hat.value / nu.value

@@ -102,8 +102,8 @@ def test_criterion_04_wedge_moment_thresholds():
     all_ok = True
     details = []
     for i, (domain, alpha_true, tag) in enumerate(cases):
-        batch, _ = run_exits(domain, 1 + 0j, N_BIG, "em", EmConfig(),
-                             RngStream(9004 + i))
+        batch = run_exits(domain, 1 + 0j, N_BIG, "em", EmConfig(),
+                          RngStream(9004 + i))
         tau = batch.exit_time[batch.ok]
         alpha = hill_tail_index(tau, 0.05)
         idx_ok = abs(alpha.value - alpha_true) <= 0.15
@@ -215,10 +215,10 @@ def test_criterion_09_kernel_cross_validation():
           ("near", lambda z, lab: np.abs(z) < 1.0)]),
     ]
     for i, (domain, start, regions) in enumerate(cases):
-        w, _ = run_exits(domain, start, N_BIG, "wos", WosConfig(),
-                         rng.child(2 * i))
-        m, _ = run_exits(domain, start, N_BIG, "em", EmConfig(),
-                         rng.child(2 * i + 1))
+        w = run_exits(domain, start, N_BIG, "wos", WosConfig(),
+                      rng.child(2 * i))
+        m = run_exits(domain, start, N_BIG, "em", EmConfig(),
+                      rng.child(2 * i + 1))
         for name, f in regions:
             pw = float(np.mean(f(w.exit_point[w.ok], w.label[w.ok])))
             pe = float(np.mean(f(m.exit_point[m.ok], m.label[m.ok])))

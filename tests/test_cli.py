@@ -11,6 +11,8 @@ from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
 from bmx.errors import ConfigError
 from bmx.geometry import Annulus, BoundaryLabel, Rectangle, Wedge
 from bmx.maps import Compose, Exp, Linear, PowerBranch
+from bmx.rng import RngStream
+from bmx.stats import estimate_harmonic_measure
 
 BASIC = """
 [scenario.square]
@@ -62,8 +64,12 @@ def test_parse_map_variants():
     assert parse_map("powerbranch(0.5)") == PowerBranch(0.5)
     m = parse_map("compose(linear(2), exp())")
     assert m == Compose((Linear(2), Exp()))
+    nested = parse_map("compose(linear(2), compose(exp()))")
+    assert nested == Compose((Linear(2), Compose((Exp(),))))
     with pytest.raises(ConfigError):
         parse_map("spiral(1)")
+    with pytest.raises(ConfigError, match="map calls"):
+        parse_map("compose(linear(1), compose(3))")
 
 
 def test_parse_region_forms():
@@ -75,6 +81,8 @@ def test_parse_region_forms():
     assert list(g(z, None)) == [True, True]
     with pytest.raises(ConfigError):
         parse_region("left-side")
+    with pytest.raises(ConfigError, match="'1e'"):
+        parse_region("re>1e")
 
 
 def test_unknown_keys_and_sections_error(tmp_path):
@@ -196,6 +204,44 @@ seed = 1
     assert reports[0]["passed"]
     assert not reports[1]["passed"]
     assert "PointOutsideDomain" in reports[1]["error"]
+
+
+def test_bad_map_and_region_recorded_not_fatal(tmp_path):
+    cfg = """
+[scenario.bad_map]
+experiment = pushforward_check
+domain = rectangle(1, 1)
+start = 0
+map = compose(linear(1), compose(3))
+image = rectangle(1, 1)
+n = 100
+
+[scenario.bad_region]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 0
+region = re>1e
+n = 100
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == [
+        "bad_map", "bad_region", "square"]
+    assert not reports[0]["passed"]
+    assert reports[0]["error"].startswith("ConfigError")
+    assert not reports[1]["passed"]
+    assert reports[1]["error"].startswith("ConfigError")
+    assert "'1e'" in reports[1]["error"]
+    assert reports[2]["passed"]
+
+
+def test_harmonic_measure_report_matches_estimator(tmp_path):
+    rep = run(write(tmp_path, BASIC))[0]
+    est = estimate_harmonic_measure(Rectangle(1, 1), 0j, BoundaryLabel.S1,
+                                    2000, kernel="wos", rng=RngStream(42))
+    assert rep["results"]["probability"] == {
+        "value": est.value, "stderr": est.stderr, "n": est.n,
+        "ci95": list(est.ci95), "wilson95": list(est.wilson95),
+        "excluded": est.excluded}
 
 
 def test_modulus_annulus_scenario(tmp_path):

@@ -9,8 +9,8 @@ from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.maps import Exp, Linear, PowerInt
 from bmx.rng import RngStream
-from bmx.sim import (EmConfig, WosConfig, em_exit, em_exit_batch, pushforward,
-                     sample_disk_exit, sample_disk_exit_batch,
+from bmx.sim import (EmConfig, ExitBatch, WosConfig, em_exit, em_exit_batch,
+                     pushforward, sample_disk_exit, sample_disk_exit_batch,
                      sample_halfplane_exit, sample_halfplane_exit_batch,
                      wos_exit, wos_exit_batch)
 
@@ -216,9 +216,12 @@ def test_em_reproducible():
 
 def test_em_absorbing_line():
     gen = RngStream(114).generator()
-    batch, hit = em_exit_batch(Strip(-1, 1), np.full(5000, -2.0 + 0j), gen,
-                               absorb_line_re=0.0)
+    batch = em_exit_batch(Strip(-1, 1), np.full(5000, -2.0 + 0j), gen,
+                          absorb_line_re=0.0)
+    assert isinstance(batch, ExitBatch)
+    hit = batch.label == int(BoundaryLabel.LINE)
     assert hit.any() and not hit.all()
+    assert np.all(batch.ok[hit])
     on_line = batch.exit_point[hit]
     assert np.allclose(on_line.real, 0.0)
     off_line = batch.exit_point[~hit & batch.ok]

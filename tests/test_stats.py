@@ -10,7 +10,7 @@ from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
 from bmx.rng import RngStream
 from bmx.sim import EmConfig, WosConfig
 from bmx.stats import (Estimate, classify_moment, estimate_harmonic_measure,
-                       estimate_moment, estimate_tail_index,
+                       estimate_moment, hill_tail_index,
                        proportion_estimate, run_exits,
                        verify_cauchy_identities, verify_increasing_domains,
                        verify_karafyllia, wilson_interval)
@@ -40,7 +40,7 @@ def test_wilson_interval_basics():
 def test_hill_on_synthetic_pareto():
     gen = RngStream(201).generator()
     x = gen.pareto(1.0, 200_000) + 1.0     # P(X > t) = t^-1
-    est = estimate_tail_index(x, 0.05)
+    est = hill_tail_index(x, 0.05)
     assert abs(est.value - 1.0) < 0.1
     assert est.n == 10_000
 
@@ -49,13 +49,13 @@ def test_hill_alpha_two():
     gen = RngStream(202).generator()
     u = gen.random(200_000)
     x = u ** -0.5                           # P(X > t) = t^-2
-    est = estimate_tail_index(x, 0.05)
+    est = hill_tail_index(x, 0.05)
     assert abs(est.value - 2.0) < 0.15
 
 
 def test_hill_needs_tail_mass():
     with pytest.raises(TooFewTailSamples):
-        estimate_tail_index(np.ones(100) + np.arange(100), 0.05)
+        hill_tail_index(np.ones(100) + np.arange(100), 0.05)
 
 
 def test_moment_verdict_rule():
@@ -129,10 +129,10 @@ def test_moment_scale_consistency():
                          kernel="wos")
     assert m1.verdict == m2.verdict == "finite"
     assert abs(m2.estimate.value / m1.estimate.value - 4.0) < 0.15
-    b1, _ = run_exits(Disk(0j, 1.0), 0j, 20_000, "wos",
-                      WosConfig(with_time=True), rng.child(2))
-    b2, _ = run_exits(Disk(0j, 2.0), 0j, 20_000, "wos",
-                      WosConfig(with_time=True), rng.child(3))
+    b1 = run_exits(Disk(0j, 1.0), 0j, 20_000, "wos",
+                   WosConfig(with_time=True), rng.child(2))
+    b2 = run_exits(Disk(0j, 2.0), 0j, 20_000, "wos",
+                   WosConfig(with_time=True), rng.child(3))
     assert ks_2samp(b1.exit_time, b2.exit_time / 4.0).pvalue > 0.01
 
 
@@ -149,8 +149,8 @@ def test_merging_is_exact():
     # Same seed => bit-identical batches regardless of how many workers the
     # chunks were scheduled on; the reduction sees the same array.
     rng = RngStream(210)
-    b1, _ = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
-    b2, _ = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
+    b1 = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
+    b2 = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
     assert np.array_equal(b1.exit_point, b2.exit_point)
     assert float(np.mean(b1.exit_point.real)) == float(
         np.mean(b2.exit_point.real))
