@@ -210,11 +210,22 @@ class Scenario:
     workers: int
     out: str | None = None
 
-    def param(self, key, default=None):
+    def param(self, key, kind=str):
+        """The value of ``key`` converted by ``kind`` (``int``, ``float`` or
+        a list parser); None when the scenario has no such key."""
         for k, v in self.params:
             if k == key:
-                return v
-        return default
+                return _convert(key, v, kind)
+        return None
+
+
+def _convert(key: str, text: str, kind):
+    """``kind(text)``; a value it rejects is a ConfigError naming the key
+    and the value, so the scenario's report records it."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value {text!r} for {key!r}") from None
 
 
 # Keys every experiment accepts besides its own schema (see EXPERIMENTS).
@@ -248,8 +259,9 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
             raise ConfigError(f"[{section}] unknown experiment {exp!r}")
         schema, _ = EXPERIMENTS[exp]
 
-        seed = int(raw.pop("seed", _COMMON_KEYS["seed"]))
-        workers = int(raw.pop("workers", _COMMON_KEYS["workers"]))
+        seed = _convert("seed", raw.pop("seed", _COMMON_KEYS["seed"]), int)
+        workers = _convert(
+            "workers", raw.pop("workers", _COMMON_KEYS["workers"]), int)
         out = raw.pop("out", None)
 
         params = {}
@@ -300,7 +312,7 @@ def _run_harmonic_measure(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     start = complex(_parse_number(sc.param("start")))
     region = parse_region(sc.param("region"))
-    n = int(sc.param("n"))
+    n = sc.param("n", int)
     kernel = sc.param("kernel")
     cfg = WosConfig() if kernel == "wos" else EmConfig()
     batch = run_exits(domain, start, n, kernel, cfg, RngStream(sc.seed),
@@ -309,13 +321,13 @@ def _run_harmonic_measure(sc: Scenario):
 
     results = {"probability": _estimate_dict(est)}
     expectations = []
-    target = sc.param("expect_prob")
-    if target:
-        sig = float(sc.param("expect_sigmas"))
-        passed = est.within(float(target), sig)
+    if sc.param("expect_prob"):
+        target = sc.param("expect_prob", float)
+        sig = sc.param("expect_sigmas", float)
+        passed = est.within(target, sig)
         expectations.append(_expectation(
             "probability", passed,
-            f"{est.value:.5f} vs {float(target):.5f} "
+            f"{est.value:.5f} vs {target:.5f} "
             f"(+-{sig} sigma = {sig * est.stderr:.5f})"))
     return results, expectations, batch
 
@@ -323,18 +335,18 @@ def _run_harmonic_measure(sc: Scenario):
 def _run_moment(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     start = complex(_parse_number(sc.param("start")))
-    p = float(sc.param("p"))
-    n = int(sc.param("n"))
+    p = sc.param("p", float)
+    n = sc.param("n", int)
     kernel = sc.param("kernel")
     rng = RngStream(sc.seed)
     if kernel == "wos":
-        cfg = WosConfig(with_time=True, max_steps=int(sc.param("max_steps")))
+        cfg = WosConfig(with_time=True, max_steps=sc.param("max_steps", int))
     else:
-        cfg = EmConfig(c=float(sc.param("c")),
-                       max_steps=int(sc.param("max_steps")))
+        cfg = EmConfig(c=sc.param("c", float),
+                       max_steps=sc.param("max_steps", int))
     me = estimate_moment(domain, start, p, n, rng, kernel=kernel, cfg=cfg,
                          workers=sc.workers,
-                         top_fraction=float(sc.param("top_fraction")))
+                         top_fraction=sc.param("top_fraction", float))
     results = {
         "moment": _estimate_dict(me.estimate),
         "tail_index": _estimate_dict(me.tail_index),
@@ -346,13 +358,13 @@ def _run_moment(sc: Scenario):
     if want:
         expectations.append(_expectation(
             "verdict", me.verdict == want, f"{me.verdict} vs {want}"))
-    want_alpha = sc.param("expect_tail_index")
-    if want_alpha:
-        tol = float(sc.param("expect_tail_tol"))
-        off = abs(me.tail_index.value - float(want_alpha))
+    if sc.param("expect_tail_index"):
+        want_alpha = sc.param("expect_tail_index", float)
+        tol = sc.param("expect_tail_tol", float)
+        off = abs(me.tail_index.value - want_alpha)
         expectations.append(_expectation(
             "tail_index", off <= tol,
-            f"alpha {me.tail_index.value:.4f} vs {float(want_alpha)} "
+            f"alpha {me.tail_index.value:.4f} vs {want_alpha} "
             f"(tol {tol})"))
     return results, expectations, None
 
@@ -360,15 +372,14 @@ def _run_moment(sc: Scenario):
 def _run_hardy(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     a = complex(_parse_number(sc.param("a")))
-    schedule = _parse_floats(sc.param("r_schedule"))
-    min_cell = sc.param("min_cell")
+    schedule = sc.param("r_schedule", _parse_floats)
     cfg = QhConfig(
-        cell_factor=float(sc.param("cell_factor")),
-        rel_floor=float(sc.param("rel_floor")),
-        prune_clearance=float(sc.param("prune_clearance")),
-        min_cell=float(min_cell) if min_cell else None,
-        max_rounds=int(sc.param("max_rounds")),
-        max_nodes=int(sc.param("max_nodes")))
+        cell_factor=sc.param("cell_factor", float),
+        rel_floor=sc.param("rel_floor", float),
+        prune_clearance=sc.param("prune_clearance", float),
+        min_cell=sc.param("min_cell", float) if sc.param("min_cell") else None,
+        max_rounds=sc.param("max_rounds", int),
+        max_nodes=sc.param("max_nodes", int))
     he = estimate_hardy_number(domain, a, schedule, cfg)
     results = {
         "r_schedule": list(he.r_schedule),
@@ -378,9 +389,8 @@ def _run_hardy(sc: Scenario):
         "classification": he.classification,
     }
     expectations = []
-    want_h = sc.param("expect_contains")
-    if want_h:
-        h = float(want_h)
+    if sc.param("expect_contains"):
+        h = sc.param("expect_contains", float)
         expectations.append(_expectation(
             "slope_bounds_contain", he.classification == CLASS_FINITE
             and he.contains(h),
@@ -396,8 +406,8 @@ def _run_hardy(sc: Scenario):
 def _run_karafyllia(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     a = complex(_parse_number(sc.param("a")))
-    split = float(sc.param("split_re"))
-    n = int(sc.param("n"))
+    split = sc.param("split_re", float)
+    n = sc.param("n", int)
     rep = verify_karafyllia(domain, a, split, n, RngStream(sc.seed),
                             workers=sc.workers)
     results = {
@@ -409,12 +419,12 @@ def _run_karafyllia(sc: Scenario):
     expectations = []
     want = sc.param("expect_ratio")
     if want:
-        tol = float(sc.param("expect_ratio_tol"))
-        off = abs(rep.ratio.value - float(want))
+        tol = sc.param("expect_ratio_tol", float)
+        off = abs(rep.ratio.value - sc.param("expect_ratio", float))
         expectations.append(_expectation(
             "ratio", off <= tol,
             f"{rep.ratio.value:.4f} vs {want} (tol {tol})"))
-    sig = float(sc.param("expect_bound_sigmas"))
+    sig = sc.param("expect_bound_sigmas", float)
     expectations.append(_expectation(
         "doubling_bound", rep.ratio.value <= 2.0 + sig * rep.ratio.stderr,
         f"ratio {rep.ratio.value:.4f} <= 2 + {sig} se ({rep.ratio.stderr:.4f})"))
@@ -425,11 +435,11 @@ def _run_cauchy(sc: Scenario):
     checks = verify_cauchy_identities(
         complex(_parse_number(sc.param("gamma"))),
         complex(_parse_number(sc.param("alpha_mobius"))),
-        float(sc.param("alpha_power")),
-        float(sc.param("lambda")),
-        int(sc.param("n")),
+        sc.param("alpha_power", float),
+        sc.param("lambda", float),
+        sc.param("n", int),
         RngStream(sc.seed))
-    sig = float(sc.param("expect_sigmas"))
+    sig = sc.param("expect_sigmas", float)
     results, expectations = {}, []
     for c in checks:
         results[c.name] = {
@@ -446,9 +456,9 @@ def _run_cauchy(sc: Scenario):
 
 def _run_modulus(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
-    n = int(sc.param("n"))
+    n = sc.param("n", int)
     rng = RngStream(sc.seed)
-    sig = float(sc.param("expect_sigmas"))
+    sig = sc.param("expect_sigmas", float)
     results, expectations = {}, []
     if isinstance(domain, Annulus):
         start = complex(_parse_number(sc.param("start")))
@@ -463,7 +473,7 @@ def _run_modulus(sc: Scenario):
                               "true": math.log(domain.R / domain.r)}
         want = sc.param("expect_modulus")
         if want:
-            off = abs(modulus - float(want))
+            off = abs(modulus - sc.param("expect_modulus", float))
             expectations.append(_expectation(
                 "modulus", off <= sig * mod_se,
                 f"{modulus:.4f} vs {want} (+-{sig} se = {sig * mod_se:.4f})"))
@@ -503,14 +513,14 @@ def _run_modulus(sc: Scenario):
 
 
 def _run_comb_sequence(sc: Scenario):
-    a = _parse_floats(sc.param("a"))
-    b = _parse_floats(sc.param("b"))
-    iterations = [int(x) for x in _parse_floats(sc.param("iterations"))]
+    a = sc.param("a", _parse_floats)
+    b = sc.param("b", _parse_floats)
+    iterations = [int(x) for x in sc.param("iterations", _parse_floats)]
     domains = [build_comb(k, a[:k + 1], b[:k])[0] for k in iterations]
-    growth = _parse_floats(sc.param("growth")) if sc.param("growth") else None
+    growth = sc.param("growth", _parse_floats) if sc.param("growth") else None
     rep = verify_increasing_domains(
         domains, complex(_parse_number(sc.param("start"))),
-        float(sc.param("p")), int(sc.param("n")), RngStream(sc.seed),
+        sc.param("p", float), sc.param("n", int), RngStream(sc.seed),
         kernel=sc.param("kernel"), workers=sc.workers,
         growth_schedule=growth)
     results = {
@@ -534,7 +544,7 @@ def _run_pushforward(sc: Scenario):
     image = parse_domain(sc.param("image"))
     amap = parse_map(sc.param("map"))
     start = complex(_parse_number(sc.param("start")))
-    n = int(sc.param("n"))
+    n = sc.param("n", int)
     batch = run_exits(domain, start, n, "em", EmConfig(),
                       RngStream(sc.seed), sc.workers)
     ok = batch.ok

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameters
-from .geometry import (FAR_CLIP, Domain, _asarr, _segment_distance,
+from .geometry import (FAR_CLIP, Domain, _asarr, _end_guard,
+                       _rectilinear_crossing_fraction, _segment_distance,
                        _segment_project)
 
 
@@ -132,6 +133,12 @@ class CombDomain(Domain):
         k = np.argmin(d, axis=-1)
         feet = _segment_project(z, p[k], q[k])
         return feet
+
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        z0, z1 = _asarr(z0), _asarr(z1)
+        p, q = self._segments
+        s = _rectilinear_crossing_fraction(z0, z1, p, q)
+        return _end_guard(self, z1, s)
 
     def probe_box(self):
         xs = [0.0] + list(self.b)

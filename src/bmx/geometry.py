@@ -6,7 +6,11 @@ Every domain is an immutable dataclass exposing vectorized primitives:
 * ``boundary_distance(z)``  unsigned Euclidean distance to the boundary set
                             (defined everywhere, not just inside),
 * ``project(z)``            nearest boundary point,
-* ``label_codes(z)``        integer code of the nearest boundary region.
+* ``label_codes(z)``        integer code of the nearest boundary region,
+* ``first_boundary_crossing(z0, z1)``
+                            fraction of the first boundary point along each
+                            segment z0 -> z1, the exit rule of the
+                            Euler-Maruyama kernels.
 
 ``z`` may be a python complex or any complex ndarray; results have matching
 shape.  Domains are open: points exactly on the boundary are not contained.
@@ -92,25 +96,107 @@ class Domain:
         z = _asarr(z)
         return np.full(z.shape, int(BoundaryLabel.GENERIC), dtype=np.int64)
 
-    def first_boundary_crossing(self, z0, z1):
-        """Fraction s in [0, 1] where the segment z0 -> z1 first crosses a
-        boundary piece that endpoint containment cannot see (slits, rays);
-        inf where there is none.  Domains with fat complements keep the
-        default: crossings there are caught by the endpoint test."""
-        z0 = _asarr(z0)
-        return np.full(z0.shape, np.inf)
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        """Fraction s in [0, 1] of the first boundary point on each segment
+        z0 -> z1 (z0 inside), inf where the segment stays inside.
+
+        Concrete domains with line, ray, segment or circle boundaries
+        override this with the exact crossing and ignore ``tol``.  This
+        default serves curved boundaries: where the far endpoint has left
+        the domain it bisects on containment to within ``tol`` along the
+        segment, returning the fraction just past the flip; a segment that
+        leaves and re-enters between its endpoints goes unseen.
+        """
+        z0, z1 = _asarr(z0), _asarr(z1)
+        s = np.full(z0.shape, np.inf)
+        out = ~self.contains(z1)
+        if np.any(out):
+            s[out] = _bisect_first_violation(
+                z0[out], z1[out], lambda p: ~self.contains(p), tol)
+        return s
 
     def probe_box(self):
         """(xmin, xmax, ymin, ymax) window overlapping the domain interior."""
         raise NotImplementedError
 
 
+def _bisect_first_violation(z0, z1, violates, tol):
+    """Vectorized bisection for the first point of [z0, z1] where
+    ``violates`` holds; z0 must not violate, z1 must.  Returns the fraction
+    s on the violating side, within ``tol`` (in length) of the flip."""
+    step = np.abs(z1 - z0)
+    iters = int(np.clip(np.ceil(np.log2(max(step.max() / tol, 2.0))), 8, 64))
+    s_lo = np.zeros(z0.shape)
+    s_hi = np.ones(z0.shape)
+    for _ in range(iters):
+        mid = 0.5 * (s_lo + s_hi)
+        bad = violates(z0 + (z1 - z0) * mid)
+        s_hi = np.where(bad, mid, s_hi)
+        s_lo = np.where(bad, s_lo, mid)
+    return s_hi
+
+
 def _line_crossing_fraction(y0, y1):
-    """s where the segment of ordinates y0 -> y1 crosses 0, inf if no strict
-    sign change."""
-    cross = y0 * y1 < 0
+    """s where the segment of ordinates y0 -> y1 (y0 != 0) first reaches 0:
+    a sign change or a far end exactly on 0; inf otherwise."""
+    cross = ((y0 > 0) & (y1 <= 0)) | ((y0 < 0) & (y1 >= 0))
     denom = np.where(cross, y0 - y1, 1.0)
     return np.where(cross, y0 / denom, np.inf)
+
+
+def _end_guard(domain, z1, s):
+    """``s`` with every segment whose far end lies outside ``domain`` capped
+    at 1.  Exact rules that locate a crossing in interpolated coordinates
+    can round past a far end that sits on the boundary; the cap keeps every
+    simulated position inside the open domain."""
+    return np.where(domain.contains(z1), s, np.minimum(s, 1.0))
+
+
+def _circle_crossing_fraction(w0, w1, radius, leaving_disk):
+    """First s in [0, 1] where the segment w0 -> w1 meets the circle
+    |w| = radius, from inside (``leaving_disk``) or from outside; inf where
+    it does not.  The endpoint test matches ``np.abs(w1)`` against the
+    radius exactly as containment does."""
+    d = w1 - w0
+    a = d.real ** 2 + d.imag ** 2
+    b = w0.real * d.real + w0.imag * d.imag
+    c = w0.real ** 2 + w0.imag ** 2 - radius ** 2
+    disc = b * b - a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    # Stable roots of a s^2 + 2 b s + c = 0: c / q and q / a, q = -b -+ root.
+    if leaving_disk:                       # c < 0: the positive root
+        q = np.where(b >= 0, -b - root, root - b)
+        s = np.where(b >= 0, c / np.where(q == 0, -1.0, q),
+                     q / np.where(a == 0, 1.0, a))
+        end_out = np.abs(w1) >= radius
+        hit = end_out
+    else:                                  # c > 0: the smaller root, if b < 0
+        q = root - b
+        s = np.where(b < 0, c / np.where(q == 0, 1.0, q), np.inf)
+        end_out = np.abs(w1) <= radius
+        hit = end_out | ((b < 0) & (disc >= 0) & (s <= 1.0))
+    return np.where(hit, np.clip(s, 0.0, 1.0), np.inf)
+
+
+def _rectilinear_crossing_fraction(z0, z1, p, q):
+    """First s in [0, 1] where each segment z0 -> z1 touches one of the
+    axis-parallel closed segments [p_k, q_k]; inf where it touches none."""
+    z0, z1 = z0[..., None], z1[..., None]
+    horiz = p.imag == q.imag
+    # Coordinate across each piece (its line is across == level) and along it.
+    a0 = np.where(horiz, z0.imag, z0.real)
+    a1 = np.where(horiz, z1.imag, z1.real)
+    b0 = np.where(horiz, z0.real, z0.imag)
+    b1 = np.where(horiz, z1.real, z1.imag)
+    level = np.where(horiz, p.imag, p.real)
+    lo = np.where(horiz, np.minimum(p.real, q.real),
+                  np.minimum(p.imag, q.imag))
+    hi = np.where(horiz, np.maximum(p.real, q.real),
+                  np.maximum(p.imag, q.imag))
+    s = _line_crossing_fraction(a0 - level, a1 - level)
+    along = b0 + np.where(np.isfinite(s), s, 0.0) * (b1 - b0)
+    s = np.where((along >= lo) & (along <= hi), s, np.inf)
+    return np.min(s, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -159,6 +245,22 @@ class Rectangle(Domain):
         py = np.where(side == 1, -self.b, np.where(side == 3, self.b, y))
         return px + 1j * py
 
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        # The rectangle is convex: exactly the steps that end outside leave
+        # it, each where it first leaves one of the four side half-planes.
+        z0, z1 = _asarr(z0), _asarr(z1)
+        s = np.full(z0.shape, np.inf)
+        out = ~self.contains(z1)
+        if np.any(out):
+            x0, y0 = z0[out].real, z0[out].imag
+            x1, y1 = z1[out].real, z1[out].imag
+            s[out] = np.minimum(
+                np.minimum(_line_crossing_fraction(self.a - x0, self.a - x1),
+                           _line_crossing_fraction(self.a + x0, self.a + x1)),
+                np.minimum(_line_crossing_fraction(self.b - y0, self.b - y1),
+                           _line_crossing_fraction(self.b + y0, self.b + y1)))
+        return s
+
     def probe_box(self):
         return (-self.a, self.a, -self.b, self.b)
 
@@ -196,6 +298,11 @@ class Annulus(Domain):
                           self.r, self.R)
         return direction * target
 
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        z0, z1 = _asarr(z0), _asarr(z1)
+        return np.minimum(_circle_crossing_fraction(z0, z1, self.R, True),
+                          _circle_crossing_fraction(z0, z1, self.r, False))
+
     def probe_box(self):
         return (-self.R, self.R, -self.R, self.R)
 
@@ -232,19 +339,28 @@ class Wedge(Domain):
             return up
         return np.where(d_up <= d_dn, up, dn)
 
-    def first_boundary_crossing(self, z0, z1):
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
         z0, z1 = _asarr(z0), _asarr(z1)
-        half = self.theta / 2
-        phis = [half] if self.theta == 2 * math.pi else [half, -half]
-        best = np.full(z0.shape, np.inf)
-        for phi in phis:
-            w0 = z0 * np.exp(-1j * phi)
-            w1 = z1 * np.exp(-1j * phi)
-            s = _line_crossing_fraction(w0.imag, w1.imag)
-            xc = w0.real + np.where(np.isfinite(s), s, 0.0) * (w1.real - w0.real)
-            s = np.where(xc >= 0.0, s, np.inf)
-            best = np.minimum(best, s)
-        return best
+        out = ~self.contains(z1)
+        # A convex wedge is left by exactly the steps that end outside it; a
+        # reflex one also by steps that cut through its complement.
+        near = out if self.theta <= math.pi else np.ones(out.shape, bool)
+        s = np.full(z0.shape, np.inf)
+        if np.any(near):
+            u0, u1 = z0[near], z1[near]
+            half = self.theta / 2
+            phis = [half] if self.theta == 2 * math.pi else [half, -half]
+            best = np.full(u0.shape, np.inf)
+            for phi in phis:
+                w0 = u0 * np.exp(-1j * phi)
+                w1 = u1 * np.exp(-1j * phi)
+                f = _line_crossing_fraction(w0.imag, w1.imag)
+                dx = w1.real - w0.real
+                xc = w0.real + np.where(np.isfinite(f), f, 0.0) * dx
+                best = np.minimum(best, np.where(xc >= 0.0, f, np.inf))
+            s[near] = best
+        # Rotated coordinates can round past a far end on a ray: cap at 1.
+        return np.where(out, np.minimum(s, 1.0), s)
 
     def probe_box(self):
         return (-4.0, 8.0, -8.0, 8.0)
@@ -298,7 +414,7 @@ class HalfPlane(Domain):
         return np.where(t > 0, int(BoundaryLabel.HALFLINE_RIGHT),
                         int(BoundaryLabel.HALFLINE_LEFT)).astype(np.int64)
 
-    def first_boundary_crossing(self, z0, z1):
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
         return _line_crossing_fraction(self._inward(z0), self._inward(z1))
 
     def probe_box(self):
@@ -333,7 +449,7 @@ class Strip(Domain):
                           self.lo, self.hi)
         return z.real + 1j * target
 
-    def first_boundary_crossing(self, z0, z1):
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
         y0, y1 = _asarr(z0).imag, _asarr(z1).imag
         return np.minimum(
             _line_crossing_fraction(y0 - self.lo, y1 - self.lo),
@@ -381,6 +497,14 @@ class HalfStripComplement(Domain):
         p_end = self.x0 + 1j * np.clip(y, -self.a, self.a)
         best = np.argmin(np.stack([d_top, d_bot, d_end]), axis=0)
         return np.choose(best, [p_top, p_bot, p_end])
+
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        z0, z1 = _asarr(z0), _asarr(z1)
+        corners = np.array([complex(-np.inf, self.a), complex(self.x0, self.a),
+                            complex(self.x0, -self.a),
+                            complex(-np.inf, -self.a)])
+        s = _rectilinear_crossing_fraction(z0, z1, corners[:-1], corners[1:])
+        return _end_guard(self, z1, s)
 
     def probe_box(self):
         return (self.x0 - 4, self.x0 + 8, -self.a - 5, self.a + 5)
@@ -467,11 +591,11 @@ class KoebeSlit(Domain):
         return np.where(z.real <= -0.25, z.real + 0.0j,
                         np.complex128(-0.25))
 
-    def first_boundary_crossing(self, z0, z1):
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
         z0, z1 = _asarr(z0), _asarr(z1)
         s = _line_crossing_fraction(z0.imag, z1.imag)
         xc = z0.real + np.where(np.isfinite(s), s, 0.0) * (z1.real - z0.real)
-        return np.where(xc <= -0.25, s, np.inf)
+        return _end_guard(self, z1, np.where(xc <= -0.25, s, np.inf))
 
     def probe_box(self):
         return (-10.0, 10.0, -10.0, 10.0)
@@ -500,6 +624,11 @@ class Disk(Domain):
         rho = np.abs(w)
         direction = np.where(rho > 0, w / np.where(rho == 0, 1.0, rho), 1.0)
         return self.center + self.radius * direction
+
+    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+        return _circle_crossing_fraction(_asarr(z0) - self.center,
+                                         _asarr(z1) - self.center,
+                                         self.radius, True)
 
     def probe_box(self):
         c, r = self.center, self.radius

@@ -55,6 +55,9 @@ class EmConfig:
     The quadratic rule keeps the per-step escape-without-detection
     probability at the e^{-2/c} level and makes the step count logarithmic
     in the exit scale; cap dt_max only when a time-resolved path is needed.
+    ``boundary_tol`` is the bisection resolution of the containment
+    fallback in :meth:`Domain.first_boundary_crossing`, which only domains
+    without an exact crossing rule (curved boundaries) use.
     """
 
     dt_max: float = math.inf
@@ -187,45 +190,51 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     scale = 1.0 + np.abs(starts)
     eps = np.full(n, cfg.eps) if cfg.eps is not None else 1e-6 * scale
     r_cap = np.full(n, cfg.r_cap) if cfg.r_cap is not None else 64.0 * scale
+    eps_max = float(np.max(eps))
 
-    z = starts.astype(complex).copy()
     steps = np.zeros(n, dtype=np.int64)
-    times = np.zeros(n) if cfg.with_time else None
+    exit_t = np.full(n, np.nan) if cfg.with_time else None
     exit_pt = np.full(n, np.nan, dtype=complex)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
 
-    alive = np.arange(n)
-    while alive.size:
-        za = z[alive]
-        d = domain.boundary_distance(za)
-        shell = d < eps[alive]
+    # State of the paths still walking, compacted in path order so that
+    # every sweep draws exactly as the full-width loop would.
+    idx = np.arange(n)
+    z = starts.astype(complex)
+    t = np.zeros(n) if cfg.with_time else None
+    step = 0
+    while idx.size:
+        d = domain.boundary_distance(z)
+        shell = d < eps
         if np.any(shell):
-            idx = alive[shell]
-            p = domain.project(za[shell])
-            exit_pt[idx] = p
-            labels[idx] = domain.label_codes(p)
-            ok[idx] = True
-            alive = alive[~shell]
-            za = za[~shell]
-            if alive.size == 0:
+            done = idx[shell]
+            p = domain.project(z[shell])
+            exit_pt[done] = p
+            labels[done] = domain.label_codes(p)
+            ok[done] = True
+            steps[done] = step
+            if t is not None:
+                exit_t[done] = t[shell]
+            keep = ~shell
+            idx, z, d, eps, r_cap = (idx[keep], z[keep], d[keep], eps[keep],
+                                     r_cap[keep])
+            if t is not None:
+                t = t[keep]
+            if idx.size == 0:
                 break
-            d = d[~shell]
-        r = np.minimum(d, r_cap[alive])
-        theta = gen.uniform(0.0, 2 * math.pi, alive.size)
-        z[alive] = za + r * np.exp(1j * theta)
-        if cfg.with_time:
-            times[alive] += r ** 2 * sample_unit_disk_time(gen, alive.size)
-        steps[alive] += 1
-        overrun = steps[alive] >= cfg.max_steps
-        if np.any(overrun):
-            alive = alive[~overrun]
+        r = np.minimum(d, r_cap)
+        theta = gen.uniform(0.0, 2 * math.pi, idx.size)
+        z = z + r * np.exp(1j * theta)
+        if t is not None:
+            t = t + r ** 2 * sample_unit_disk_time(gen, idx.size)
+        step += 1
+        if step >= cfg.max_steps:
+            steps[idx] = step
+            break
 
-    if times is not None:
-        times = np.where(ok, times, np.nan)
-    return ExitBatch(exit_point=exit_pt, exit_time=times, label=labels,
-                     steps=steps, ok=ok, method=METHOD_WOS,
-                     eps=float(np.max(eps)))
+    return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
+                     steps=steps, ok=ok, method=METHOD_WOS, eps=eps_max)
 
 
 def wos_exit(domain: Domain, start: complex, cfg: WosConfig,
@@ -242,48 +251,22 @@ def wos_exit(domain: Domain, start: complex, cfg: WosConfig,
 # Euler-Maruyama
 # ---------------------------------------------------------------------------
 
-def _bisect_first_violation(z0, z1, violates, tol):
-    """Vectorized bisection for the first point of [z0, z1] where
-    ``violates`` holds; z0 must not violate, z1 must.  Returns (s, z_at_s)
-    on the violating side, within ``tol`` of the flip."""
-    step = np.abs(z1 - z0)
-    iters = int(np.clip(np.ceil(np.log2(max(step.max() / tol, 2.0))), 8, 64))
-    s_lo = np.zeros(z0.shape)
-    s_hi = np.ones(z0.shape)
-    for _ in range(iters):
-        mid = 0.5 * (s_lo + s_hi)
-        bad = violates(z0 + (z1 - z0) * mid)
-        s_hi = np.where(bad, mid, s_hi)
-        s_lo = np.where(bad, s_lo, mid)
-    return s_hi, z0 + (z1 - z0) * s_hi
-
-
-def _first_domain_exit(domain: Domain, z0, z1, tol):
-    """Fraction of the first boundary crossing along each segment z0 -> z1,
-    inf where the segment stays inside.  Exact for slit/ray boundary pieces
-    via the domain's own crossing rule; otherwise bisection on containment
-    when the far endpoint has left the domain."""
-    s = domain.first_boundary_crossing(z0, z1).copy()
-    out = ~domain.contains(z1)
-    if np.any(out):
-        sb, _ = _bisect_first_violation(z0[out], z1[out],
-                                        lambda p: ~domain.contains(p), tol)
-        s[out] = np.minimum(s[out], sb)
-    return s
-
-
 def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                   cfg: EmConfig = EmConfig(),
                   absorb_line_re: float | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
-    Gaussian increments with dt = min(dt_max, c * dist^2); boundary
-    crossings are located along the step segment (exactly for slit and ray
-    pieces, by bisection to ``boundary_tol`` otherwise) and the exit time is
-    interpolated linearly.  With ``absorb_line_re`` the vertical line
-    {Re z = r} also absorbs and the earlier of the two crossings wins; line
-    exits carry the line point and the ``BoundaryLabel.LINE`` label, which
-    no domain side uses.
+    Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
+    segment is handed to :meth:`Domain.first_boundary_crossing`, which
+    locates the first boundary point on it exactly for line, ray, segment
+    and circle boundaries (bisection to ``boundary_tol`` only for curved
+    ones), so excursions that leave and re-enter within one step still end
+    the path; the exit time is interpolated linearly along the step.  With
+    ``absorb_line_re`` the vertical line {Re z = r} also absorbs and the
+    earlier of the two crossings wins; line exits carry the line point and
+    the ``BoundaryLabel.LINE`` label, which no domain side uses.  Paths
+    still inside after ``max_steps`` steps have ``ok`` False, NaN exit
+    point and time, and label -1.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
@@ -293,63 +276,65 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     if line is not None and not np.all(starts.real < line):
         raise BadStart("absorbing line must lie right of every start")
 
-    z = starts.astype(complex).copy()
-    t = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     exit_pt = np.full(n, np.nan, dtype=complex)
     exit_t = np.full(n, np.nan)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
 
-    alive = np.arange(n)
-    while alive.size:
-        za = z[alive]
-        d = domain.boundary_distance(za)
+    # State of the paths still inside, compacted in path order so that
+    # every sweep draws exactly as the full-width loop would.
+    idx = np.arange(n)
+    z = starts.astype(complex)
+    t = np.zeros(n)
+    step = 0
+    while idx.size:
+        step += 1
+        d = domain.boundary_distance(z)
         if line is not None:
-            d = np.minimum(d, np.abs(za.real - line))
+            d = np.minimum(d, np.abs(z.real - line))
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
         dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
-        dt = np.maximum(dt, 4e-16 * t[alive])
-        g = gen.standard_normal((2, alive.size))
-        z1 = za + np.sqrt(dt) * (g[0] + 1j * g[1])
+        dt = np.maximum(dt, 4e-16 * t)
+        g = gen.standard_normal((2, idx.size))
+        z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
 
-        s_dom = _first_domain_exit(domain, za, z1, cfg.boundary_tol)
+        s = domain.first_boundary_crossing(z, z1, cfg.boundary_tol)
+        finished = np.isfinite(s)
         if line is not None:
-            dx = z1.real - za.real
+            dx = z1.real - z.real
             s_line = np.where(z1.real >= line,
-                              (line - za.real) / np.where(dx == 0, 1.0, dx),
+                              (line - z.real) / np.where(dx == 0, 1.0, dx),
                               np.inf)
-        else:
-            s_line = np.full(alive.size, np.inf)
-
-        dom_exit = s_dom <= s_line
-        dom_exit &= np.isfinite(s_dom)
+            line_exit = s_line < s
+            if np.any(line_exit):
+                done = idx[line_exit]
+                zc = z[line_exit] + (z1 - z)[line_exit] * s_line[line_exit]
+                exit_pt[done] = line + 1j * zc.imag
+                labels[done] = int(BoundaryLabel.LINE)
+                exit_t[done] = t[line_exit] + s_line[line_exit] * dt[line_exit]
+                finished |= line_exit
+                s = np.where(line_exit, np.inf, s)
+        dom_exit = np.isfinite(s)
         if np.any(dom_exit):
-            idx = alive[dom_exit]
-            p = domain.project(za[dom_exit]
-                               + (z1 - za)[dom_exit] * s_dom[dom_exit])
-            exit_pt[idx] = p
-            labels[idx] = domain.label_codes(p)
-            exit_t[idx] = t[idx] + s_dom[dom_exit] * dt[dom_exit]
-            ok[idx] = True
-        line_exit = s_line < s_dom
-        if np.any(line_exit):
-            idx = alive[line_exit]
-            zc = za[line_exit] + (z1 - za)[line_exit] * s_line[line_exit]
-            exit_pt[idx] = line + 1j * zc.imag
-            labels[idx] = int(BoundaryLabel.LINE)
-            exit_t[idx] = t[idx] + s_line[line_exit] * dt[line_exit]
-            ok[idx] = True
+            done = idx[dom_exit]
+            p = domain.project(z[dom_exit] + (z1 - z)[dom_exit] * s[dom_exit])
+            exit_pt[done] = p
+            labels[done] = domain.label_codes(p)
+            exit_t[done] = t[dom_exit] + s[dom_exit] * dt[dom_exit]
 
-        t[alive] += dt
-        steps[alive] += 1
-        z[alive] = z1
-        finished = dom_exit | line_exit
-        keep = ~finished & (steps[alive] < cfg.max_steps)
-        alive = alive[keep]
+        z, t = z1, t + dt
+        if np.any(finished):
+            done = idx[finished]
+            ok[done] = True
+            steps[done] = step
+            keep = ~finished
+            idx, z, t = idx[keep], z[keep], t[keep]
+        if step >= cfg.max_steps:
+            steps[idx] = step
+            break
 
-    exit_t = np.where(ok, exit_t, np.nan)
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
                      steps=steps, ok=ok, method=METHOD_EM)
 
@@ -377,8 +362,8 @@ def em_exit(domain: Domain, start: complex, cfg: EmConfig,
         dt = max(dt, 4e-16 * t)
         g = gen.standard_normal(2)
         z1 = z + math.sqrt(dt) * complex(g[0], g[1])
-        s = _first_domain_exit(domain, np.array([z]), np.array([z1]),
-                               cfg.boundary_tol)[0]
+        s = domain.first_boundary_crossing(np.array([z]), np.array([z1]),
+                                           cfg.boundary_tol)[0]
         if np.isfinite(s):
             p = complex(domain.project(np.complex128(z + (z1 - z) * s)))
             t_exit = t + float(s) * dt
@@ -485,7 +470,7 @@ def reflected_coupling_batch(domain: Domain, start: complex, split_re: float,
         z1 = za + np.sqrt(dt) * (g[0] + 1j * g[1])
 
         # Positions along [za, z1] of the two possible events.
-        s_dom = _first_domain_exit(domain, za, z1, cfg.boundary_tol)
+        s_dom = domain.first_boundary_crossing(za, z1, cfg.boundary_tol)
         dx = z1.real - za.real
         s_line = np.where(pre & (z1.real >= split_re),
                           (split_re - za.real) / np.where(dx == 0, 1.0, dx),
@@ -517,7 +502,8 @@ def reflected_coupling_batch(domain: Domain, start: complex, split_re: float,
             t_hit[idx] = t[alive][newhit] + s_line[newhit] * dt[newhit]
             z_l = za[newhit] + (z1 - za)[newhit] * s_line[newhit]
             tail_end = _reflect(z1[newhit], split_re)
-            s2 = _first_domain_exit(domain, z_l, tail_end, cfg.boundary_tol)
+            s2 = domain.first_boundary_crossing(z_l, tail_end,
+                                                cfg.boundary_tol)
             tail_out = np.isfinite(s2)
             if np.any(tail_out):
                 pts = z_l[tail_out] + (tail_end - z_l)[tail_out] * s2[tail_out]
@@ -528,7 +514,7 @@ def reflected_coupling_batch(domain: Domain, start: complex, split_re: float,
 
         # Mirror copy after an earlier line hit follows the reflected segment.
         h1 = _reflect(z1, split_re)
-        s_h = _first_domain_exit(domain, ha, h1, cfg.boundary_tol)
+        s_h = domain.first_boundary_crossing(ha, h1, cfg.boundary_tol)
         h_exit = ~pre & ~ok_h[alive] & np.isfinite(s_h)
         if np.any(h_exit):
             pts = ha[h_exit] + (h1 - ha)[h_exit] * s_h[h_exit]

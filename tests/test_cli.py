@@ -234,6 +234,31 @@ n = 100
     assert reports[2]["passed"]
 
 
+def test_bad_scenario_value_recorded_not_fatal(tmp_path):
+    cfg = """
+[scenario.bad_n]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 0
+region = s1
+n = lots
+
+[scenario.cauchy]
+experiment = cauchy
+gamma = 2j
+alpha_mobius = 1j
+alpha_power = 0.5
+lambda = 1.0
+n = 20000
+seed = 7
+"""
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["bad_n", "cauchy"]
+    assert not reports[0]["passed"]
+    assert reports[0]["error"] == "ConfigError: bad value 'lots' for 'n'"
+    assert reports[1]["passed"]
+
+
 def test_harmonic_measure_report_matches_estimator(tmp_path):
     rep = run(write(tmp_path, BASIC))[0]
     est = estimate_harmonic_measure(Rectangle(1, 1), 0j, BoundaryLabel.S1,

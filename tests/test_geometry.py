@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bmx.combs import build_comb
 from bmx.errors import BadParameters, NotNearBoundary, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
@@ -182,6 +185,93 @@ def test_koebe_crossing_only_on_slit():
     # Crossing Im = 0 right of the slit tip is not a boundary crossing.
     s = k.first_boundary_crossing(np.array([1 + 1j]), np.array([1 - 1j]))[0]
     assert s == math.inf
+
+
+# Every domain with an exact crossing rule, with the tip of its slit for
+# slit domains (the slit runs from the tip toward -inf along the real axis)
+# and the window z0 is drawn from when the probe box is mostly outside.
+_V2, _W2 = build_comb(2, [1, 2, 3], [-2, 1])
+EXACT_CROSSING = [
+    pytest.param(Rectangle(2, 1), None, None, id="rectangle"),
+    pytest.param(Annulus(1, 8), None, None, id="annulus"),
+    pytest.param(Disk(0.5 + 0.5j, 2.0), None, None, id="disk"),
+    pytest.param(Wedge(math.pi / 2), None, None, id="wedge_half_pi"),
+    pytest.param(Wedge(math.pi), None, None, id="wedge_pi"),
+    pytest.param(Wedge(3 * math.pi / 2), None, None, id="wedge_3half_pi"),
+    pytest.param(Wedge(2 * math.pi), 0.0, None, id="wedge_2pi"),
+    pytest.param(HalfPlane("north"), None, None, id="halfplane_north"),
+    pytest.param(HalfPlane("west"), None, None, id="halfplane_west"),
+    pytest.param(Strip(-1, 1), None, None, id="strip"),
+    pytest.param(HalfStripComplement(1.0), None, None, id="halfstrip_compl"),
+    pytest.param(KoebeSlit(), -0.25, None, id="koebe"),
+    pytest.param(_V2, None, None, id="comb_V2"),
+    pytest.param(_W2, None, (-6.0, 1.0, -3.0, 3.0), id="comb_W2"),
+]
+DENSE = 4001
+
+
+def _dense_reference(domain, slit_tip, z0, z1):
+    """(leaves, first) from containment at DENSE points of z0 -> z1: whether
+    the segment certainly leaves the domain, and the grid fraction by which
+    it has left; None when the grid cannot tell (it passes within one grid
+    spacing of the boundary without a point clearly outside).
+
+    Containment cannot see a slit, so for slit domains a crossing is a jump
+    of the argument about the tip, whose branch cut is the slit."""
+    frac = np.linspace(0.0, 1.0, DENSE)
+    pts = z0 + (z1 - z0) * frac
+    h = abs(z1 - z0) / (DENSE - 1)
+    inside = domain.contains(pts)
+    dist = domain.boundary_distance(pts)
+    out = ~inside & (dist > 1e-9)
+    out[-1] |= not inside[-1]
+    if slit_tip is not None:
+        if np.min(np.abs(pts - slit_tip)) <= 2 * h:
+            return None
+        out[1:] |= np.abs(np.diff(np.angle(pts - slit_tip))) > math.pi
+    if np.any(out):
+        return True, frac[np.argmax(out)]
+    if np.all(inside) and np.min(dist) > h:
+        return False, None
+    return None
+
+
+@pytest.mark.parametrize("domain,slit_tip,box", EXACT_CROSSING)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(u=st.floats(0, 1), v=st.floats(0, 1), rho=st.floats(0, 4),
+       phi=st.floats(0, 2 * math.pi))
+def test_exact_crossing_matches_dense_containment(domain, slit_tip, box,
+                                                  u, v, rho, phi):
+    xmin, xmax, ymin, ymax = box or domain.probe_box()
+    z0 = complex(xmin + u * (xmax - xmin), ymin + v * (ymax - ymin))
+    assume(domain.contains(z0) and domain.boundary_distance(z0) > 1e-6)
+    z1 = z0 + rho * complex(math.cos(phi), math.sin(phi))
+    ref = _dense_reference(domain, slit_tip, z0, z1)
+    assume(ref is not None)
+    leaves, first = ref
+
+    s = domain.first_boundary_crossing(np.array([z0]), np.array([z1]))[0]
+    assert np.isfinite(s) == leaves
+    if leaves:
+        assert 0.0 <= s <= first + 1e-12
+        assert domain.boundary_distance(z0 + (z1 - z0) * s) < 1e-9
+
+
+@pytest.mark.parametrize("domain,z0,z1", [
+    # Both far ends are back inside: the step cuts through the half-strip
+    # and through the annulus hole.
+    (HalfStripComplement(1.0), -5 + 2j, -5 - 2j),
+    (Annulus(1, 8), -2 + 0.1j, 2 + 0.1j),
+])
+def test_crossing_seen_when_far_end_is_back_inside(domain, z0, z1):
+    assert domain.contains(z0) and domain.contains(z1)
+    s = domain.first_boundary_crossing(np.array([z0]), np.array([z1]))[0]
+    assert np.isfinite(s)
+    assert domain.boundary_distance(z0 + (z1 - z0) * s) < 1e-12
+    if isinstance(domain, HalfStripComplement):
+        assert math.isclose(s, 0.25, rel_tol=1e-12)
+    else:
+        assert math.isclose(s, (2 - math.sqrt(0.99)) / 4, rel_tol=1e-12)
 
 
 def test_delta_starlike_verdicts():

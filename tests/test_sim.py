@@ -229,6 +229,37 @@ def test_em_absorbing_line():
     assert np.all(np.abs(np.abs(off_line.imag) - 1) < 1e-6)
 
 
+@pytest.mark.parametrize("kernel", ["em", "wos"])
+def test_batch_step_cap_records(kernel):
+    # A capped run must leave every capped path as a NaN record and every
+    # path that exits before the cap exactly as in an uncapped run.
+    def run(max_steps):
+        gen = RngStream(116).generator()
+        starts = np.zeros(3000, dtype=complex)
+        if kernel == "em":
+            return em_exit_batch(Rectangle(2, 1), starts, gen,
+                                 EmConfig(max_steps=max_steps))
+        return wos_exit_batch(Rectangle(2, 1), starts, gen,
+                              WosConfig(max_steps=max_steps, with_time=True))
+
+    k = 12
+    capped, full = run(k), run(1_000_000)
+    assert full.n_excluded == 0
+    cap = ~capped.ok
+    assert cap.any() and not cap.all()
+    assert np.all(capped.steps[cap] == k)
+    assert np.all(np.isnan(capped.exit_point[cap]))
+    assert np.all(np.isnan(capped.exit_time[cap]))
+    assert np.all(capped.label[cap] == -1)
+    # EM detects an exit within its k-th step; walk-on-spheres checks the
+    # shell before each jump, so its k-th jump ends in the cap.
+    within = full.steps <= k if kernel == "em" else full.steps < k
+    assert np.array_equal(capped.ok, within)
+    for name in ("exit_point", "exit_time", "label", "steps"):
+        assert np.array_equal(getattr(capped, name)[within],
+                              getattr(full, name)[within])
+
+
 # ---------------------------------------------------------------------------
 # Pushforward
 # ---------------------------------------------------------------------------
