@@ -7,7 +7,7 @@ Subsystems:
 * :mod:`bmx.maps` -- closed-form analytic maps, derivatives, Hardy norms;
 * :mod:`bmx.rng`, :mod:`bmx.disk_time`, :mod:`bmx.sim` -- reproducible
   streams and the exit-sampling kernels (exact, walk-on-spheres,
-  Euler-Maruyama, reflection coupling, pushforward);
+  Euler-Maruyama, pushforward);
 * :mod:`bmx.hyperbolic`, :mod:`bmx.stats` -- quasi-hyperbolic distance,
   estimators, and the identity/inequality verifiers;
 * :mod:`bmx.cli` -- the ``bmx`` scenario runner.
@@ -28,8 +28,7 @@ from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,
                    hardy_norm_profile, log_transfer)
 from .rng import RngStream
 from .sim import (EmConfig, ExitBatch, ExitRecord, PathSample, WosConfig,
-                  em_exit, em_exit_batch, pushforward, reflected_coupling,
-                  reflected_coupling_batch, sample_disk_exit,
+                  em_exit, em_exit_batch, pushforward, sample_disk_exit,
                   sample_disk_exit_batch, sample_halfplane_exit,
                   sample_halfplane_exit_batch, wos_exit, wos_exit_batch)
 from .stats import (Estimate, HardyEstimate, IdentityCheck, IncreasingReport,

@@ -195,6 +195,10 @@ def _parse_floats(s: str):
     return [float(t) for t in re.split(r"[,\s]+", s.strip()) if t]
 
 
+def _parse_ints(s: str):
+    return [int(t) for t in re.split(r"[,\s]+", s.strip()) if t]
+
+
 # ---------------------------------------------------------------------------
 # Scenario schema
 # ---------------------------------------------------------------------------
@@ -515,7 +519,7 @@ def _run_modulus(sc: Scenario):
 def _run_comb_sequence(sc: Scenario):
     a = sc.param("a", _parse_floats)
     b = sc.param("b", _parse_floats)
-    iterations = [int(x) for x in sc.param("iterations", _parse_floats)]
+    iterations = sc.param("iterations", _parse_ints)
     domains = [build_comb(k, a[:k + 1], b[:k])[0] for k in iterations]
     growth = sc.param("growth", _parse_floats) if sc.param("growth") else None
     rep = verify_increasing_domains(

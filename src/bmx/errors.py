@@ -45,6 +45,10 @@ class TargetUnreachable(BmxError):
     """No grid path connects the source to the target in the metric graph."""
 
 
+class NodeBudgetExceeded(TargetUnreachable):
+    """The first metric graph needs more leaves than ``max_nodes`` allows."""
+
+
 class NestingViolation(BmxError):
     """A claimed domain inclusion failed a containment check."""
 

@@ -47,7 +47,6 @@ class BoundaryLabel(IntEnum):
     GAMMA1 = 8          # spiral arm t -> t e^{it}
     GAMMA2 = 9          # spiral arm t -> t e^{i(t-pi)}
     GENERIC = 10
-    LINE = 11           # absorbing line of em_exit_batch, never a domain side
 
 
 def _asarr(z):

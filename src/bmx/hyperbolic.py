@@ -23,7 +23,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import BadParameters, PointOutsideDomain, TargetUnreachable
+from .errors import (BadParameters, NodeBudgetExceeded, PointOutsideDomain,
+                     TargetUnreachable)
 from .geometry import Domain
 
 
@@ -45,10 +46,6 @@ class QhConfig:
     max_nodes: int = 600_000
     refine_target: float = 0.01
     max_rounds: int = 4
-
-
-class _Budget(Exception):
-    pass
 
 
 @dataclass
@@ -106,7 +103,9 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
             out_h.append(hs[leaf])
             total += int(np.sum(leaf))
             if total > node_budget:
-                raise _Budget
+                raise NodeBudgetExceeded(
+                    f"graph needs more than max_nodes={node_budget} leaves "
+                    f"(cell factor {factor:g})")
         split = ~leaf & ~drop & ~at_floor
         cx, cy, hs = cx[split], cy[split], hs[split]
         if cx.size:
@@ -276,7 +275,9 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
             _add_round(domain, graph, a, targets, factor, cell_floor,
                        cfg.rel_floor / (2 ** round_idx), cfg.prune_clearance,
                        box_center, box_half, cfg.max_nodes)
-        except _Budget:
+        except NodeBudgetExceeded:
+            if values is None:
+                raise
             break
         vals = _solve(graph)
         history.append(vals.copy())

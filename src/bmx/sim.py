@@ -1,5 +1,5 @@
 """Stochastic kernels: exact exit samplers, walk-on-spheres, adaptive
-Euler-Maruyama, reflection coupling, and analytic-map pushforward.
+Euler-Maruyama, and analytic-map pushforward.
 
 All kernels exist in two forms: a scalar operation returning one
 :class:`ExitRecord` (or :class:`PathSample`), and a vectorized ``*_batch``
@@ -86,6 +86,9 @@ class ExitBatch:
 
     ``ok`` is False where the path hit the step cap; such paths carry NaN
     exit data and must be excluded (and counted) by consumers.
+    ``line_hit`` is set where the path crossed the marked vertical line of
+    :func:`em_exit_batch` before its exit, and is None when no line was
+    marked.
     """
 
     exit_point: np.ndarray
@@ -95,6 +98,7 @@ class ExitBatch:
     ok: np.ndarray
     method: str
     eps: float = 0.0
+    line_hit: np.ndarray | None = None
 
     def __len__(self):
         return len(self.exit_point)
@@ -223,15 +227,17 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                 t = t[keep]
             if idx.size == 0:
                 break
+        # The cap applies after the shell test, so a walk whose last allowed
+        # jump lands in the shell still exits.
+        if step >= cfg.max_steps:
+            steps[idx] = step
+            break
         r = np.minimum(d, r_cap)
         theta = gen.uniform(0.0, 2 * math.pi, idx.size)
         z = z + r * np.exp(1j * theta)
         if t is not None:
             t = t + r ** 2 * sample_unit_disk_time(gen, idx.size)
         step += 1
-        if step >= cfg.max_steps:
-            steps[idx] = step
-            break
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
                      steps=steps, ok=ok, method=METHOD_WOS, eps=eps_max)
@@ -253,7 +259,7 @@ def wos_exit(domain: Domain, start: complex, cfg: WosConfig,
 
 def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                   cfg: EmConfig = EmConfig(),
-                  absorb_line_re: float | None = None) -> ExitBatch:
+                  mark_line_re: float | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
     Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
@@ -262,25 +268,28 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     and circle boundaries (bisection to ``boundary_tol`` only for curved
     ones), so excursions that leave and re-enter within one step still end
     the path; the exit time is interpolated linearly along the step.  With
-    ``absorb_line_re`` the vertical line {Re z = r} also absorbs and the
-    earlier of the two crossings wins; line exits carry the line point and
-    the ``BoundaryLabel.LINE`` label, which no domain side uses.  Paths
-    still inside after ``max_steps`` steps have ``ok`` False, NaN exit
-    point and time, and label -1.
+    ``mark_line_re`` = r, every start must lie left of the vertical line
+    {Re z = r}; a path that has not yet crossed it also keeps its steps
+    small near it (dt uses min(dist, |Re z - r|)), and the step whose
+    segment reaches the line before any domain exit sets the path's
+    ``line_hit``.  The line never stops a path, so exits are always domain
+    exits.  Paths still inside after ``max_steps`` steps have ``ok`` False,
+    NaN exit point and time, and label -1.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
     if not np.all(domain.contains(starts)):
         raise PointOutsideDomain("Euler-Maruyama start outside the domain")
-    line = absorb_line_re
+    line = mark_line_re
     if line is not None and not np.all(starts.real < line):
-        raise BadStart("absorbing line must lie right of every start")
+        raise BadStart("marked line must lie right of every start")
 
     steps = np.zeros(n, dtype=np.int64)
     exit_pt = np.full(n, np.nan, dtype=complex)
     exit_t = np.full(n, np.nan)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
+    line_hit = None if line is None else np.zeros(n, dtype=bool)
 
     # State of the paths still inside, compacted in path order so that
     # every sweep draws exactly as the full-width loop would.
@@ -292,7 +301,8 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         step += 1
         d = domain.boundary_distance(z)
         if line is not None:
-            d = np.minimum(d, np.abs(z.real - line))
+            before = ~line_hit[idx]
+            d = np.where(before, np.minimum(d, np.abs(z.real - line)), d)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
         dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
@@ -303,40 +313,30 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         s = domain.first_boundary_crossing(z, z1, cfg.boundary_tol)
         finished = np.isfinite(s)
         if line is not None:
+            # A path left of the line reaches it within this step exactly
+            # when the step ends on or right of it.
             dx = z1.real - z.real
-            s_line = np.where(z1.real >= line,
+            s_line = np.where(before & (z1.real >= line),
                               (line - z.real) / np.where(dx == 0, 1.0, dx),
                               np.inf)
-            line_exit = s_line < s
-            if np.any(line_exit):
-                done = idx[line_exit]
-                zc = z[line_exit] + (z1 - z)[line_exit] * s_line[line_exit]
-                exit_pt[done] = line + 1j * zc.imag
-                labels[done] = int(BoundaryLabel.LINE)
-                exit_t[done] = t[line_exit] + s_line[line_exit] * dt[line_exit]
-                finished |= line_exit
-                s = np.where(line_exit, np.inf, s)
-        dom_exit = np.isfinite(s)
-        if np.any(dom_exit):
-            done = idx[dom_exit]
-            p = domain.project(z[dom_exit] + (z1 - z)[dom_exit] * s[dom_exit])
-            exit_pt[done] = p
-            labels[done] = domain.label_codes(p)
-            exit_t[done] = t[dom_exit] + s[dom_exit] * dt[dom_exit]
-
-        z, t = z1, t + dt
+            line_hit[idx[s_line < s]] = True
         if np.any(finished):
             done = idx[finished]
+            p = domain.project(z[finished] + (z1 - z)[finished] * s[finished])
+            exit_pt[done] = p
+            labels[done] = domain.label_codes(p)
+            exit_t[done] = t[finished] + s[finished] * dt[finished]
             ok[done] = True
             steps[done] = step
             keep = ~finished
-            idx, z, t = idx[keep], z[keep], t[keep]
+            idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
+        z, t = z1, t + dt
         if step >= cfg.max_steps:
             steps[idx] = step
             break
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                     steps=steps, ok=ok, method=METHOD_EM)
+                     steps=steps, ok=ok, method=METHOD_EM, line_hit=line_hit)
 
 
 def em_exit(domain: Domain, start: complex, cfg: EmConfig,
@@ -408,138 +408,3 @@ def pushforward(m: AnalyticMap, path: PathSample,
                      label=label, steps=old.steps, method=old.method,
                      eps=old.eps, status=old.status)
     return PathSample(times=sigma, points=pts, terminal=rec)
-
-
-# ---------------------------------------------------------------------------
-# Reflection coupling across a vertical line
-# ---------------------------------------------------------------------------
-
-def _reflect(z, split_re):
-    return 2.0 * split_re - np.conj(z)
-
-
-def reflected_coupling_batch(domain: Domain, start: complex, split_re: float,
-                             gen: np.random.Generator, n: int,
-                             cfg: EmConfig = EmConfig()):
-    """Coupled pairs (B, B_hat): identical until the first hit of the line
-    {Re z = split_re} inside the domain, mirror images across it afterward.
-
-    Both copies ride one underlying Euler-Maruyama path, so all randomness is
-    shared.  Within a crossing step, events are ordered by their position
-    along the segment: a line hit counts only if it precedes the domain exit,
-    and the mirror copy's remainder of the step is reflected from the hit
-    point on.  Returns (batch, batch_hat, hit_line, t_hit).
-    """
-    start = complex(start)
-    if not (domain.contains(np.complex128(start)) and start.real < split_re):
-        raise BadStart("coupling needs an interior start left of the line")
-
-    z = np.full(n, start, dtype=complex)       # the underlying Brownian path
-    t = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-    t_hit = np.full(n, np.nan)
-
-    def arrays():
-        return (np.full(n, np.nan, dtype=complex), np.full(n, np.nan),
-                np.full(n, _LABEL_NONE, dtype=np.int64), np.zeros(n, dtype=bool))
-
-    pt_b, t_b, lab_b, ok_b = arrays()
-    pt_h, t_h, lab_h, ok_h = arrays()
-
-    def record(pt, tt, lab, okk, idx, points, times):
-        p = domain.project(points)
-        pt[idx] = p
-        lab[idx] = domain.label_codes(p)
-        tt[idx] = times
-        okk[idx] = True
-
-    alive = np.arange(n)                       # paths with either copy alive
-    while alive.size:
-        m = alive.size
-        za = z[alive]
-        pre = ~hit[alive]
-        ha = np.where(pre, za, _reflect(za, split_re))
-        d_b = np.where(ok_b[alive], np.inf, domain.boundary_distance(za))
-        d_h = np.where(ok_h[alive], np.inf, domain.boundary_distance(ha))
-        d = np.minimum(d_b, d_h)
-        d = np.where(pre, np.minimum(d, np.abs(za.real - split_re)), d)
-        dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
-        dt = np.maximum(dt, 4e-16 * t[alive])
-        g = gen.standard_normal((2, m))
-        z1 = za + np.sqrt(dt) * (g[0] + 1j * g[1])
-
-        # Positions along [za, z1] of the two possible events.
-        s_dom = domain.first_boundary_crossing(za, z1, cfg.boundary_tol)
-        dx = z1.real - za.real
-        s_line = np.where(pre & (z1.real >= split_re),
-                          (split_re - za.real) / np.where(dx == 0, 1.0, dx),
-                          np.inf)
-
-        # B exits whenever the underlying path leaves the domain.
-        b_exit = np.isfinite(s_dom) & ~ok_b[alive]
-        if np.any(b_exit):
-            pts = za[b_exit] + (z1 - za)[b_exit] * s_dom[b_exit]
-            record(pt_b, t_b, lab_b, ok_b, alive[b_exit], pts,
-                   t[alive][b_exit] + s_dom[b_exit] * dt[b_exit])
-
-        newhit = s_line < s_dom
-
-        # Mirror copy before any line hit is B itself.
-        h_with_b = pre & ~newhit & b_exit & ~ok_h[alive]
-        if np.any(h_with_b):
-            idx = alive[h_with_b]
-            pt_h[idx] = pt_b[idx]
-            lab_h[idx] = lab_b[idx]
-            t_h[idx] = t_b[idx]
-            ok_h[idx] = True
-
-        # Line hit inside the domain: mirror copy reflects from here on,
-        # including the remainder of this very step.
-        if np.any(newhit):
-            idx = alive[newhit]
-            hit[idx] = True
-            t_hit[idx] = t[alive][newhit] + s_line[newhit] * dt[newhit]
-            z_l = za[newhit] + (z1 - za)[newhit] * s_line[newhit]
-            tail_end = _reflect(z1[newhit], split_re)
-            s2 = domain.first_boundary_crossing(z_l, tail_end,
-                                                cfg.boundary_tol)
-            tail_out = np.isfinite(s2)
-            if np.any(tail_out):
-                pts = z_l[tail_out] + (tail_end - z_l)[tail_out] * s2[tail_out]
-                frac = s_line[newhit][tail_out]
-                record(pt_h, t_h, lab_h, ok_h, idx[tail_out], pts,
-                       t[alive][newhit][tail_out]
-                       + (frac + s2[tail_out] * (1.0 - frac)) * dt[newhit][tail_out])
-
-        # Mirror copy after an earlier line hit follows the reflected segment.
-        h1 = _reflect(z1, split_re)
-        s_h = domain.first_boundary_crossing(ha, h1, cfg.boundary_tol)
-        h_exit = ~pre & ~ok_h[alive] & np.isfinite(s_h)
-        if np.any(h_exit):
-            pts = ha[h_exit] + (h1 - ha)[h_exit] * s_h[h_exit]
-            record(pt_h, t_h, lab_h, ok_h, alive[h_exit], pts,
-                   t[alive][h_exit] + s_h[h_exit] * dt[h_exit])
-
-        t[alive] += dt
-        steps[alive] += 1
-        z[alive] = z1
-        done = (ok_b[alive] & ok_h[alive]) | (steps[alive] >= cfg.max_steps)
-        alive = alive[~done]
-
-    def make(pt, tt, lab, okk):
-        return ExitBatch(exit_point=pt, exit_time=np.where(okk, tt, np.nan),
-                         label=lab, steps=steps, ok=okk, method=METHOD_EM)
-
-    return make(pt_b, t_b, lab_b, ok_b), make(pt_h, t_h, lab_h, ok_h), hit, t_hit
-
-
-def reflected_coupling(domain: Domain, start: complex, split_re: float,
-                       cfg: EmConfig, rng: RngStream):
-    """One coupled pair of exit records (B first, mirror copy second)."""
-    b, h, hit, t_hit = reflected_coupling_batch(
-        domain, start, split_re, rng.generator(), 1, cfg)
-    rb, rh = b.record(0), h.record(0)
-    if STATUS_MAX_STEPS in (rb.status, rh.status):
-        raise MaxStepsExceeded(f"coupled pair not resolved in {cfg.max_steps} steps")
-    return rb, rh

@@ -84,34 +84,37 @@ def _chunk_task(payload):
     if kind == "wos":
         return wos_exit_batch(domain, starts, gen, cfg)
     if kind == "em":
-        return em_exit_batch(domain, starts, gen, cfg, absorb_line_re=line)
+        return em_exit_batch(domain, starts, gen, cfg, mark_line_re=line)
     if kind == "halfplane":
         return sample_halfplane_exit_batch(complex(start), gen, count)
     raise BadParameters(f"unknown kernel {kind!r}")
 
 
 def _concat_batches(batches):
-    times = None
-    if batches[0].exit_time is not None:
-        times = np.concatenate([b.exit_time for b in batches])
+    def joined(name):
+        if getattr(batches[0], name) is None:
+            return None
+        return np.concatenate([getattr(b, name) for b in batches])
+
     return ExitBatch(
         exit_point=np.concatenate([b.exit_point for b in batches]),
-        exit_time=times,
+        exit_time=joined("exit_time"),
         label=np.concatenate([b.label for b in batches]),
         steps=np.concatenate([b.steps for b in batches]),
         ok=np.concatenate([b.ok for b in batches]),
         method=batches[0].method,
         eps=max(b.eps for b in batches),
+        line_hit=joined("line_hit"),
     )
 
 
 def run_exits(domain: Domain | None, start: complex, n: int, kernel: str,
               cfg, rng: RngStream, workers: int = 1,
-              absorb_line_re: float | None = None) -> ExitBatch:
+              mark_line_re: float | None = None) -> ExitBatch:
     """n exit paths in deterministic chunks, merged in path order; identical
-    output for any ``workers``."""
+    output for any ``workers``.  ``mark_line_re`` goes to the EM kernel."""
     payloads = [(kernel, domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
-                 ci, absorb_line_re)
+                 ci, mark_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -326,7 +329,7 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
 @dataclass(frozen=True)
 class KarafylliaReport:
     """Estimates of nu (exit right of the line) and nu_hat (hit the line
-    before exiting the left part), with their ratio."""
+    before the exit), both from the same paths, with their ratio."""
 
     nu: ProportionEstimate
     nu_hat: ProportionEstimate
@@ -334,13 +337,32 @@ class KarafylliaReport:
     starlike: StarlikeVerdict | None = None
 
 
+def doubling_ratio(nu: ProportionEstimate,
+                   nu_hat: ProportionEstimate) -> Estimate:
+    """R = nu_hat / nu from the same m paths, with its delta-method stderr.
+
+    Every path that exits right of the line has hit it, so the counts are
+    nested multinomial cells and Cov(nu, nu_hat) = nu (1 - nu_hat) / m,
+    which gives Var(ln R) = (1/nu - 1/nu_hat) / m.
+    """
+    m = nu.n
+    if nu.value <= 0:
+        return Estimate(value=math.inf, stderr=math.inf, n=m)
+    ratio = nu_hat.value / nu.value
+    var = max(1.0 / nu.value - 1.0 / nu_hat.value, 0.0) / m
+    return Estimate(value=ratio, stderr=ratio * math.sqrt(var), n=m)
+
+
 def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
                       rng: RngStream = RngStream(0), cfg: EmConfig | None = None,
                       workers: int = 1, starlike_probes: int = 64
                       ) -> KarafylliaReport:
-    """Estimate nu = P(Re(B_tau) > r) and nu_hat = P(hit {Re = r} inside the
-    domain before exiting the left part), and their ratio with a
-    delta-method CI.
+    """Estimate nu = P(Re(B_tau) > r) and nu_hat = P(B hits {Re = r} before
+    tau), and their ratio with a delta-method CI.
+
+    One Euler-Maruyama run marks each path's first crossing of the line and
+    lets it go on to its exit, so both proportions are shares of the same
+    ok paths (step-capped paths are excluded from both).
 
     The leftward-ray property is spot-checked first; a failure downgrades to
     a warning recorded on the report (the producing inequality then has no
@@ -355,20 +377,13 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
     if starlike_probes > 0:
         verdict = check_delta_starlike(domain, starlike_probes, rng.child(901))
 
-    full = run_exits(domain, a, n, "em", cfg, rng.child(902), workers)
-    nu = exit_proportion(lambda z, lab: z.real > split_re, full)
-    cut = run_exits(domain, a, n, "em", cfg, rng.child(903), workers,
-                    absorb_line_re=split_re)
-    nu_hat = exit_proportion(BoundaryLabel.LINE, cut)
-
-    if nu.value > 0:
-        ratio = nu_hat.value / nu.value
-        se = math.sqrt((nu_hat.stderr / nu.value) ** 2
-                       + (nu_hat.value * nu.stderr / nu.value ** 2) ** 2)
-    else:
-        ratio, se = math.inf, math.inf
+    batch = run_exits(domain, a, n, "em", cfg, rng.child(902), workers,
+                      mark_line_re=split_re)
+    nu = exit_proportion(lambda z, lab: z.real > split_re, batch)
+    nu_hat = proportion_estimate(int(np.sum(batch.line_hit & batch.ok)), nu.n,
+                                 excluded=nu.excluded)
     return KarafylliaReport(nu=nu, nu_hat=nu_hat,
-                            ratio=Estimate(value=ratio, stderr=se, n=n),
+                            ratio=doubling_ratio(nu, nu_hat),
                             starlike=verdict)
 
 

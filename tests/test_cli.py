@@ -83,6 +83,8 @@ def test_parse_region_forms():
         parse_region("left-side")
     with pytest.raises(ConfigError, match="'1e'"):
         parse_region("re>1e")
+    with pytest.raises(ConfigError):
+        parse_region("line")
 
 
 def test_unknown_keys_and_sections_error(tmp_path):
@@ -257,6 +259,46 @@ seed = 7
     assert not reports[0]["passed"]
     assert reports[0]["error"] == "ConfigError: bad value 'lots' for 'n'"
     assert reports[1]["passed"]
+
+
+def test_fractional_iterations_recorded_not_fatal(tmp_path):
+    cfg = """
+[scenario.comb]
+experiment = comb_sequence
+a = 1 40 41 100
+b = -50 5 -51
+iterations = 1.5 3.7
+n = 1000
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert not reports[0]["passed"]
+    assert reports[0]["error"] == (
+        "ConfigError: bad value '1.5 3.7' for 'iterations'")
+    assert reports[1]["passed"]
+
+
+def test_karafyllia_reports_worker_independent(tmp_path):
+    cfg = """
+[scenario.doubling]
+experiment = karafyllia
+domain = strip(-1, 1)
+a = -2
+split_re = 0
+n = 9000
+seed = 11
+expect_ratio = 2.0
+expect_ratio_tol = 0.5
+"""
+    path = write(tmp_path, cfg)
+    r1 = strip_wall_time(run(path)[0])
+    r2 = strip_wall_time(run(path, workers=2)[0])
+    assert r2["scenario"].pop("workers") == 2
+    assert r1["scenario"].pop("workers") == 1
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    res = r1["results"]
+    assert res["nu"]["n"] == res["nu_hat"]["n"] == res["ratio"]["n"]
+    assert res["nu"]["value"] <= res["nu_hat"]["value"]
+    assert r1["passed"]
 
 
 def test_harmonic_measure_report_matches_estimator(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bmx.errors import PointOutsideDomain, TargetUnreachable
+from bmx.errors import (NodeBudgetExceeded, PointOutsideDomain,
+                        TargetUnreachable)
 from bmx.geometry import Disk, HalfPlane, KoebeSlit, Rectangle, Wedge
 from bmx.hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                             quasi_hyperbolic_profile)
@@ -74,3 +75,12 @@ def test_unreachable_circle_target():
     with pytest.raises(TargetUnreachable):
         quasi_hyperbolic_distance(Rectangle(1, 1), 0j, CircleTarget(10.0),
                                   QhConfig(max_rounds=1))
+
+
+def test_node_budget_in_first_round_names_max_nodes():
+    # A budget the first graph cannot fit is a budget error, not a claim
+    # that no grid path reaches the target.
+    with pytest.raises(NodeBudgetExceeded, match="max_nodes=50"):
+        quasi_hyperbolic_distance(Disk(0j, 1.0), 0j, CircleTarget(0.5),
+                                  QhConfig(max_nodes=50))
+    assert issubclass(NodeBudgetExceeded, TargetUnreachable)

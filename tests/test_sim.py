@@ -215,18 +215,28 @@ def test_em_reproducible():
 
 
 def test_em_absorbing_line():
-    gen = RngStream(114).generator()
-    batch = em_exit_batch(Strip(-1, 1), np.full(5000, -2.0 + 0j), gen,
-                          absorb_line_re=0.0)
+    # The marked line {Re = 0} never stops a path: every exit is a domain
+    # exit, and every path that exits right of the line has hit it.
+    starts = np.full(5000, -2.0 + 0j)
+    batch = em_exit_batch(Strip(-1, 1), starts, RngStream(114).generator(),
+                          mark_line_re=0.0)
     assert isinstance(batch, ExitBatch)
-    hit = batch.label == int(BoundaryLabel.LINE)
-    assert hit.any() and not hit.all()
-    assert np.all(batch.ok[hit])
-    on_line = batch.exit_point[hit]
-    assert np.allclose(on_line.real, 0.0)
-    off_line = batch.exit_point[~hit & batch.ok]
-    assert np.all(off_line.real < 0)
-    assert np.all(np.abs(np.abs(off_line.imag) - 1) < 1e-6)
+    assert batch.line_hit.dtype == bool and len(batch.line_hit) == 5000
+    assert batch.ok.all()
+    assert np.all(np.abs(np.abs(batch.exit_point.imag) - 1) < 1e-6)
+    right = batch.exit_point.real > 0
+    assert right.any() and not right.all()
+    assert np.all(batch.line_hit[right])
+    hit_left = batch.line_hit & ~right
+    assert hit_left.any() and not batch.line_hit.all()
+    assert np.array_equal(batch.label,
+                          Strip(-1, 1).label_codes(batch.exit_point))
+    plain = em_exit_batch(Strip(-1, 1), starts[:100],
+                          RngStream(114).generator())
+    assert plain.line_hit is None
+    with pytest.raises(BadStart):
+        em_exit_batch(Strip(-1, 1), starts[:10], RngStream(114).generator(),
+                      mark_line_re=-3.0)
 
 
 @pytest.mark.parametrize("kernel", ["em", "wos"])
@@ -251,9 +261,9 @@ def test_batch_step_cap_records(kernel):
     assert np.all(np.isnan(capped.exit_point[cap]))
     assert np.all(np.isnan(capped.exit_time[cap]))
     assert np.all(capped.label[cap] == -1)
-    # EM detects an exit within its k-th step; walk-on-spheres checks the
-    # shell before each jump, so its k-th jump ends in the cap.
-    within = full.steps <= k if kernel == "em" else full.steps < k
+    # Both kernels count an exit found within the k-th step: walk-on-spheres
+    # tests the shell after its k-th jump before applying the cap.
+    within = full.steps <= k
     assert np.array_equal(capped.ok, within)
     for name in ("exit_point", "exit_time", "label", "steps"):
         assert np.array_equal(getattr(capped, name)[within],

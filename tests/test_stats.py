@@ -9,8 +9,9 @@ from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.rng import RngStream
 from bmx.sim import EmConfig, WosConfig
-from bmx.stats import (Estimate, classify_moment, estimate_harmonic_measure,
-                       estimate_moment, hill_tail_index,
+from bmx.stats import (Estimate, classify_moment, doubling_ratio,
+                       estimate_harmonic_measure, estimate_moment,
+                       hill_tail_index,
                        proportion_estimate, run_exits,
                        verify_cauchy_identities, verify_increasing_domains,
                        verify_karafyllia, wilson_interval)
@@ -167,6 +168,28 @@ def test_karafyllia_halfplane_targets():
     assert rep.nu_hat.within(0.5, 3)
     assert rep.nu.within(0.25, 3)
     assert abs(rep.ratio.value - 2.0) <= 0.1
+
+
+def test_doubling_ratio_stderr_from_counts():
+    # 250 of 1000 paths exit right of the line, 500 hit it (a superset):
+    # R = 2 and Var(ln R) = (1/nu - 1/nu_hat)/m = (4 - 2)/1000.
+    r = doubling_ratio(proportion_estimate(250, 1000),
+                       proportion_estimate(500, 1000))
+    assert r.value == 2.0 and r.n == 1000
+    assert math.isclose(r.stderr, 2.0 * math.sqrt(0.002), rel_tol=1e-12)
+    # Nested multinomial cells (right, hit but left, no hit) with those
+    # probabilities give a ratio spread that matches the formula.
+    gen = np.random.default_rng(5)
+    cells = gen.multinomial(1000, [0.25, 0.25, 0.5], size=20_000)
+    ratios = (cells[:, 0] + cells[:, 1]) / cells[:, 0]
+    assert abs(np.std(ratios) / r.stderr - 1) < 0.05
+    # Equal counts leave no spread; no right exits give an infinite ratio.
+    same = doubling_ratio(proportion_estimate(300, 1000),
+                          proportion_estimate(300, 1000))
+    assert same.value == 1.0 and same.stderr == 0.0
+    none = doubling_ratio(proportion_estimate(0, 1000),
+                          proportion_estimate(10, 1000))
+    assert math.isinf(none.value) and math.isinf(none.stderr)
 
 
 def test_karafyllia_strip_ratio_two():
