@@ -24,13 +24,12 @@ from .hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                          quasi_hyperbolic_profile)
 from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,
                    KoebeParabola, Linear, Mobius, PowerBranch, PowerInt,
-                   WedgePower, default_r_grid, exp_transfer,
-                   hardy_norm_profile, log_transfer)
+                   WedgePower, default_r_grid, hardy_norm_profile,
+                   log_transfer)
 from .rng import RngStream
-from .sim import (EmConfig, ExitBatch, ExitRecord, PathSample, WosConfig,
-                  em_exit, em_exit_batch, pushforward, sample_disk_exit,
-                  sample_disk_exit_batch, sample_halfplane_exit,
-                  sample_halfplane_exit_batch, wos_exit, wos_exit_batch)
+from .sim import (EmConfig, ExitBatch, PathSample, WosConfig, em_exit_batch,
+                  em_path, pushforward, sample_disk_exit_batch,
+                  sample_halfplane_exit_batch, wos_exit_batch)
 from .stats import (Estimate, HardyEstimate, IdentityCheck, IncreasingReport,
                     KarafylliaReport, MomentEstimate, ProportionEstimate,
                     estimate_hardy_number, estimate_harmonic_measure,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import maps as maps_mod
 from .combs import build_comb
-from .errors import BmxError, ConfigError
+from .errors import BadParameters, BmxError, ConfigError
 from .geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
                        HalfStripComplement, KoebeSlit, ParabolaComplement,
                        Rectangle, SpiralPair, Strip, Wedge)
@@ -429,9 +429,12 @@ def _run_karafyllia(sc: Scenario):
             "ratio", off <= tol,
             f"{rep.ratio.value:.4f} vs {want} (tol {tol})"))
     sig = sc.param("expect_bound_sigmas", float)
-    expectations.append(_expectation(
-        "doubling_bound", rep.ratio.value <= 2.0 + sig * rep.ratio.stderr,
-        f"ratio {rep.ratio.value:.4f} <= 2 + {sig} se ({rep.ratio.stderr:.4f})"))
+    r = rep.ratio
+    bound_ok = r.value <= 2.0 + sig * r.stderr
+    detail = f"ratio {r.value:.4f} <= 2 + {sig} se ({r.stderr:.4f})"
+    if not math.isfinite(r.value):
+        bound_ok, detail = False, "nu = 0: no path exited right of the line"
+    expectations.append(_expectation("doubling_bound", bound_ok, detail))
     return results, expectations, None
 
 
@@ -469,6 +472,10 @@ def _run_modulus(sc: Scenario):
         batch = run_exits(domain, start, n, "wos", WosConfig(), rng,
                           sc.workers)
         est = exit_proportion(BoundaryLabel.ANNULUS_INNER, batch)
+        if est.value == 0:
+            raise BadParameters(
+                f"no path reached the inner circle in {est.n} paths; "
+                "the modulus needs at least one")
         num = math.log(domain.R / abs(start))
         modulus = num / est.value
         mod_se = num * est.stderr / est.value ** 2

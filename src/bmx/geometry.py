@@ -634,6 +634,10 @@ class Disk(Domain):
         return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
+# Grid spacing in the arm parameter t of the coarse nearest-point scan.
+_SPIRAL_SCAN_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class SpiralPair(Domain):
     """One of the two components of the plane split by the interleaved
@@ -644,7 +648,6 @@ class SpiralPair(Domain):
     """
 
     side: str = "U"
-    scan_step: float = 0.05
 
     def __post_init__(self):
         if self.side not in ("U", "complement"):
@@ -671,7 +674,7 @@ class SpiralPair(Domain):
         r = np.abs(z)
         lo = np.maximum(r - 2 * math.pi, 0.0)
         span = (r + 2 * math.pi) - lo
-        m = max(3, int(np.ceil(span.max() / self.scan_step)))
+        m = max(3, int(np.ceil(span.max() / _SPIRAL_SCAN_STEP)))
         best_d2 = np.full(z.shape, np.inf)
         best_t = np.zeros(z.shape)
         # Chunk the scan grid to bound memory on large batches.

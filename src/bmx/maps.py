@@ -221,14 +221,8 @@ class Compose(AnalyticMap):
         return total
 
 
-def exp_transfer(z):
-    """The complex exponential, transporting horizontal-strip geometry to
-    radial geometry (period 2*pi*i boundaries to starlike boundaries)."""
-    return np.exp(_asarr(z))
-
-
 def log_transfer(w):
-    """Principal logarithm, Arg in (-pi, pi]; inverse of exp_transfer on the
+    """Principal logarithm, Arg in (-pi, pi]; inverse of :class:`Exp` on the
     fundamental strip.  Raises AtPole at 0."""
     w = _asarr(w)
     if np.any(w == 0):

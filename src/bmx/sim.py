@@ -1,12 +1,13 @@
 """Stochastic kernels: exact exit samplers, walk-on-spheres, adaptive
 Euler-Maruyama, and analytic-map pushforward.
 
-All kernels exist in two forms: a scalar operation returning one
-:class:`ExitRecord` (or :class:`PathSample`), and a vectorized ``*_batch``
-form used by the estimators, which advances a whole block of paths per numpy
-sweep.  Randomness always comes from an :class:`~bmx.rng.RngStream` (scalar
-form) or a generator derived from one (batch form), so identical
-``(seed, stream_id, config)`` reproduce identical records bit for bit.
+Every kernel is a vectorized ``*_batch`` function that advances a whole
+block of paths per numpy sweep and returns one :class:`ExitBatch`.
+:func:`em_path` runs the Euler-Maruyama kernel on one start and also keeps
+its trajectory as a :class:`PathSample`, which :func:`pushforward` maps.
+Randomness always comes from a generator derived from an
+:class:`~bmx.rng.RngStream`, so identical ``(seed, stream_id, config)``
+reproduce identical exits bit for bit.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ from .geometry import BoundaryLabel, Domain, HalfPlane, _asarr
 from .maps import AnalyticMap
 from .rng import RngStream
 
-METHOD_EXACT_HALFPLANE = "exact_halfplane"
-METHOD_EXACT_DISK = "exact_disk"
-METHOD_WOS = "wos"
-METHOD_EM = "em"
-
-STATUS_OK = "ok"
-STATUS_MAX_STEPS = "max_steps"
-
 _LABEL_NONE = -1
 
 
@@ -37,13 +30,12 @@ _LABEL_NONE = -1
 class WosConfig:
     """Walk-on-spheres controls.
 
-    ``eps`` and ``r_cap`` default per path to 1e-6*(1+|start|) and
-    64*(1+|start|); planar Brownian motion exits almost surely but heavy
-    tails make the step cap a real event that is reported, never dropped.
+    The shell width and the jump-radius cap are 1e-6*(1+|start|) and
+    64*(1+|start|) per path; planar Brownian motion exits almost surely but
+    heavy tails make the step cap a real event that is reported, never
+    dropped.
     """
 
-    eps: float | None = None
-    r_cap: float | None = None
     max_steps: int = 1_000_000
     with_time: bool = False
 
@@ -64,25 +56,11 @@ class EmConfig:
     c: float = 0.1
     max_steps: int = 1_000_000
     boundary_tol: float = 1e-9
-    keep_path: bool = False
-
-
-@dataclass(frozen=True)
-class ExitRecord:
-    """One simulated exit event."""
-
-    exit_point: complex
-    exit_time: float | None      # None when the kernel does not track time
-    label: BoundaryLabel
-    steps: int
-    method: str
-    eps: float = 0.0
-    status: str = STATUS_OK
 
 
 @dataclass
 class ExitBatch:
-    """Struct-of-arrays form of many exit records.
+    """Exits of a block of paths, one array entry per path.
 
     ``ok`` is False where the path hit the step cap; such paths carry NaN
     exit data and must be excluded (and counted) by consumers.
@@ -96,8 +74,6 @@ class ExitBatch:
     label: np.ndarray
     steps: np.ndarray
     ok: np.ndarray
-    method: str
-    eps: float = 0.0
     line_hit: np.ndarray | None = None
 
     def __len__(self):
@@ -107,26 +83,15 @@ class ExitBatch:
     def n_excluded(self) -> int:
         return int(np.sum(~self.ok))
 
-    def record(self, i: int) -> ExitRecord:
-        ok = bool(self.ok[i])
-        return ExitRecord(
-            exit_point=complex(self.exit_point[i]),
-            exit_time=None if self.exit_time is None else float(self.exit_time[i]),
-            label=BoundaryLabel(int(self.label[i])) if ok else BoundaryLabel.GENERIC,
-            steps=int(self.steps[i]),
-            method=self.method,
-            eps=self.eps,
-            status=STATUS_OK if ok else STATUS_MAX_STEPS,
-        )
-
 
 @dataclass
 class PathSample:
-    """A discretely sampled trajectory plus its terminal exit record."""
+    """A discretely sampled trajectory; its last entries are the exit time
+    and exit point, and ``label`` is the label of that exit."""
 
     times: np.ndarray
     points: np.ndarray
-    terminal: ExitRecord
+    label: BoundaryLabel
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +109,7 @@ def sample_halfplane_exit_batch(start: complex, gen: np.random.Generator,
     labels = HalfPlane("north").label_codes(pts)
     return ExitBatch(
         exit_point=pts, exit_time=None, label=labels,
-        steps=np.ones(n, dtype=np.int64), ok=np.ones(n, dtype=bool),
-        method=METHOD_EXACT_HALFPLANE)
-
-
-def sample_halfplane_exit(start: complex, rng: RngStream) -> ExitRecord:
-    return sample_halfplane_exit_batch(complex(start), rng.generator(), 1).record(0)
+        steps=np.ones(n, dtype=np.int64), ok=np.ones(n, dtype=bool))
 
 
 def sample_disk_exit_batch(center: complex, radius: float,
@@ -162,14 +122,7 @@ def sample_disk_exit_batch(center: complex, radius: float,
     return ExitBatch(
         exit_point=pts, exit_time=times,
         label=np.full(n, int(BoundaryLabel.GENERIC), dtype=np.int64),
-        steps=np.ones(n, dtype=np.int64), ok=np.ones(n, dtype=bool),
-        method=METHOD_EXACT_DISK)
-
-
-def sample_disk_exit(center: complex, radius: float, rng: RngStream,
-                     with_time: bool = False) -> ExitRecord:
-    return sample_disk_exit_batch(complex(center), radius, rng.generator(), 1,
-                                  with_time).record(0)
+        steps=np.ones(n, dtype=np.int64), ok=np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +145,8 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         raise PointOutsideDomain("walk-on-spheres start outside the domain")
 
     scale = 1.0 + np.abs(starts)
-    eps = np.full(n, cfg.eps) if cfg.eps is not None else 1e-6 * scale
-    r_cap = np.full(n, cfg.r_cap) if cfg.r_cap is not None else 64.0 * scale
-    eps_max = float(np.max(eps))
+    eps = 1e-6 * scale
+    r_cap = 64.0 * scale
 
     steps = np.zeros(n, dtype=np.int64)
     exit_t = np.full(n, np.nan) if cfg.with_time else None
@@ -240,17 +192,7 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         step += 1
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                     steps=steps, ok=ok, method=METHOD_WOS, eps=eps_max)
-
-
-def wos_exit(domain: Domain, start: complex, cfg: WosConfig,
-             rng: RngStream) -> ExitRecord:
-    """Single walk-on-spheres exit; raises MaxStepsExceeded if capped."""
-    batch = wos_exit_batch(domain, [complex(start)], rng.generator(), cfg)
-    rec = batch.record(0)
-    if rec.status == STATUS_MAX_STEPS:
-        raise MaxStepsExceeded(f"walk did not exit within {cfg.max_steps} steps")
-    return rec
+                     steps=steps, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +201,8 @@ def wos_exit(domain: Domain, start: complex, cfg: WosConfig,
 
 def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                   cfg: EmConfig = EmConfig(),
-                  mark_line_re: float | None = None) -> ExitBatch:
+                  mark_line_re: float | None = None,
+                  path: list | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
     Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
@@ -274,7 +217,8 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     segment reaches the line before any domain exit sets the path's
     ``line_hit``.  The line never stops a path, so exits are always domain
     exits.  Paths still inside after ``max_steps`` steps have ``ok`` False,
-    NaN exit point and time, and label -1.
+    NaN exit point and time, and label -1.  When ``path`` is a list, the
+    ``(t, z)`` of path 0 after each step it survives is appended to it.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
@@ -331,55 +275,30 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
             keep = ~finished
             idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
         z, t = z1, t + dt
+        if path is not None and idx.size and idx[0] == 0:
+            path.append((t[0], z[0]))
         if step >= cfg.max_steps:
             steps[idx] = step
             break
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                     steps=steps, ok=ok, method=METHOD_EM, line_hit=line_hit)
+                     steps=steps, ok=ok, line_hit=line_hit)
 
 
-def em_exit(domain: Domain, start: complex, cfg: EmConfig,
-            rng: RngStream):
-    """Single Euler-Maruyama path; an ExitRecord, or a PathSample when
-    ``cfg.keep_path`` is set.  Raises MaxStepsExceeded if capped."""
-    gen = rng.generator()
-    if not cfg.keep_path:
-        rec = em_exit_batch(domain, [complex(start)], gen, cfg).record(0)
-        if rec.status == STATUS_MAX_STEPS:
-            raise MaxStepsExceeded(f"no exit within {cfg.max_steps} steps")
-        return rec
-
-    z = complex(start)
-    if not domain.contains(np.complex128(z)):
-        raise PointOutsideDomain("Euler-Maruyama start outside the domain")
-    times = [0.0]
-    points = [z]
-    t = 0.0
-    for step in range(cfg.max_steps):
-        d = float(domain.boundary_distance(np.complex128(z)))
-        dt = float(np.clip(cfg.c * d * d, 1e-18, cfg.dt_max))
-        dt = max(dt, 4e-16 * t)
-        g = gen.standard_normal(2)
-        z1 = z + math.sqrt(dt) * complex(g[0], g[1])
-        s = domain.first_boundary_crossing(np.array([z]), np.array([z1]),
-                                           cfg.boundary_tol)[0]
-        if np.isfinite(s):
-            p = complex(domain.project(np.complex128(z + (z1 - z) * s)))
-            t_exit = t + float(s) * dt
-            times.append(t_exit)
-            points.append(p)
-            rec = ExitRecord(
-                exit_point=p, exit_time=t_exit,
-                label=BoundaryLabel(int(domain.label_codes(np.complex128(p)))),
-                steps=step + 1, method=METHOD_EM)
-            return PathSample(times=np.array(times), points=np.array(points),
-                              terminal=rec)
-        t += dt
-        z = z1
-        times.append(t)
-        points.append(z)
-    raise MaxStepsExceeded(f"no exit within {cfg.max_steps} steps")
+def em_path(domain: Domain, start: complex, cfg: EmConfig,
+            rng: RngStream) -> PathSample:
+    """One Euler-Maruyama path from ``start`` with every step it took, ending
+    at its exit; the same draws as :func:`em_exit_batch` on that one start.
+    Raises MaxStepsExceeded if capped."""
+    start = complex(start)
+    path = [(0.0, start)]
+    batch = em_exit_batch(domain, [start], rng.generator(), cfg, path=path)
+    if not batch.ok[0]:
+        raise MaxStepsExceeded(f"no exit within {cfg.max_steps} steps")
+    path.append((batch.exit_time[0], batch.exit_point[0]))
+    times, points = zip(*path)
+    return PathSample(times=np.array(times), points=np.array(points),
+                      label=BoundaryLabel(int(batch.label[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +310,15 @@ def pushforward(m: AnalyticMap, path: PathSample,
     """Image of a sampled path under an analytic map, with the exit clock
     rescaled by the accumulated squared derivative (trapezoid rule).
 
-    The terminal record is remapped and, when ``image`` is given, relabeled
-    there; evaluation errors surface if the path touches a cut or pole.
+    The exit is relabeled in ``image`` when it is given (GENERIC
+    otherwise); evaluation errors surface if the path touches a cut or pole.
     """
     pts = m.evaluate(path.points)
     speed = np.abs(m.derivative(path.points)) ** 2
     dt = np.diff(path.times)
     sigma = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (speed[:-1] + speed[1:]))])
-    new_exit = complex(pts[-1])
     if image is not None:
-        label = BoundaryLabel(int(image.label_codes(np.complex128(new_exit))))
+        label = BoundaryLabel(int(image.label_codes(np.complex128(pts[-1]))))
     else:
         label = BoundaryLabel.GENERIC
-    old = path.terminal
-    rec = ExitRecord(exit_point=new_exit, exit_time=float(sigma[-1]),
-                     label=label, steps=old.steps, method=old.method,
-                     eps=old.eps, status=old.status)
-    return PathSample(times=sigma, points=pts, terminal=rec)
+    return PathSample(times=sigma, points=pts, label=label)

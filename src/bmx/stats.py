@@ -32,7 +32,8 @@ N_BATCH_MEANS = 32
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with standard error; ci95 is value +- 1.96 stderr."""
+    """Point estimate with standard error; ci95 is value +- 1.96 stderr, or
+    the whole line when the stderr is infinite."""
 
     value: float
     stderr: float
@@ -40,6 +41,8 @@ class Estimate:
 
     @property
     def ci95(self) -> tuple[float, float]:
+        if math.isinf(self.stderr):
+            return (-math.inf, math.inf)
         return (self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr)
 
     def within(self, target: float, sigmas: float = 3.0) -> bool:
@@ -102,8 +105,6 @@ def _concat_batches(batches):
         label=np.concatenate([b.label for b in batches]),
         steps=np.concatenate([b.steps for b in batches]),
         ok=np.concatenate([b.ok for b in batches]),
-        method=batches[0].method,
-        eps=max(b.eps for b in batches),
         line_hit=joined("line_hit"),
     )
 
@@ -113,6 +114,8 @@ def run_exits(domain: Domain | None, start: complex, n: int, kernel: str,
               mark_line_re: float | None = None) -> ExitBatch:
     """n exit paths in deterministic chunks, merged in path order; identical
     output for any ``workers``.  ``mark_line_re`` goes to the EM kernel."""
+    if n < 1:
+        raise BadParameters(f"need at least one path, got n = {n}")
     payloads = [(kernel, domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
                  ci, mark_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
@@ -436,6 +439,8 @@ def verify_cauchy_identities(gamma: complex, alpha_mobius: complex,
         raise BadParameters("Mobius parameter needs Im > 0")
     if not 0 < alpha_power < 1:
         raise BadParameters("power exponent must lie in (0, 1)")
+    if n < 2:
+        raise BadParameters(f"need at least two draws for a stderr, got n = {n}")
 
     checks = []
     c = sample_halfplane_exit_batch(gamma, rng.substream(0), n).exit_point.real

@@ -325,3 +325,68 @@ expect_sigmas = 3
     rep = run(write(tmp_path, cfg))[0]
     assert rep["passed"]
     assert abs(rep["results"]["modulus"]["true"] - 2.0) < 1e-12
+
+
+def test_too_few_paths_recorded_not_fatal(tmp_path):
+    cfg = """
+[scenario.no_paths]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 0
+region = s1
+n = 0
+
+[scenario.one_draw]
+experiment = cauchy
+gamma = 2j
+alpha_mobius = 1j
+alpha_power = 0.5
+lambda = 1.0
+n = 1
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == [
+        "no_paths", "one_draw", "square"]
+    assert reports[0]["error"] == (
+        "BadParameters: need at least one path, got n = 0")
+    assert reports[1]["error"] == (
+        "BadParameters: need at least two draws for a stderr, got n = 1")
+    assert reports[2]["passed"]
+
+
+def test_modulus_without_inner_exits_recorded_not_fatal(tmp_path):
+    cfg = """
+[scenario.mod]
+experiment = modulus
+domain = annulus(1, 100)
+start = 99.9
+n = 200
+seed = 3
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert not reports[0]["passed"]
+    assert reports[0]["error"].startswith(
+        "BadParameters: no path reached the inner circle in 200 paths")
+    assert reports[1]["passed"]
+
+
+def test_karafyllia_without_right_exits_fails(tmp_path):
+    # From -2 in the strip no path gets near Re = 4, so nu = 0 and the
+    # ratio is infinite: the bound must fail, not hold vacuously.
+    cfg = """
+[scenario.doubling]
+experiment = karafyllia
+domain = strip(-1, 1)
+a = -2
+split_re = 4
+n = 2000
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    rep = reports[0]
+    assert rep["results"]["nu"]["value"] == 0
+    assert not rep["passed"]
+    bound = [e for e in rep["expectations"] if e["name"] == "doubling_bound"]
+    assert len(bound) == 1 and not bound[0]["passed"]
+    assert "nu = 0" in bound[0]["detail"]
+    assert "NaN" not in json.dumps(rep["results"]["ratio"])
+    assert reports[1]["passed"]

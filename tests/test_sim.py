@@ -6,13 +6,12 @@ from scipy.stats import chisquare, ks_2samp
 
 from bmx.errors import BadStart, MaxStepsExceeded, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
-                          Rectangle, Strip, Wedge)
+                          ParabolaComplement, Rectangle, Strip, Wedge)
 from bmx.maps import Exp, Linear, PowerInt
 from bmx.rng import RngStream
-from bmx.sim import (EmConfig, ExitBatch, WosConfig, em_exit, em_exit_batch,
-                     pushforward, sample_disk_exit, sample_disk_exit_batch,
-                     sample_halfplane_exit, sample_halfplane_exit_batch,
-                     wos_exit, wos_exit_batch)
+from bmx.sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch, em_path,
+                     pushforward, sample_disk_exit_batch,
+                     sample_halfplane_exit_batch, wos_exit_batch)
 
 
 def cauchy_cdf(x, a, b):
@@ -43,12 +42,12 @@ def test_halfplane_exit_cauchy_tail():
 
 
 def test_halfplane_labels_and_badstart():
-    rec = sample_halfplane_exit(2 + 1j, RngStream(4))
-    assert rec.label in (BoundaryLabel.HALFLINE_LEFT,
-                         BoundaryLabel.HALFLINE_RIGHT)
-    assert rec.exit_time is None
+    b = sample_halfplane_exit_batch(2 + 1j, RngStream(4).generator(), 1)
+    assert b.label[0] in (BoundaryLabel.HALFLINE_LEFT,
+                          BoundaryLabel.HALFLINE_RIGHT)
+    assert b.exit_time is None
     with pytest.raises(BadStart):
-        sample_halfplane_exit(1 - 1j, RngStream(4))
+        sample_halfplane_exit_batch(1 - 1j, RngStream(4).generator(), 1)
 
 
 def test_disk_exit_angle_uniform():
@@ -75,9 +74,11 @@ def test_brownian_scaling_in_distribution():
 
 
 def test_scalar_record_shape():
-    rec = sample_disk_exit(1 + 1j, 0.5, RngStream(9), with_time=True)
-    assert math.isclose(abs(rec.exit_point - (1 + 1j)), 0.5)
-    assert rec.exit_time > 0
+    b = sample_disk_exit_batch(1 + 1j, 0.5, RngStream(9).generator(), 1,
+                               with_time=True)
+    assert len(b) == 1 and b.ok[0] and b.steps[0] == 1
+    assert math.isclose(abs(b.exit_point[0] - (1 + 1j)), 0.5)
+    assert b.exit_time[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +123,9 @@ def test_wos_exit_point_on_boundary():
     assert np.all(d.boundary_distance(b.exit_point) < 1e-9)
 
 
-def test_wos_scalar_and_max_steps():
-    rec = wos_exit(Disk(0j, 1.0), 0j, WosConfig(), RngStream(10))
-    assert rec.status == "ok"
-    assert rec.eps > 0
-    with pytest.raises(MaxStepsExceeded):
-        wos_exit(Rectangle(1, 1), 0j, WosConfig(max_steps=1, eps=1e-12),
-                 RngStream(10))
+def test_wos_start_outside_domain():
     with pytest.raises(PointOutsideDomain):
-        wos_exit(Disk(0j, 1.0), 2 + 0j, WosConfig(), RngStream(10))
+        wos_exit_batch(Disk(0j, 1.0), [2 + 0j], RngStream(10).generator())
 
 
 def test_wos_reproducible():
@@ -190,18 +185,38 @@ def test_em_crossing_detection_on_slits():
     assert np.all(np.abs(exits.imag) < 1e-9)
 
 
-def test_em_scalar_path_sample():
-    path = em_exit(Disk(0j, 1.0), 0j, EmConfig(keep_path=True, dt_max=0.01),
-                   RngStream(21))
+def test_em_path_sample():
+    path = em_path(Disk(0j, 1.0), 0j, EmConfig(dt_max=0.01), RngStream(21))
     assert path.times[0] == 0.0
     assert np.all(np.diff(path.times) > 0)
     assert path.points[0] == 0j
-    assert math.isclose(abs(path.terminal.exit_point), 1.0, rel_tol=1e-6)
+    assert math.isclose(abs(path.points[-1]), 1.0, rel_tol=1e-6)
+    assert path.label == BoundaryLabel.GENERIC
     # Increment variance tracks the step sizes: |inc|^2/(2 dt) averages 1.
     dt = np.diff(path.times)[:-1]
     inc = np.diff(path.points)[:-1]
     norm = np.abs(inc) ** 2 / (2 * dt)
     assert abs(np.mean(norm) - 1.0) < 4.0 / math.sqrt(len(norm))
+
+
+@pytest.mark.parametrize("domain,start", [
+    (Disk(0j, 1.0), 0.3j), (Strip(-1, 1), 0j), (Rectangle(2, 1), 0.5 + 0j),
+    (Wedge(math.pi / 3), 1 + 0.2j), (KoebeSlit(), 1 + 0j),
+    (ParabolaComplement(), 2 + 0j)])
+def test_em_path_is_the_batch_path(domain, start):
+    # em_path runs em_exit_batch on its one start: same draws, same exit,
+    # and one recorded point per step.
+    cfg = EmConfig(max_steps=200_000)
+    for seed in (5, 6):
+        path = em_path(domain, start, cfg, RngStream(seed))
+        b = em_exit_batch(domain, [start], RngStream(seed).generator(), cfg)
+        assert b.ok[0]
+        assert path.points[-1] == b.exit_point[0]
+        assert path.times[-1] == b.exit_time[0]
+        assert path.label == b.label[0]
+        assert len(path.points) - 1 == len(path.times) - 1 == b.steps[0]
+    with pytest.raises(MaxStepsExceeded):
+        em_path(domain, start, EmConfig(max_steps=1), RngStream(5))
 
 
 def test_em_reproducible():
@@ -275,13 +290,13 @@ def test_batch_step_cap_records(kernel):
 # ---------------------------------------------------------------------------
 
 def test_pushforward_linear_rescales_time_exactly():
-    path = em_exit(Disk(0j, 1.0), 0j, EmConfig(keep_path=True, dt_max=0.02),
-                   RngStream(22))
+    path = em_path(Disk(0j, 1.0), 0j, EmConfig(dt_max=0.02), RngStream(22))
     c = 3 - 4j
     mapped = pushforward(Linear(c), path, image=Disk(0j, 5.0))
     assert np.allclose(mapped.times, abs(c) ** 2 * path.times, rtol=1e-12)
     assert np.allclose(mapped.points, c * path.points)
-    assert math.isclose(abs(mapped.terminal.exit_point), 5.0, rel_tol=1e-6)
+    assert math.isclose(abs(mapped.points[-1]), 5.0, rel_tol=1e-6)
+    assert mapped.label == BoundaryLabel.GENERIC
 
 
 def test_pushforward_square_map_poisson_kernel():
@@ -305,8 +320,8 @@ def test_pushforward_square_map_poisson_kernel():
 
 def test_pushforward_exp_maps_strip_boundary_to_rays():
     s = Strip(-1.0, 1.0)
-    path = em_exit(s, 0j, EmConfig(keep_path=True, dt_max=0.05), RngStream(23))
+    path = em_path(s, 0j, EmConfig(dt_max=0.05), RngStream(23))
     mapped = pushforward(Exp(), path)
-    w = mapped.terminal.exit_point
+    w = mapped.points[-1]
     assert math.isclose(abs(abs(np.angle(w)) - 1.0), 0.0, abs_tol=1e-6)
     assert np.all(np.diff(mapped.times) >= 0)
