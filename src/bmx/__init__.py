@@ -18,14 +18,12 @@ from .disk_time import get_sampler, sample_unit_disk_time
 from .geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                        HalfStripComplement, KoebeSlit, ParabolaComplement,
                        Rectangle, SpiralPair, StarlikeVerdict, Strip, Wedge,
-                       check_delta_starlike, classify_exit, contains,
-                       dist_to_boundary, sample_interior)
+                       check_delta_starlike, sample_interior)
 from .hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                          quasi_hyperbolic_profile)
 from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,
                    KoebeParabola, Linear, Mobius, PowerBranch, PowerInt,
-                   WedgePower, default_r_grid, hardy_norm_profile,
-                   log_transfer)
+                   WedgePower, default_r_grid, hardy_norm_profile)
 from .rng import RngStream
 from .sim import (EmConfig, ExitBatch, PathSample, WosConfig, em_exit_batch,
                   em_path, pushforward, sample_disk_exit_batch,

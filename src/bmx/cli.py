@@ -131,7 +131,11 @@ def parse_domain(expr: str):
         if name == "comb":
             n, a, b, side = int(args[0]), args[1], args[2], str(args[3])
             v, w = build_comb(n, [float(x) for x in a], [float(x) for x in b])
-            return v if side.upper() == "V" else w
+            if side.upper() == "V":
+                return v
+            if side.upper() == "W":
+                return w
+            raise ConfigError(f"comb side must be V or W, got {side!r}")
     except ConfigError:
         raise
     except (IndexError, TypeError, ValueError) as exc:
@@ -236,6 +240,14 @@ def _convert(key: str, text: str, kind):
 _COMMON_KEYS = {"seed": "0", "workers": "1", "out": None}
 
 
+def _parse_seed(text: str) -> int:
+    """An integer seed that an RngStream accepts: 0 <= seed < 2**64."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError(text)
+    return seed
+
+
 def parse_config(path: str, overrides=None) -> list[Scenario]:
     """Parse a scenario file; resolve defaults, env seed, and overrides."""
     cp = configparser.ConfigParser(strict=True, interpolation=None)
@@ -263,7 +275,8 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
             raise ConfigError(f"[{section}] unknown experiment {exp!r}")
         schema, _ = EXPERIMENTS[exp]
 
-        seed = _convert("seed", raw.pop("seed", _COMMON_KEYS["seed"]), int)
+        seed = _convert("seed", raw.pop("seed", _COMMON_KEYS["seed"]),
+                        _parse_seed)
         workers = _convert(
             "workers", raw.pop("workers", _COMMON_KEYS["workers"]), int)
         out = raw.pop("out", None)
@@ -312,15 +325,24 @@ def _estimate_dict(est):
     return d
 
 
+def _kernel_config(sc: Scenario, wos=WosConfig, em=EmConfig):
+    """The kernel config the scenario's ``kernel`` key names, made by
+    ``wos()`` or ``em()``; any other kernel is a ConfigError."""
+    kernel = sc.param("kernel")
+    if kernel == "wos":
+        return wos()
+    if kernel == "em":
+        return em()
+    raise ConfigError(f"bad value {kernel!r} for 'kernel'")
+
+
 def _run_harmonic_measure(sc: Scenario):
     domain = parse_domain(sc.param("domain"))
     start = complex(_parse_number(sc.param("start")))
     region = parse_region(sc.param("region"))
     n = sc.param("n", int)
-    kernel = sc.param("kernel")
-    cfg = WosConfig() if kernel == "wos" else EmConfig()
-    batch = run_exits(domain, start, n, kernel, cfg, RngStream(sc.seed),
-                      sc.workers)
+    batch = run_exits(domain, start, n, _kernel_config(sc),
+                      RngStream(sc.seed), sc.workers)
     est = exit_proportion(region, batch)
 
     results = {"probability": _estimate_dict(est)}
@@ -341,14 +363,11 @@ def _run_moment(sc: Scenario):
     start = complex(_parse_number(sc.param("start")))
     p = sc.param("p", float)
     n = sc.param("n", int)
-    kernel = sc.param("kernel")
-    rng = RngStream(sc.seed)
-    if kernel == "wos":
-        cfg = WosConfig(with_time=True, max_steps=sc.param("max_steps", int))
-    else:
-        cfg = EmConfig(c=sc.param("c", float),
-                       max_steps=sc.param("max_steps", int))
-    me = estimate_moment(domain, start, p, n, rng, kernel=kernel, cfg=cfg,
+    steps = sc.param("max_steps", int)
+    cfg = _kernel_config(
+        sc, wos=lambda: WosConfig(with_time=True, max_steps=steps),
+        em=lambda: EmConfig(c=sc.param("c", float), max_steps=steps))
+    me = estimate_moment(domain, start, p, n, RngStream(sc.seed), cfg=cfg,
                          workers=sc.workers,
                          top_fraction=sc.param("top_fraction", float))
     results = {
@@ -391,6 +410,8 @@ def _run_hardy(sc: Scenario):
         "slope": he.slope,
         "slope_bounds": list(he.slope_bounds),
         "classification": he.classification,
+        "rounds": he.rounds,
+        "node_budget_hit": he.node_budget_hit,
     }
     expectations = []
     if sc.param("expect_contains"):
@@ -418,7 +439,7 @@ def _run_karafyllia(sc: Scenario):
         "nu": _estimate_dict(rep.nu),
         "nu_hat": _estimate_dict(rep.nu_hat),
         "ratio": _estimate_dict(rep.ratio),
-        "starlike_pass": None if rep.starlike is None else rep.starlike.passed,
+        "starlike_pass": rep.starlike.passed,
     }
     expectations = []
     want = sc.param("expect_ratio")
@@ -469,8 +490,7 @@ def _run_modulus(sc: Scenario):
     results, expectations = {}, []
     if isinstance(domain, Annulus):
         start = complex(_parse_number(sc.param("start")))
-        batch = run_exits(domain, start, n, "wos", WosConfig(), rng,
-                          sc.workers)
+        batch = run_exits(domain, start, n, WosConfig(), rng, sc.workers)
         est = exit_proportion(BoundaryLabel.ANNULUS_INNER, batch)
         if est.value == 0:
             raise BadParameters(
@@ -489,8 +509,8 @@ def _run_modulus(sc: Scenario):
                 "modulus", off <= sig * mod_se,
                 f"{modulus:.4f} vs {want} (+-{sig} se = {sig * mod_se:.4f})"))
     elif isinstance(domain, Rectangle):
-        batch = run_exits(domain, 0j, n, "wos", WosConfig(), rng, sc.workers)
-        em_batch = run_exits(domain, 0j, n, "em", EmConfig(), rng.child(1),
+        batch = run_exits(domain, 0j, n, WosConfig(), rng, sc.workers)
+        em_batch = run_exits(domain, 0j, n, EmConfig(), rng.child(1),
                              sc.workers)
         okw = batch.ok
         scale = complex(_parse_number(sc.param("map_scale")))
@@ -529,11 +549,11 @@ def _run_comb_sequence(sc: Scenario):
     iterations = sc.param("iterations", _parse_ints)
     domains = [build_comb(k, a[:k + 1], b[:k])[0] for k in iterations]
     growth = sc.param("growth", _parse_floats) if sc.param("growth") else None
+    cfg = _kernel_config(sc, wos=lambda: WosConfig(with_time=True))
     rep = verify_increasing_domains(
         domains, complex(_parse_number(sc.param("start"))),
         sc.param("p", float), sc.param("n", int), RngStream(sc.seed),
-        kernel=sc.param("kernel"), workers=sc.workers,
-        growth_schedule=growth)
+        cfg=cfg, workers=sc.workers, growth_schedule=growth)
     results = {
         "iterations": iterations,
         "moments": [_estimate_dict(m.estimate) for m in rep.moments],
@@ -556,8 +576,8 @@ def _run_pushforward(sc: Scenario):
     amap = parse_map(sc.param("map"))
     start = complex(_parse_number(sc.param("start")))
     n = sc.param("n", int)
-    batch = run_exits(domain, start, n, "em", EmConfig(),
-                      RngStream(sc.seed), sc.workers)
+    batch = run_exits(domain, start, n, EmConfig(), RngStream(sc.seed),
+                      sc.workers)
     ok = batch.ok
     mapped = amap.evaluate(batch.exit_point[ok])
     mapped_labels = image.label_codes(mapped)

@@ -134,7 +134,7 @@ class CombDomain(Domain):
         feet = _segment_project(z, p[k], q[k])
         return feet
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
         p, q = self._segments
         s = _rectilinear_crossing_fraction(z0, z1, p, q)

@@ -13,10 +13,6 @@ class PointOutsideDomain(BmxError):
     """A query point that must lie inside the domain does not."""
 
 
-class NotNearBoundary(BmxError):
-    """Boundary classification requested for a point too far from the boundary."""
-
-
 class OnBranchCut(BmxError):
     """Analytic map evaluated on a branch cut where no side has been chosen."""
 

@@ -14,8 +14,6 @@ Every domain is an immutable dataclass exposing vectorized primitives:
 
 ``z`` may be a python complex or any complex ndarray; results have matching
 shape.  Domains are open: points exactly on the boundary are not contained.
-Module-level wrappers (:func:`contains`, :func:`dist_to_boundary`,
-:func:`classify_exit`) provide the scalar, error-raising API.
 """
 
 from __future__ import annotations
@@ -26,11 +24,16 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import BadParameters, NotNearBoundary, PointOutsideDomain
+from .errors import BadParameters
+from .rng import RngStream
 
 # Unbounded boundary pieces are clipped at this abscissa for distance queries
 # and ray marches; nothing simulated ever gets near it.
 FAR_CLIP = 1e6
+
+# Length along the segment to which the containment bisection of
+# Domain.first_boundary_crossing resolves a curved boundary.
+CROSSING_TOL = 1e-9
 
 
 class BoundaryLabel(IntEnum):
@@ -95,23 +98,23 @@ class Domain:
         z = _asarr(z)
         return np.full(z.shape, int(BoundaryLabel.GENERIC), dtype=np.int64)
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         """Fraction s in [0, 1] of the first boundary point on each segment
         z0 -> z1 (z0 inside), inf where the segment stays inside.
 
         Concrete domains with line, ray, segment or circle boundaries
-        override this with the exact crossing and ignore ``tol``.  This
-        default serves curved boundaries: where the far endpoint has left
-        the domain it bisects on containment to within ``tol`` along the
-        segment, returning the fraction just past the flip; a segment that
-        leaves and re-enters between its endpoints goes unseen.
+        override this with the exact crossing.  This default serves curved
+        boundaries: where the far endpoint has left the domain it bisects on
+        containment to within CROSSING_TOL along the segment, returning the
+        fraction just past the flip; a segment that leaves and re-enters
+        between its endpoints goes unseen.
         """
         z0, z1 = _asarr(z0), _asarr(z1)
         s = np.full(z0.shape, np.inf)
         out = ~self.contains(z1)
         if np.any(out):
             s[out] = _bisect_first_violation(
-                z0[out], z1[out], lambda p: ~self.contains(p), tol)
+                z0[out], z1[out], lambda p: ~self.contains(p), CROSSING_TOL)
         return s
 
     def probe_box(self):
@@ -244,7 +247,7 @@ class Rectangle(Domain):
         py = np.where(side == 1, -self.b, np.where(side == 3, self.b, y))
         return px + 1j * py
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         # The rectangle is convex: exactly the steps that end outside leave
         # it, each where it first leaves one of the four side half-planes.
         z0, z1 = _asarr(z0), _asarr(z1)
@@ -297,7 +300,7 @@ class Annulus(Domain):
                           self.r, self.R)
         return direction * target
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
         return np.minimum(_circle_crossing_fraction(z0, z1, self.R, True),
                           _circle_crossing_fraction(z0, z1, self.r, False))
@@ -338,7 +341,7 @@ class Wedge(Domain):
             return up
         return np.where(d_up <= d_dn, up, dn)
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
         out = ~self.contains(z1)
         # A convex wedge is left by exactly the steps that end outside it; a
@@ -413,7 +416,7 @@ class HalfPlane(Domain):
         return np.where(t > 0, int(BoundaryLabel.HALFLINE_RIGHT),
                         int(BoundaryLabel.HALFLINE_LEFT)).astype(np.int64)
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         return _line_crossing_fraction(self._inward(z0), self._inward(z1))
 
     def probe_box(self):
@@ -448,7 +451,7 @@ class Strip(Domain):
                           self.lo, self.hi)
         return z.real + 1j * target
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         y0, y1 = _asarr(z0).imag, _asarr(z1).imag
         return np.minimum(
             _line_crossing_fraction(y0 - self.lo, y1 - self.lo),
@@ -497,7 +500,7 @@ class HalfStripComplement(Domain):
         best = np.argmin(np.stack([d_top, d_bot, d_end]), axis=0)
         return np.choose(best, [p_top, p_bot, p_end])
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
         corners = np.array([complex(-np.inf, self.a), complex(self.x0, self.a),
                             complex(self.x0, -self.a),
@@ -590,7 +593,7 @@ class KoebeSlit(Domain):
         return np.where(z.real <= -0.25, z.real + 0.0j,
                         np.complex128(-0.25))
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
         s = _line_crossing_fraction(z0.imag, z1.imag)
         xc = z0.real + np.where(np.isfinite(s), s, 0.0) * (z1.real - z0.real)
@@ -624,7 +627,7 @@ class Disk(Domain):
         direction = np.where(rho > 0, w / np.where(rho == 0, 1.0, rho), 1.0)
         return self.center + self.radius * direction
 
-    def first_boundary_crossing(self, z0, z1, tol=1e-9):
+    def first_boundary_crossing(self, z0, z1):
         return _circle_crossing_fraction(_asarr(z0) - self.center,
                                          _asarr(z1) - self.center,
                                          self.radius, True)
@@ -747,48 +750,14 @@ class SpiralPair(Domain):
         return (-20.0, 20.0, -20.0, 20.0)
 
 
-# ---------------------------------------------------------------------------
-# Module-level operations (scalar, error-raising API)
-# ---------------------------------------------------------------------------
-
-def contains(domain: Domain, z) -> bool:
-    """True iff z lies in the open set."""
-    out = domain.contains(_asarr(z))
-    return bool(out) if np.ndim(out) == 0 else out
-
-
-def dist_to_boundary(domain: Domain, z) -> float:
-    """Distance from an interior point to the boundary.
-
-    Raises PointOutsideDomain when z is not in the open set.
-    """
-    z = _asarr(z)
-    inside = domain.contains(z)
-    if not np.all(inside):
-        raise PointOutsideDomain(f"point {z} is not inside {domain}")
-    d = domain.boundary_distance(z)
-    return float(d) if d.ndim == 0 else d
-
-
-def classify_exit(domain: Domain, z, tol: float) -> BoundaryLabel:
-    """Label of the boundary region nearest to z (must be within tol)."""
-    z = _asarr(z)
-    d = domain.boundary_distance(z)
-    if np.any(d > tol):
-        raise NotNearBoundary(f"point {z} is {d} from the boundary (tol {tol})")
-    codes = domain.label_codes(z)
-    if np.ndim(codes) == 0 or codes.shape == ():
-        return BoundaryLabel(int(codes))
-    return np.vectorize(BoundaryLabel)(codes)
-
-
-def sample_interior(domain: Domain, gen: np.random.Generator, n: int = 1,
-                    max_tries: int = 10_000) -> np.ndarray:
-    """Uniform rejection samples from domain intersected with its probe box."""
+def sample_interior(domain: Domain, gen: np.random.Generator,
+                    n: int = 1) -> np.ndarray:
+    """Uniform rejection samples from domain intersected with its probe box,
+    in at most 10 000 rounds of candidates."""
     xmin, xmax, ymin, ymax = domain.probe_box()
     out = np.empty(n, dtype=complex)
     got = 0
-    for _ in range(max_tries):
+    for _ in range(10_000):
         m = max(2 * (n - got), 16)
         cand = (gen.uniform(xmin, xmax, m) + 1j * gen.uniform(ymin, ymax, m))
         cand = cand[domain.contains(cand)]
@@ -807,13 +776,10 @@ class StarlikeVerdict:
     passed: bool
     witness: complex | None = None
     exit_point: complex | None = None
-    probes: int = 0
-
-    def __bool__(self):
-        return self.passed
 
 
-def check_delta_starlike(domain: Domain, probes: int, rng) -> StarlikeVerdict:
+def check_delta_starlike(domain: Domain, probes: int,
+                         rng: RngStream) -> StarlikeVerdict:
     """Check that each sampled interior point's leftward horizontal ray stays
     inside the domain.
 
@@ -821,8 +787,7 @@ def check_delta_starlike(domain: Domain, probes: int, rng) -> StarlikeVerdict:
     down to Re = -1e6) so unbounded rays terminate; pass means no
     counterexample was found.
     """
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    pts = sample_interior(domain, gen, probes)
+    pts = sample_interior(domain, rng.generator(), probes)
     offsets = [1e-3]
     while offsets[-1] < 2 * FAR_CLIP:
         offsets.append(offsets[-1] * 2.0)
@@ -835,5 +800,5 @@ def check_delta_starlike(domain: Domain, probes: int, rng) -> StarlikeVerdict:
         if not np.all(ok):
             bad = ray[~ok][0]
             return StarlikeVerdict(False, witness=complex(z),
-                                   exit_point=complex(bad), probes=probes)
-    return StarlikeVerdict(True, probes=probes)
+                                   exit_point=complex(bad))
+    return StarlikeVerdict(True)

@@ -236,8 +236,10 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     """Graph upper bounds of the quasi-hyperbolic distance from ``a`` to each
     target, with the refinement history.
 
-    Returns (values, history); history[r] holds the per-target values after
-    refinement round r, nonincreasing in r by the union construction.
+    Returns (values, history, budget_hit); history[r] holds the per-target
+    values after refinement round r, nonincreasing in r by the union
+    construction, and budget_hit is True when ``max_nodes`` stopped the
+    refinement before ``max_rounds`` rounds or convergence.
     """
     a = complex(a)
     if not domain.contains(np.complex128(a)):
@@ -268,6 +270,7 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     graph = _Graph(n_targets=len(targets))
     history = []
     values = None
+    budget_hit = False
     for round_idx in range(cfg.max_rounds):
         factor = cfg.cell_factor / (2 ** round_idx)
         cell_floor = min_cell / (2 ** round_idx)
@@ -278,6 +281,7 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
         except NodeBudgetExceeded:
             if values is None:
                 raise
+            budget_hit = True
             break
         vals = _solve(graph)
         history.append(vals.copy())
@@ -288,16 +292,19 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
                 break
         else:
             values = vals
-        if graph.n_leaves * 4 > cfg.max_nodes and round_idx >= 1:
+        # The next round would have about four times as many leaves.
+        if (graph.n_leaves * 4 > cfg.max_nodes and round_idx >= 1
+                and round_idx + 1 < cfg.max_rounds):
+            budget_hit = True
             break
     if values is None or np.any(~np.isfinite(values)):
         raise TargetUnreachable("no grid path reached every target")
-    return values, history
+    return values, history, budget_hit
 
 
 def quasi_hyperbolic_distance(domain: Domain, a: complex, target,
                               cfg: QhConfig = QhConfig()) -> float:
     """Shortest-path upper bound on the quasi-hyperbolic distance from ``a``
     to a point or circle target, refined to the configured tolerance."""
-    values, _ = quasi_hyperbolic_profile(domain, a, [target], cfg)
+    values, _, _ = quasi_hyperbolic_profile(domain, a, [target], cfg)
     return float(values[0])

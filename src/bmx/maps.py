@@ -30,9 +30,6 @@ class AnalyticMap:
     def derivative(self, z):
         raise NotImplementedError
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
 
 @dataclass(frozen=True)
 class Linear(AnalyticMap):
@@ -219,15 +216,6 @@ class Compose(AnalyticMap):
             total = total * stage.derivative(w)
             w = stage.evaluate(w)
         return total
-
-
-def log_transfer(w):
-    """Principal logarithm, Arg in (-pi, pi]; inverse of :class:`Exp` on the
-    fundamental strip.  Raises AtPole at 0."""
-    w = _asarr(w)
-    if np.any(w == 0):
-        raise AtPole("Log evaluated at 0")
-    return np.log(w)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ class RngStream:
         return RngStream(self.seed, stream_id)
 
 
-def chunk_ranges(n: int, chunk_size: int = CHUNK_SIZE):
-    """Deterministic partition of ``range(n)`` into contiguous chunks."""
-    return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+def chunk_ranges(n: int):
+    """Deterministic partition of ``range(n)`` into contiguous chunks of
+    CHUNK_SIZE."""
+    return [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]

@@ -47,15 +47,12 @@ class EmConfig:
     The quadratic rule keeps the per-step escape-without-detection
     probability at the e^{-2/c} level and makes the step count logarithmic
     in the exit scale; cap dt_max only when a time-resolved path is needed.
-    ``boundary_tol`` is the bisection resolution of the containment
-    fallback in :meth:`Domain.first_boundary_crossing`, which only domains
-    without an exact crossing rule (curved boundaries) use.
+    Each step's exit is located by :meth:`Domain.first_boundary_crossing`.
     """
 
     dt_max: float = math.inf
     c: float = 0.1
     max_steps: int = 1_000_000
-    boundary_tol: float = 1e-9
 
 
 @dataclass
@@ -208,8 +205,7 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
     segment is handed to :meth:`Domain.first_boundary_crossing`, which
     locates the first boundary point on it exactly for line, ray, segment
-    and circle boundaries (bisection to ``boundary_tol`` only for curved
-    ones), so excursions that leave and re-enter within one step still end
+    and circle boundaries (bisection only for curved ones), so excursions that leave and re-enter within one step still end
     the path; the exit time is interpolated linearly along the step.  With
     ``mark_line_re`` = r, every start must lie left of the vertical line
     {Re z = r}; a path that has not yet crossed it also keeps its steps
@@ -254,7 +250,7 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         g = gen.standard_normal((2, idx.size))
         z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
 
-        s = domain.first_boundary_crossing(z, z1, cfg.boundary_tol)
+        s = domain.first_boundary_crossing(z, z1)
         finished = np.isfinite(s)
         if line is not None:
             # A path left of the line reaches it within this step exactly

@@ -24,6 +24,10 @@ from .sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch,
                   sample_halfplane_exit_batch, wos_exit_batch)
 
 N_BATCH_MEANS = 32
+# Interior points probed for the leftward-ray property before a Karafyllia
+# run, and for pairwise nesting before an increasing-domains run.
+STARLIKE_PROBES = 64
+CONTAINMENT_SAMPLES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +85,14 @@ def proportion_estimate(k: int, n: int, excluded: int = 0) -> ProportionEstimate
 # ---------------------------------------------------------------------------
 
 def _chunk_task(payload):
-    (kind, domain, start, count, cfg, seed, stream_id, chunk_idx, line) = payload
+    (domain, start, count, cfg, seed, stream_id, chunk_idx, line) = payload
     gen = RngStream(seed, stream_id).substream(chunk_idx)
     starts = np.full(count, complex(start))
-    if kind == "wos":
+    if isinstance(cfg, WosConfig):
         return wos_exit_batch(domain, starts, gen, cfg)
-    if kind == "em":
+    if isinstance(cfg, EmConfig):
         return em_exit_batch(domain, starts, gen, cfg, mark_line_re=line)
-    if kind == "halfplane":
-        return sample_halfplane_exit_batch(complex(start), gen, count)
-    raise BadParameters(f"unknown kernel {kind!r}")
+    raise BadParameters(f"no kernel takes a {type(cfg).__name__} config")
 
 
 def _concat_batches(batches):
@@ -109,14 +111,16 @@ def _concat_batches(batches):
     )
 
 
-def run_exits(domain: Domain | None, start: complex, n: int, kernel: str,
-              cfg, rng: RngStream, workers: int = 1,
+def run_exits(domain: Domain, start: complex, n: int,
+              cfg: WosConfig | EmConfig, rng: RngStream, workers: int = 1,
               mark_line_re: float | None = None) -> ExitBatch:
     """n exit paths in deterministic chunks, merged in path order; identical
-    output for any ``workers``.  ``mark_line_re`` goes to the EM kernel."""
+    output for any ``workers``.  The type of ``cfg`` picks the kernel:
+    walk-on-spheres for a WosConfig, Euler-Maruyama (which alone takes
+    ``mark_line_re``) for an EmConfig."""
     if n < 1:
         raise BadParameters(f"need at least one path, got n = {n}")
-    payloads = [(kernel, domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
+    payloads = [(domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
                  ci, mark_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
     if workers > 1 and len(payloads) > 1:
@@ -151,8 +155,9 @@ def exit_proportion(region, batch: ExitBatch) -> ProportionEstimate:
 
 
 def estimate_harmonic_measure(domain: Domain, start: complex, region, n: int,
-                              kernel: str = "wos", rng: RngStream = RngStream(0),
-                              cfg=None, workers: int = 1) -> ProportionEstimate:
+                              rng: RngStream = RngStream(0),
+                              cfg: WosConfig | EmConfig = WosConfig(),
+                              workers: int = 1) -> ProportionEstimate:
     """Probability that the exit lands in ``region``, with Wilson interval.
 
     Step-capped paths are excluded from the proportion and reported in
@@ -160,9 +165,7 @@ def estimate_harmonic_measure(domain: Domain, start: complex, region, n: int,
     """
     if n < 100:
         raise BadParameters("need at least 100 paths")
-    if cfg is None:
-        cfg = WosConfig() if kernel == "wos" else EmConfig()
-    batch = run_exits(domain, start, n, kernel, cfg, rng, workers)
+    batch = run_exits(domain, start, n, cfg, rng, workers)
     return exit_proportion(region, batch)
 
 
@@ -227,19 +230,17 @@ def classify_moment(p: float, alpha: Estimate) -> str:
 
 
 def estimate_moment(domain: Domain, start: complex, p: float, n: int,
-                    rng: RngStream = RngStream(0), kernel: str = "em",
-                    cfg=None, workers: int = 1,
+                    rng: RngStream = RngStream(0),
+                    cfg: WosConfig | EmConfig = EmConfig(), workers: int = 1,
                     top_fraction: float = 0.05) -> MomentEstimate:
     """Sample mean of tau^p (batch-means stderr) plus the Hill tail index of
     tau and the finiteness verdict.  Nothing is truncated or winsorized:
     heavy tails show up in the index, not in a doctored mean."""
     if p <= 0:
         raise BadParameters("moment order must be positive")
-    if cfg is None:
-        cfg = WosConfig(with_time=True) if kernel == "wos" else EmConfig()
-    if kernel == "wos" and not cfg.with_time:
+    if isinstance(cfg, WosConfig) and not cfg.with_time:
         raise BadParameters("moment estimation needs a time-tracking kernel")
-    batch = run_exits(domain, start, n, kernel, cfg, rng, workers)
+    batch = run_exits(domain, start, n, cfg, rng, workers)
     tau = batch.exit_time[batch.ok]
     powered = tau ** p
     est = Estimate(value=float(np.mean(powered)),
@@ -268,7 +269,9 @@ class HardyEstimate:
     ``slope_bounds`` is [slope/2, 2*slope], the interval guaranteed to
     contain the Hardy number by the metric comparison; the classification
     flips to infinite when delta / ln R blows past the threshold and is
-    still growing at the largest radius.
+    still growing at the largest radius.  ``rounds`` counts the graph
+    refinement rounds behind the values, and ``node_budget_hit`` is True
+    when ``max_nodes`` ended the refinement early.
     """
 
     a: complex
@@ -277,15 +280,15 @@ class HardyEstimate:
     slope: float
     slope_bounds: tuple
     classification: str
+    rounds: int
+    node_budget_hit: bool
 
     def contains(self, h: float) -> bool:
         return self.slope_bounds[0] <= h <= self.slope_bounds[1]
 
 
 def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
-                          qh_cfg: QhConfig | None = None,
-                          infinite_threshold: float = INFINITE_GROWTH_THRESHOLD
-                          ) -> HardyEstimate:
+                          qh_cfg: QhConfig | None = None) -> HardyEstimate:
     """Fit the growth of delta(a, F_R) in ln R over the last half of the
     schedule.
 
@@ -301,8 +304,8 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
     if qh_cfg is None:
         qh_cfg = QhConfig(rel_floor=0.02)
     targets = [CircleTarget(float(R), center=complex(a)) for R in r]
-    values, history = quasi_hyperbolic_profile(domain, complex(a), targets,
-                                               qh_cfg)
+    values, history, budget_hit = quasi_hyperbolic_profile(
+        domain, complex(a), targets, qh_cfg)
     if len(history) >= 2:
         extrap = 2.0 * history[-1] - history[-2]
         values = np.maximum(extrap, 0.5 * history[-1])
@@ -310,19 +313,16 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
 
     ratio = deltas[-1] / math.log(r[-1])
     growing = len(deltas) < 2 or deltas[-1] > deltas[-2] * 1.05
-    if ratio > infinite_threshold and growing:
-        return HardyEstimate(a=complex(a), r_schedule=tuple(r),
-                             delta_values=tuple(deltas), slope=math.inf,
-                             slope_bounds=(math.inf, math.inf),
-                             classification=CLASS_INFINITE)
-
-    half = len(r) // 2
-    lr = np.log(r[half:])
-    slope = float(np.polyfit(lr, deltas[half:], 1)[0])
+    if ratio > INFINITE_GROWTH_THRESHOLD and growing:
+        slope, bounds, cls = math.inf, (math.inf, math.inf), CLASS_INFINITE
+    else:
+        half = len(r) // 2
+        slope = float(np.polyfit(np.log(r[half:]), deltas[half:], 1)[0])
+        bounds, cls = (slope / 2.0, 2.0 * slope), CLASS_FINITE
     return HardyEstimate(a=complex(a), r_schedule=tuple(r),
                          delta_values=tuple(deltas), slope=slope,
-                         slope_bounds=(slope / 2.0, 2.0 * slope),
-                         classification=CLASS_FINITE)
+                         slope_bounds=bounds, classification=cls,
+                         rounds=len(history), node_budget_hit=budget_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ class KarafylliaReport:
     nu: ProportionEstimate
     nu_hat: ProportionEstimate
     ratio: Estimate
-    starlike: StarlikeVerdict | None = None
+    starlike: StarlikeVerdict
 
 
 def doubling_ratio(nu: ProportionEstimate,
@@ -357,9 +357,8 @@ def doubling_ratio(nu: ProportionEstimate,
 
 
 def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
-                      rng: RngStream = RngStream(0), cfg: EmConfig | None = None,
-                      workers: int = 1, starlike_probes: int = 64
-                      ) -> KarafylliaReport:
+                      rng: RngStream = RngStream(0), cfg: EmConfig = EmConfig(),
+                      workers: int = 1) -> KarafylliaReport:
     """Estimate nu = P(Re(B_tau) > r) and nu_hat = P(B hits {Re = r} before
     tau), and their ratio with a delta-method CI.
 
@@ -367,20 +366,16 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
     lets it go on to its exit, so both proportions are shares of the same
     ok paths (step-capped paths are excluded from both).
 
-    The leftward-ray property is spot-checked first; a failure downgrades to
-    a warning recorded on the report (the producing inequality then has no
-    guarantee).
+    The leftward-ray property is spot-checked first at STARLIKE_PROBES
+    interior points; a failure downgrades to a warning recorded on the
+    report (the producing inequality then has no guarantee).
     """
     a = complex(a)
     if not a.real < split_re:
         raise BadParameters("basepoint must lie left of the split line")
-    if cfg is None:
-        cfg = EmConfig()
-    verdict = None
-    if starlike_probes > 0:
-        verdict = check_delta_starlike(domain, starlike_probes, rng.child(901))
+    verdict = check_delta_starlike(domain, STARLIKE_PROBES, rng.child(901))
 
-    batch = run_exits(domain, a, n, "em", cfg, rng.child(902), workers,
+    batch = run_exits(domain, a, n, cfg, rng.child(902), workers,
                       mark_line_re=split_re)
     nu = exit_proportion(lambda z, lab: z.real > split_re, batch)
     nu_hat = proportion_estimate(int(np.sum(batch.line_hit & batch.ok)), nu.n,
@@ -476,27 +471,29 @@ class IncreasingReport:
 
 
 def verify_increasing_domains(domains, start: complex, p: float, n: int,
-                              rng: RngStream = RngStream(0), kernel: str = "wos",
-                              cfg=None, workers: int = 1,
-                              containment_samples: int = 512,
+                              rng: RngStream = RngStream(0),
+                              cfg: WosConfig | EmConfig = WosConfig(
+                                  with_time=True),
+                              workers: int = 1,
                               growth_schedule=None) -> IncreasingReport:
     """Moment estimates along a nested family, checked nondecreasing up to
     joint CIs; optional per-domain growth floors.
 
-    Pairwise nesting is verified by containment sampling before any
-    simulation; a violation raises NestingViolation.
+    Pairwise nesting is verified by containment sampling at
+    CONTAINMENT_SAMPLES points before any simulation; a violation raises
+    NestingViolation.
     """
     domains = list(domains)
     for k in range(len(domains) - 1):
         pts = sample_interior(domains[k], rng.child(700 + k).generator(),
-                              containment_samples)
+                              CONTAINMENT_SAMPLES)
         if not np.all(domains[k + 1].contains(pts)):
             raise NestingViolation(f"domain {k} not inside domain {k + 1}")
 
     moments = []
     for k, d in enumerate(domains):
         moments.append(estimate_moment(d, start, p, n, rng.child(710 + k),
-                                       kernel=kernel, cfg=cfg, workers=workers))
+                                       cfg=cfg, workers=workers))
 
     monotone = True
     for prev, nxt in zip(moments, moments[1:]):

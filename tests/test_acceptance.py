@@ -102,7 +102,7 @@ def test_criterion_04_wedge_moment_thresholds():
     all_ok = True
     details = []
     for i, (domain, alpha_true, tag) in enumerate(cases):
-        batch = run_exits(domain, 1 + 0j, N_BIG, "em", EmConfig(),
+        batch = run_exits(domain, 1 + 0j, N_BIG, EmConfig(),
                           RngStream(9004 + i))
         tau = batch.exit_time[batch.ok]
         alpha = hill_tail_index(tau, 0.05)
@@ -168,8 +168,7 @@ def test_criterion_07_comb_monotone_growth():
     domains = [build_comb(k, a[:k + 1], b[:k])[0] for k in (1, 3, 5)]
     floors = [1.6, 1.9, 2.2]
     rep = verify_increasing_domains(domains, 1 + 0j, 0.25, 20_000,
-                                    RngStream(9007), kernel="wos",
-                                    growth_schedule=floors)
+                                    RngStream(9007), growth_schedule=floors)
     vals = [m.estimate.value for m in rep.moments]
     ses = [m.estimate.stderr for m in rep.moments]
     strict = all(
@@ -215,9 +214,9 @@ def test_criterion_09_kernel_cross_validation():
           ("near", lambda z, lab: np.abs(z) < 1.0)]),
     ]
     for i, (domain, start, regions) in enumerate(cases):
-        w = run_exits(domain, start, N_BIG, "wos", WosConfig(),
+        w = run_exits(domain, start, N_BIG, WosConfig(),
                       rng.child(2 * i))
-        m = run_exits(domain, start, N_BIG, "em", EmConfig(),
+        m = run_exits(domain, start, N_BIG, EmConfig(),
                       rng.child(2 * i + 1))
         for name, f in regions:
             pw = float(np.mean(f(w.exit_point[w.ok], w.label[w.ok])))

@@ -53,6 +53,9 @@ def test_parse_domain_variants():
         1.5707963267948966)
     comb = parse_domain("comb(1, [1, 2], [-5], V)")
     assert comb.side == "V"
+    assert parse_domain("comb(1, [1, 3], [-2], w)").side == "W"
+    with pytest.raises(ConfigError, match="'X'"):
+        parse_domain("comb(1, [1, 3], [-2], X)")
     with pytest.raises(ConfigError):
         parse_domain("pentagon(1)")
     with pytest.raises(ConfigError):
@@ -134,6 +137,35 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert parse_config(path)[0].seed == 7
     assert parse_config(path, {"seed": "9"})[0].seed == 9
     monkeypatch.delenv("BMX_SEED")
+
+
+def test_seed_out_of_range_is_config_error(tmp_path, monkeypatch, capsys):
+    # A seed an RngStream rejects fails at parse time, like any bad value,
+    # before any scenario runs, whichever layer set it.
+    cauchy = """
+[scenario.c{k}]
+experiment = cauchy
+gamma = 2j
+alpha_mobius = 1j
+alpha_power = 0.5
+lambda = 1.0
+n = 1000
+seed = {seed}
+"""
+    path = write(tmp_path, cauchy.format(k=1, seed=-1)
+                 + cauchy.format(k=2, seed=7))
+    with pytest.raises(ConfigError, match="bad value '-1' for 'seed'"):
+        parse_config(path)
+    assert main(["run", path]) == 1
+    assert "bad value '-1' for 'seed'" in capsys.readouterr().err
+
+    good = write(tmp_path, BASIC, "good.cfg")
+    with pytest.raises(ConfigError, match=f"'{2**64}'"):
+        parse_config(good, {"seed": str(2**64)})
+    assert parse_config(good, {"seed": str(2**64 - 1)})[0].seed == 2**64 - 1
+    monkeypatch.setenv("BMX_SEED", "-3")
+    with pytest.raises(ConfigError, match="bad value '-3' for 'seed'"):
+        parse_config(good)
 
 
 def test_override_changes_echo(tmp_path):
@@ -245,6 +277,14 @@ start = 0
 region = s1
 n = lots
 
+[scenario.bad_kernel]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 0
+region = s1
+n = 1000
+kernel = foo
+
 [scenario.cauchy]
 experiment = cauchy
 gamma = 2j
@@ -255,10 +295,13 @@ n = 20000
 seed = 7
 """
     reports = run(write(tmp_path, cfg))
-    assert [r["scenario"]["name"] for r in reports] == ["bad_n", "cauchy"]
+    assert [r["scenario"]["name"] for r in reports] == [
+        "bad_n", "bad_kernel", "cauchy"]
     assert not reports[0]["passed"]
     assert reports[0]["error"] == "ConfigError: bad value 'lots' for 'n'"
-    assert reports[1]["passed"]
+    assert not reports[1]["passed"]
+    assert reports[1]["error"] == "ConfigError: bad value 'foo' for 'kernel'"
+    assert reports[2]["passed"]
 
 
 def test_fractional_iterations_recorded_not_fatal(tmp_path):
@@ -304,7 +347,7 @@ expect_ratio_tol = 0.5
 def test_harmonic_measure_report_matches_estimator(tmp_path):
     rep = run(write(tmp_path, BASIC))[0]
     est = estimate_harmonic_measure(Rectangle(1, 1), 0j, BoundaryLabel.S1,
-                                    2000, kernel="wos", rng=RngStream(42))
+                                    2000, rng=RngStream(42))
     assert rep["results"]["probability"] == {
         "value": est.value, "stderr": est.stderr, "n": est.n,
         "ci95": list(est.ci95), "wilson95": list(est.wilson95),
@@ -390,3 +433,19 @@ n = 2000
     assert "nu = 0" in bound[0]["detail"]
     assert "NaN" not in json.dumps(rep["results"]["ratio"])
     assert reports[1]["passed"]
+
+
+def test_hardy_reports_node_budget(tmp_path):
+    # The battery's wedge_hardy with a node budget that ends refinement
+    # after the first round: the report must say so.
+    cfg = """
+[scenario.wedge_hardy]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 10 31.6 100 316 1000
+max_nodes = 20000
+"""
+    res = run(write(tmp_path, cfg))[0]["results"]
+    assert res["rounds"] == 1
+    assert res["node_budget_hit"] is True

@@ -3,7 +3,7 @@ import pytest
 
 from bmx.combs import build_comb, default_offsets
 from bmx.errors import BadParameters
-from bmx.geometry import contains, dist_to_boundary, sample_interior
+from bmx.geometry import sample_interior
 from bmx.rng import RngStream
 
 A6 = [1, 40, 41, 100, 101, 900]
@@ -12,13 +12,13 @@ B5 = [-50, 5, -51, 6, -52]
 
 def test_base_pair_is_half_strip_and_complement():
     v0, w0 = build_comb(0, [1], [])
-    assert contains(w0, -3 + 0j)
-    assert contains(w0, -3 + 0.9j)
-    assert not contains(w0, -3 + 1.5j)
-    assert not contains(w0, 1 + 0j)
-    assert contains(v0, 1 + 0j)
-    assert contains(v0, -3 + 1.5j)
-    assert not contains(v0, -3 + 0j)
+    assert w0.contains(-3 + 0j)
+    assert w0.contains(-3 + 0.9j)
+    assert not w0.contains(-3 + 1.5j)
+    assert not w0.contains(1 + 0j)
+    assert v0.contains(1 + 0j)
+    assert v0.contains(-3 + 1.5j)
+    assert not v0.contains(-3 + 0j)
 
 
 def test_first_iteration_example():
@@ -30,8 +30,8 @@ def test_first_iteration_example():
     pts_w0 = sample_interior(w0, gen, 400)
     assert np.all(w1.contains(pts_w0))           # W0 subset of W1
     # the upper band between the old and new heights belongs to V1
-    assert contains(v1, -1 + 1.5j)
-    assert not contains(v1, -1 + 0j)
+    assert v1.contains(-1 + 1.5j)
+    assert not v1.contains(-1 + 0j)
 
 
 def test_complementarity_and_shared_boundary():
@@ -65,8 +65,8 @@ def test_nesting_along_the_sequence(side):
 
 def test_distance_and_projection():
     v1, _ = build_comb(1, [1, 2], [-5])
-    assert dist_to_boundary(v1, 0.5 + 0j) == 0.5
-    assert dist_to_boundary(v1, -1 + 1.5j) == 0.5
+    assert v1.boundary_distance(0.5 + 0j) == 0.5
+    assert v1.boundary_distance(-1 + 1.5j) == 0.5
     gen = RngStream(8).generator()
     pts = sample_interior(v1, gen, 100)
     proj = v1.project(pts)

@@ -6,12 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmx.combs import build_comb
-from bmx.errors import BadParameters, NotNearBoundary, PointOutsideDomain
+from bmx.errors import BadParameters
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
                           Rectangle, SpiralPair, Strip, Wedge,
-                          check_delta_starlike, classify_exit, contains,
-                          dist_to_boundary, sample_interior)
+                          check_delta_starlike, sample_interior)
 from bmx.rng import RngStream
 
 ALL_DOMAINS = [
@@ -33,35 +32,30 @@ ALL_DOMAINS = [
 
 
 def test_containment_examples():
-    assert contains(Rectangle(1, 1), 0j)
-    assert contains(Annulus(1, math.e), 2 + 0j)
-    assert not contains(KoebeSlit(), -1 + 0j)      # on the slit
-    assert contains(KoebeSlit(), -1 + 0.5j)
-    assert not contains(Wedge(math.pi / 2), -1 + 0j)
-    assert contains(Wedge(2 * math.pi), 1j)
-    assert not contains(Wedge(2 * math.pi), -2 + 0j)
+    assert Rectangle(1, 1).contains(0j)
+    assert Annulus(1, math.e).contains(2 + 0j)
+    assert not KoebeSlit().contains(-1 + 0j)      # on the slit
+    assert KoebeSlit().contains(-1 + 0.5j)
+    assert not Wedge(math.pi / 2).contains(-1 + 0j)
+    assert Wedge(2 * math.pi).contains(1j)
+    assert not Wedge(2 * math.pi).contains(-2 + 0j)
 
 
 def test_boundary_points_not_contained():
-    assert not contains(Rectangle(1, 1), 1 + 0.5j)
-    assert not contains(Annulus(1, 2), 1 + 0j)
-    assert not contains(Disk(0j, 1), 1 + 0j)
-    assert not contains(Strip(-1, 1), 2 + 1j)
+    assert not Rectangle(1, 1).contains(1 + 0.5j)
+    assert not Annulus(1, 2).contains(1 + 0j)
+    assert not Disk(0j, 1).contains(1 + 0j)
+    assert not Strip(-1, 1).contains(2 + 1j)
 
 
 def test_distance_examples():
-    assert dist_to_boundary(Disk(0j, 1), 0j) == 1.0
-    assert dist_to_boundary(Rectangle(2, 1), 0j) == 1.0
-    assert dist_to_boundary(Annulus(1, 4), 2 + 0j) == 1.0
-    assert dist_to_boundary(HalfPlane("north"), 3 + 2j) == 2.0
-    assert math.isclose(dist_to_boundary(Wedge(math.pi / 2), 1 + 0j),
+    assert Disk(0j, 1).boundary_distance(0j) == 1.0
+    assert Rectangle(2, 1).boundary_distance(0j) == 1.0
+    assert Annulus(1, 4).boundary_distance(2 + 0j) == 1.0
+    assert HalfPlane("north").boundary_distance(3 + 2j) == 2.0
+    assert math.isclose(Wedge(math.pi / 2).boundary_distance(1 + 0j),
                         math.sin(math.pi / 4))
-    assert math.isclose(dist_to_boundary(KoebeSlit(), 1 + 0j), 1.25)
-
-
-def test_distance_raises_outside():
-    with pytest.raises(PointOutsideDomain):
-        dist_to_boundary(Rectangle(1, 1), 2 + 0j)
+    assert math.isclose(KoebeSlit().boundary_distance(1 + 0j), 1.25)
 
 
 def test_interior_disk_fits():
@@ -87,36 +81,31 @@ def test_projection_lands_on_boundary():
 
 def test_classify_rectangle_sides():
     r = Rectangle(1, 1)
-    assert classify_exit(r, 1 + 0.3j, 1e-6) == BoundaryLabel.S1
-    assert classify_exit(r, 0.3 - 1j, 1e-6) == BoundaryLabel.S2
-    assert classify_exit(r, -1 + 0.3j, 1e-6) == BoundaryLabel.S3
-    assert classify_exit(r, 0.3 + 1j, 1e-6) == BoundaryLabel.S4
+    assert r.label_codes(1 + 0.3j) == BoundaryLabel.S1
+    assert r.label_codes(0.3 - 1j) == BoundaryLabel.S2
+    assert r.label_codes(-1 + 0.3j) == BoundaryLabel.S3
+    assert r.label_codes(0.3 + 1j) == BoundaryLabel.S4
     # Corner ties break by enumeration order.
-    assert classify_exit(r, 1 + 1j, 1e-6) == BoundaryLabel.S1
+    assert r.label_codes(1 + 1j) == BoundaryLabel.S1
 
 
 def test_classify_annulus_and_spiral():
     a = Annulus(1, 2)
     z = 1.0000003 * np.exp(0.7j)
-    assert classify_exit(a, complex(z), 1e-5) == BoundaryLabel.ANNULUS_INNER
-    assert classify_exit(a, 2.0 * np.exp(0.7j), 1e-5) == BoundaryLabel.ANNULUS_OUTER
+    assert a.label_codes(complex(z)) == BoundaryLabel.ANNULUS_INNER
+    assert a.label_codes(2.0 * np.exp(0.7j)) == BoundaryLabel.ANNULUS_OUTER
 
     sp = SpiralPair("U")
     t = 5.0
     on_gamma1 = t * np.exp(1j * t)
-    assert classify_exit(sp, complex(on_gamma1), 1e-6) == BoundaryLabel.GAMMA1
-    assert classify_exit(sp, complex(-on_gamma1), 1e-6) == BoundaryLabel.GAMMA2
+    assert sp.label_codes(complex(on_gamma1)) == BoundaryLabel.GAMMA1
+    assert sp.label_codes(complex(-on_gamma1)) == BoundaryLabel.GAMMA2
 
 
 def test_classify_halfplane_halflines():
     hp = HalfPlane("north")
-    assert classify_exit(hp, 2.0 + 0j, 1e-9) == BoundaryLabel.HALFLINE_RIGHT
-    assert classify_exit(hp, -2.0 + 0j, 1e-9) == BoundaryLabel.HALFLINE_LEFT
-
-
-def test_classify_requires_proximity():
-    with pytest.raises(NotNearBoundary):
-        classify_exit(Rectangle(1, 1), 0j, 1e-6)
+    assert hp.label_codes(2.0 + 0j) == BoundaryLabel.HALFLINE_RIGHT
+    assert hp.label_codes(-2.0 + 0j) == BoundaryLabel.HALFLINE_LEFT
 
 
 def test_classify_deterministic_near_boundary():
@@ -156,15 +145,15 @@ def test_parabola_distance_matches_brute_force():
     curve = (1 - ss ** 2 / 4) + 1j * ss
     for z in [2 + 0j, 3 + 2.5j, 1.5 - 4j, 10 + 1j]:
         brute = float(np.min(np.abs(z - curve)))
-        assert math.isclose(dist_to_boundary(pc, z), brute, rel_tol=1e-6)
+        assert math.isclose(pc.boundary_distance(z), brute, rel_tol=1e-6)
 
 
 def test_halfstrip_complement_distances():
     hs = HalfStripComplement(1.0)
-    assert dist_to_boundary(hs, 1 + 0j) == 1.0          # to the end segment
-    assert dist_to_boundary(hs, -3 + 2j) == 1.0         # to the top ray
+    assert hs.boundary_distance(1 + 0j) == 1.0          # to the end segment
+    assert hs.boundary_distance(-3 + 2j) == 1.0         # to the top ray
     # diagonal to the corner (0, 1)
-    assert math.isclose(dist_to_boundary(hs, 1 + 2j), math.sqrt(2),
+    assert math.isclose(hs.boundary_distance(1 + 2j), math.sqrt(2),
                         rel_tol=1e-12)
 
 
@@ -286,7 +275,7 @@ def test_delta_starlike_verdicts():
     assert not v.passed
     assert v.witness is not None and v.exit_point is not None
     # The witness's leftward ray really does leave the wedge.
-    assert not contains(Wedge(math.pi / 2), v.exit_point)
+    assert not Wedge(math.pi / 2).contains(v.exit_point)
     assert v.exit_point.imag == v.witness.imag
     assert v.exit_point.real < v.witness.real
 

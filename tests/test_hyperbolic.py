@@ -44,7 +44,7 @@ def test_point_and_circle_targets_are_consistent():
 
 
 def test_refinement_is_monotone_decreasing():
-    _, history = quasi_hyperbolic_profile(
+    _, history, _ = quasi_hyperbolic_profile(
         Disk(0j, 1.0), 0j, [CircleTarget(0.5)],
         QhConfig(refine_target=1e-9, max_rounds=4))
     vals = [h[0] for h in history]
@@ -54,7 +54,7 @@ def test_refinement_is_monotone_decreasing():
 
 def test_koebe_slit_growth_is_logarithmic():
     Rs = [10.0, 100.0, 1000.0]
-    vals, _ = quasi_hyperbolic_profile(
+    vals, _, _ = quasi_hyperbolic_profile(
         KoebeSlit(), 1 + 0j, [CircleTarget(r) for r in Rs],
         QhConfig(rel_floor=0.02))
     oracles = [math.log((r + 1.25) / 1.25) for r in Rs]

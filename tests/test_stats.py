@@ -73,21 +73,21 @@ def test_moment_verdict_rule():
 def test_harmonic_measure_annulus():
     est = estimate_harmonic_measure(
         Annulus(1.0, math.e ** 2), math.e + 0j, BoundaryLabel.ANNULUS_INNER,
-        50_000, "wos", RngStream(203))
+        50_000, RngStream(203))
     assert est.within(0.5, 3)
     assert est.excluded == 0
 
 
 def test_harmonic_measure_square_side():
     est = estimate_harmonic_measure(
-        Rectangle(1, 1), 0j, BoundaryLabel.S1, 50_000, "wos", RngStream(204))
+        Rectangle(1, 1), 0j, BoundaryLabel.S1, 50_000, RngStream(204))
     assert est.within(0.25, 3)
 
 
 def test_harmonic_measure_halfplane_predicate():
     est = estimate_harmonic_measure(
         HalfPlane("north"), -1 + 1j, lambda z, lab: z.real > 0,
-        50_000, "em", RngStream(205))
+        50_000, RngStream(205), cfg=EmConfig())
     assert est.within(0.25, 3)
 
 
@@ -103,9 +103,9 @@ def test_harmonic_measure_requires_min_paths():
 def test_wedge_moment_verdicts():
     rng = RngStream(206)
     fine = estimate_moment(Wedge(math.pi / 2), 1 + 0j, 0.5, 30_000, rng,
-                           kernel="em")
+                           cfg=EmConfig())
     coarse = estimate_moment(Wedge(math.pi / 2), 1 + 0j, 1.5, 30_000,
-                             rng.child(1), kernel="em")
+                             rng.child(1), cfg=EmConfig())
     assert fine.verdict == "finite"
     assert coarse.verdict == "infinite"
     assert abs(fine.tail_index.value - 1.0) < 0.15
@@ -113,9 +113,10 @@ def test_wedge_moment_verdicts():
 
 def test_koebe_moment_verdicts():
     rng = RngStream(207)
-    fine = estimate_moment(KoebeSlit(), 1 + 0j, 0.1, 30_000, rng, kernel="em")
+    fine = estimate_moment(KoebeSlit(), 1 + 0j, 0.1, 30_000, rng,
+                           cfg=EmConfig())
     coarse = estimate_moment(KoebeSlit(), 1 + 0j, 0.375, 30_000, rng.child(1),
-                             kernel="em")
+                             cfg=EmConfig())
     assert fine.verdict == "finite"
     assert coarse.verdict == "infinite"
     assert abs(fine.tail_index.value - 0.25) < 0.15
@@ -125,23 +126,25 @@ def test_moment_scale_consistency():
     # Scaling the domain by s scales tau by s^2 in law and leaves the
     # verdict unchanged.
     rng = RngStream(208)
-    m1 = estimate_moment(Disk(0j, 1.0), 0j, 1.0, 20_000, rng, kernel="wos")
+    m1 = estimate_moment(Disk(0j, 1.0), 0j, 1.0, 20_000, rng,
+                         cfg=WosConfig(with_time=True))
     m2 = estimate_moment(Disk(0j, 2.0), 0j, 1.0, 20_000, rng.child(1),
-                         kernel="wos")
+                         cfg=WosConfig(with_time=True))
     assert m1.verdict == m2.verdict == "finite"
     assert abs(m2.estimate.value / m1.estimate.value - 4.0) < 0.15
-    b1 = run_exits(Disk(0j, 1.0), 0j, 20_000, "wos",
-                   WosConfig(with_time=True), rng.child(2))
-    b2 = run_exits(Disk(0j, 2.0), 0j, 20_000, "wos",
-                   WosConfig(with_time=True), rng.child(3))
+    b1 = run_exits(Disk(0j, 1.0), 0j, 20_000, WosConfig(with_time=True),
+                   rng.child(2))
+    b2 = run_exits(Disk(0j, 2.0), 0j, 20_000, WosConfig(with_time=True),
+                   rng.child(3))
     assert ks_2samp(b1.exit_time, b2.exit_time / 4.0).pvalue > 0.01
 
 
 def test_wos_and_em_moments_agree():
     rng = RngStream(209)
-    a = estimate_moment(Disk(0j, 1.0), 0j, 1.0, 20_000, rng, kernel="wos")
+    a = estimate_moment(Disk(0j, 1.0), 0j, 1.0, 20_000, rng,
+                        cfg=WosConfig(with_time=True))
     b = estimate_moment(Disk(0j, 1.0), 0j, 1.0, 20_000, rng.child(1),
-                        kernel="em")
+                        cfg=EmConfig())
     joint = 3 * math.hypot(a.estimate.stderr, b.estimate.stderr)
     assert abs(a.estimate.value - b.estimate.value) <= joint + 0.01
 
@@ -150,8 +153,8 @@ def test_merging_is_exact():
     # Same seed => bit-identical batches regardless of how many workers the
     # chunks were scheduled on; the reduction sees the same array.
     rng = RngStream(210)
-    b1 = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
-    b2 = run_exits(Rectangle(1, 1), 0j, 9000, "wos", WosConfig(), rng, 1)
+    b1 = run_exits(Rectangle(1, 1), 0j, 9000, WosConfig(), rng, 1)
+    b2 = run_exits(Rectangle(1, 1), 0j, 9000, WosConfig(), rng, 1)
     assert np.array_equal(b1.exit_point, b2.exit_point)
     assert float(np.mean(b1.exit_point.real)) == float(
         np.mean(b2.exit_point.real))
@@ -164,7 +167,7 @@ def test_merging_is_exact():
 def test_karafyllia_halfplane_targets():
     rep = verify_karafyllia(HalfPlane("north"), -1 + 1j, 0.0, 50_000,
                             RngStream(211))
-    assert rep.starlike is not None and rep.starlike.passed
+    assert rep.starlike.passed
     assert rep.nu_hat.within(0.5, 3)
     assert rep.nu.within(0.25, 3)
     assert abs(rep.ratio.value - 2.0) <= 0.1
@@ -212,7 +215,7 @@ def test_karafyllia_bound_on_battery():
 def test_karafyllia_flags_non_starlike():
     rep = verify_karafyllia(Wedge(math.pi / 2), 1 + 0j, 2.0, 5_000,
                             RngStream(220))
-    assert rep.starlike is not None and not rep.starlike.passed
+    assert not rep.starlike.passed
     assert 0 <= rep.nu.value <= 1
 
 
@@ -246,13 +249,13 @@ def test_cauchy_power_target_from_gamma_i():
 
 def test_increasing_domains_disks():
     rep = verify_increasing_domains([Disk(0j, 1.0), Disk(0j, 2.0)], 0j, 1.0,
-                                    20_000, RngStream(224), kernel="wos")
+                                    20_000, RngStream(224))
     v = [m.estimate.value for m in rep.moments]
     assert abs(v[0] - 0.5) < 0.02
     assert abs(v[1] - 2.0) < 0.06
     assert rep.monotone_ok
     rep2 = verify_increasing_domains([Disk(0j, 1.0), Disk(0j, 1.0)], 0j, 1.0,
-                                     20_000, RngStream(225), kernel="wos")
+                                     20_000, RngStream(225))
     assert rep2.monotone_ok
 
 
