@@ -30,9 +30,8 @@ from .sim import (EmConfig, ExitBatch, PathSample, WosConfig, em_exit_batch,
                   sample_halfplane_exit_batch, wos_exit_batch)
 from .stats import (Estimate, HardyEstimate, IdentityCheck, IncreasingReport,
                     KarafylliaReport, MomentEstimate, ProportionEstimate,
-                    estimate_hardy_number, estimate_harmonic_measure,
-                    estimate_moment, exit_proportion, run_exits,
-                    verify_cauchy_identities, verify_increasing_domains,
-                    verify_karafyllia)
+                    estimate_hardy_number, estimate_moment, exit_proportion,
+                    run_exits, verify_cauchy_identities,
+                    verify_increasing_domains, verify_karafyllia)
 
 __version__ = "0.1.0"

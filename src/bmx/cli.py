@@ -3,10 +3,12 @@ them over a worker pool, and persist reproducible JSON reports (plus raw
 per-path CSVs on request).
 
 Config files are flat INI text with one ``[scenario.NAME]`` section per
-scenario.  Every value is a string with an experiment-specific parser;
-unknown keys are errors, and every default is materialized into the report
-echo so a rerun of the echoed config reproduces the run bit for bit.  Seed
-precedence: config < BMX_SEED < --set seed=...
+scenario.  Each experiment's schema declares every key's default and
+parser; unknown keys are errors, and every default is materialized into the
+report echo so a rerun of the echoed config reproduces the run bit for bit.
+Every value is converted by its key's parser before the experiment runs, so
+a bad value in any key, read by the runner or not, is a ConfigError in that
+scenario's report.  Seed precedence: config < BMX_SEED < --set seed=...
 
 Exit status: 0 when all declared expectations pass, 2 when any fails,
 1 on configuration or runtime errors.
@@ -23,7 +25,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,6 +205,21 @@ def _parse_ints(s: str):
     return [int(t) for t in re.split(r"[,\s]+", s.strip()) if t]
 
 
+def _complex(text: str) -> complex:
+    """A real or complex number such as ``2``, ``0.5`` or ``-1+1j``."""
+    try:
+        return complex(_parse_number(text))
+    except ConfigError:
+        raise ValueError(text) from None
+
+
+def _kernel(text: str) -> str:
+    """``wos`` (walk-on-spheres) or ``em`` (Euler-Maruyama)."""
+    if text not in ("wos", "em"):
+        raise ValueError(text)
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Scenario schema
 # ---------------------------------------------------------------------------
@@ -218,22 +235,28 @@ class Scenario:
     workers: int
     out: str | None = None
 
-    def param(self, key, kind=str):
-        """The value of ``key`` converted by ``kind`` (``int``, ``float`` or
-        a list parser); None when the scenario has no such key."""
-        for k, v in self.params:
-            if k == key:
-                return _convert(key, v, kind)
-        return None
-
 
 def _convert(key: str, text: str, kind):
     """``kind(text)``; a value it rejects is a ConfigError naming the key
     and the value, so the scenario's report records it."""
     try:
         return kind(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value {text!r} for {key!r}") from None
+
+
+def _typed_params(scenario: Scenario) -> dict:
+    """Every parameter of ``scenario`` converted once by its key's parser; the
+    empty value of an optional key is None."""
+    schema, _ = EXPERIMENTS[scenario.experiment]
+    values = {}
+    for key, text in scenario.params:
+        default, parser = schema[key]
+        if default == "" and text == "":
+            values[key] = None
+        else:
+            values[key] = _convert(key, text, parser)
+    return values
 
 
 # Keys every experiment accepts besides its own schema (see EXPERIMENTS).
@@ -252,7 +275,11 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
     """Parse a scenario file; resolve defaults, env seed, and overrides."""
     cp = configparser.ConfigParser(strict=True, interpolation=None)
     cp.optionxform = str
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") \
+            from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     overrides = dict(overrides or {})
@@ -282,7 +309,7 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
         out = raw.pop("out", None)
 
         params = {}
-        for key, default in schema.items():
+        for key, (default, _) in schema.items():
             if key in raw:
                 params[key] = raw.pop(key)
             elif default is None:
@@ -298,14 +325,6 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
     if not scenarios:
         raise ConfigError("config declares no scenarios")
     return scenarios
-
-
-def scenario_from_echo(echo: dict) -> Scenario:
-    """Rebuild a Scenario from a report's echoed config."""
-    return Scenario(name=echo["name"], experiment=echo["experiment"],
-                    params=tuple(sorted(echo["params"].items())),
-                    seed=int(echo["seed"]), workers=int(echo["workers"]),
-                    out=echo.get("out"))
 
 
 # ---------------------------------------------------------------------------
@@ -325,51 +344,31 @@ def _estimate_dict(est):
     return d
 
 
-def _kernel_config(sc: Scenario, wos=WosConfig, em=EmConfig):
-    """The kernel config the scenario's ``kernel`` key names, made by
-    ``wos()`` or ``em()``; any other kernel is a ConfigError."""
-    kernel = sc.param("kernel")
-    if kernel == "wos":
-        return wos()
-    if kernel == "em":
-        return em()
-    raise ConfigError(f"bad value {kernel!r} for 'kernel'")
-
-
-def _run_harmonic_measure(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    start = complex(_parse_number(sc.param("start")))
-    region = parse_region(sc.param("region"))
-    n = sc.param("n", int)
-    batch = run_exits(domain, start, n, _kernel_config(sc),
+def _run_harmonic_measure(sc: Scenario, v: dict):
+    cfg = WosConfig() if v["kernel"] == "wos" else EmConfig()
+    batch = run_exits(v["domain"], v["start"], v["n"], cfg,
                       RngStream(sc.seed), sc.workers)
-    est = exit_proportion(region, batch)
+    est = exit_proportion(v["region"], batch)
 
     results = {"probability": _estimate_dict(est)}
     expectations = []
-    if sc.param("expect_prob"):
-        target = sc.param("expect_prob", float)
-        sig = sc.param("expect_sigmas", float)
-        passed = est.within(target, sig)
+    if v["expect_prob"] is not None:
+        target, sig = v["expect_prob"], v["expect_sigmas"]
         expectations.append(_expectation(
-            "probability", passed,
+            "probability", est.within(target, sig),
             f"{est.value:.5f} vs {target:.5f} "
             f"(+-{sig} sigma = {sig * est.stderr:.5f})"))
     return results, expectations, batch
 
 
-def _run_moment(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    start = complex(_parse_number(sc.param("start")))
-    p = sc.param("p", float)
-    n = sc.param("n", int)
-    steps = sc.param("max_steps", int)
-    cfg = _kernel_config(
-        sc, wos=lambda: WosConfig(with_time=True, max_steps=steps),
-        em=lambda: EmConfig(c=sc.param("c", float), max_steps=steps))
-    me = estimate_moment(domain, start, p, n, RngStream(sc.seed), cfg=cfg,
-                         workers=sc.workers,
-                         top_fraction=sc.param("top_fraction", float))
+def _run_moment(sc: Scenario, v: dict):
+    if v["kernel"] == "wos":
+        cfg = WosConfig(with_time=True, max_steps=v["max_steps"])
+    else:
+        cfg = EmConfig(c=v["c"], max_steps=v["max_steps"])
+    me = estimate_moment(v["domain"], v["start"], v["p"], v["n"],
+                         RngStream(sc.seed), cfg=cfg, workers=sc.workers,
+                         top_fraction=v["top_fraction"])
     results = {
         "moment": _estimate_dict(me.estimate),
         "tail_index": _estimate_dict(me.tail_index),
@@ -377,13 +376,13 @@ def _run_moment(sc: Scenario):
         "excluded": me.excluded,
     }
     expectations = []
-    want = sc.param("expect_verdict")
-    if want:
+    want = v["expect_verdict"]
+    if want is not None:
         expectations.append(_expectation(
             "verdict", me.verdict == want, f"{me.verdict} vs {want}"))
-    if sc.param("expect_tail_index"):
-        want_alpha = sc.param("expect_tail_index", float)
-        tol = sc.param("expect_tail_tol", float)
+    want_alpha = v["expect_tail_index"]
+    if want_alpha is not None:
+        tol = v["expect_tail_tol"]
         off = abs(me.tail_index.value - want_alpha)
         expectations.append(_expectation(
             "tail_index", off <= tol,
@@ -392,18 +391,12 @@ def _run_moment(sc: Scenario):
     return results, expectations, None
 
 
-def _run_hardy(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    a = complex(_parse_number(sc.param("a")))
-    schedule = sc.param("r_schedule", _parse_floats)
-    cfg = QhConfig(
-        cell_factor=sc.param("cell_factor", float),
-        rel_floor=sc.param("rel_floor", float),
-        prune_clearance=sc.param("prune_clearance", float),
-        min_cell=sc.param("min_cell", float) if sc.param("min_cell") else None,
-        max_rounds=sc.param("max_rounds", int),
-        max_nodes=sc.param("max_nodes", int))
-    he = estimate_hardy_number(domain, a, schedule, cfg)
+def _run_hardy(sc: Scenario, v: dict):
+    cfg = QhConfig(cell_factor=v["cell_factor"], rel_floor=v["rel_floor"],
+                   prune_clearance=v["prune_clearance"],
+                   min_cell=v["min_cell"], max_rounds=v["max_rounds"],
+                   max_nodes=v["max_nodes"])
+    he = estimate_hardy_number(v["domain"], v["a"], v["r_schedule"], cfg)
     results = {
         "r_schedule": list(he.r_schedule),
         "delta_values": list(he.delta_values),
@@ -414,27 +407,30 @@ def _run_hardy(sc: Scenario):
         "node_budget_hit": he.node_budget_hit,
     }
     expectations = []
-    if sc.param("expect_contains"):
-        h = sc.param("expect_contains", float)
-        expectations.append(_expectation(
-            "slope_bounds_contain", he.classification == CLASS_FINITE
-            and he.contains(h),
-            f"H={h} vs bounds {he.slope_bounds}"))
-    want_cls = sc.param("expect_classification")
-    if want_cls:
-        expectations.append(_expectation(
-            "classification", he.classification == want_cls,
-            f"{he.classification} vs {want_cls}"))
+
+    def gate(name, passed, detail):
+        # Values from a refinement that max_nodes cut short decide nothing.
+        if he.node_budget_hit:
+            passed = False
+            detail += (f"; max_nodes = {cfg.max_nodes} ended the refinement "
+                       f"after {he.rounds} round(s)")
+        expectations.append(_expectation(name, passed, detail))
+
+    h = v["expect_contains"]
+    if h is not None:
+        gate("slope_bounds_contain",
+             he.classification == CLASS_FINITE and he.contains(h),
+             f"H={h} vs bounds {he.slope_bounds}")
+    want_cls = v["expect_classification"]
+    if want_cls is not None:
+        gate("classification", he.classification == want_cls,
+             f"{he.classification} vs {want_cls}")
     return results, expectations, None
 
 
-def _run_karafyllia(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    a = complex(_parse_number(sc.param("a")))
-    split = sc.param("split_re", float)
-    n = sc.param("n", int)
-    rep = verify_karafyllia(domain, a, split, n, RngStream(sc.seed),
-                            workers=sc.workers)
+def _run_karafyllia(sc: Scenario, v: dict):
+    rep = verify_karafyllia(v["domain"], v["a"], v["split_re"], v["n"],
+                            RngStream(sc.seed), workers=sc.workers)
     results = {
         "nu": _estimate_dict(rep.nu),
         "nu_hat": _estimate_dict(rep.nu_hat),
@@ -442,14 +438,14 @@ def _run_karafyllia(sc: Scenario):
         "starlike_pass": rep.starlike.passed,
     }
     expectations = []
-    want = sc.param("expect_ratio")
-    if want:
-        tol = sc.param("expect_ratio_tol", float)
-        off = abs(rep.ratio.value - sc.param("expect_ratio", float))
+    want = v["expect_ratio"]
+    if want is not None:
+        tol = v["expect_ratio_tol"]
+        off = abs(rep.ratio.value - want)
         expectations.append(_expectation(
             "ratio", off <= tol,
             f"{rep.ratio.value:.4f} vs {want} (tol {tol})"))
-    sig = sc.param("expect_bound_sigmas", float)
+    sig = v["expect_bound_sigmas"]
     r = rep.ratio
     bound_ok = r.value <= 2.0 + sig * r.stderr
     detail = f"ratio {r.value:.4f} <= 2 + {sig} se ({r.stderr:.4f})"
@@ -459,15 +455,11 @@ def _run_karafyllia(sc: Scenario):
     return results, expectations, None
 
 
-def _run_cauchy(sc: Scenario):
+def _run_cauchy(sc: Scenario, v: dict):
     checks = verify_cauchy_identities(
-        complex(_parse_number(sc.param("gamma"))),
-        complex(_parse_number(sc.param("alpha_mobius"))),
-        sc.param("alpha_power", float),
-        sc.param("lambda", float),
-        sc.param("n", int),
-        RngStream(sc.seed))
-    sig = sc.param("expect_sigmas", float)
+        v["gamma"], v["alpha_mobius"], v["alpha_power"], v["lambda"],
+        v["n"], RngStream(sc.seed))
+    sig = v["expect_sigmas"]
     results, expectations = {}, []
     for c in checks:
         results[c.name] = {
@@ -482,14 +474,15 @@ def _run_cauchy(sc: Scenario):
     return results, expectations, None
 
 
-def _run_modulus(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    n = sc.param("n", int)
+def _run_modulus(sc: Scenario, v: dict):
+    domain, n = v["domain"], v["n"]
     rng = RngStream(sc.seed)
-    sig = sc.param("expect_sigmas", float)
+    sig = v["expect_sigmas"]
     results, expectations = {}, []
     if isinstance(domain, Annulus):
-        start = complex(_parse_number(sc.param("start")))
+        start = v["start"]
+        if start is None:
+            raise ConfigError("modulus on an annulus needs 'start'")
         batch = run_exits(domain, start, n, WosConfig(), rng, sc.workers)
         est = exit_proportion(BoundaryLabel.ANNULUS_INNER, batch)
         if est.value == 0:
@@ -502,18 +495,17 @@ def _run_modulus(sc: Scenario):
         results["p_inner"] = _estimate_dict(est)
         results["modulus"] = {"value": modulus, "stderr": mod_se,
                               "true": math.log(domain.R / domain.r)}
-        want = sc.param("expect_modulus")
-        if want:
-            off = abs(modulus - sc.param("expect_modulus", float))
+        want = v["expect_modulus"]
+        if want is not None:
             expectations.append(_expectation(
-                "modulus", off <= sig * mod_se,
+                "modulus", abs(modulus - want) <= sig * mod_se,
                 f"{modulus:.4f} vs {want} (+-{sig} se = {sig * mod_se:.4f})"))
     elif isinstance(domain, Rectangle):
         batch = run_exits(domain, 0j, n, WosConfig(), rng, sc.workers)
         em_batch = run_exits(domain, 0j, n, EmConfig(), rng.child(1),
                              sc.workers)
         okw = batch.ok
-        scale = complex(_parse_number(sc.param("map_scale")))
+        scale = v["map_scale"]
         image = Rectangle(abs(scale) * domain.a, abs(scale) * domain.b)
         mapped = maps_mod.Linear(scale).evaluate(batch.exit_point[okw])
         same = np.array_equal(image.label_codes(mapped),
@@ -543,16 +535,13 @@ def _run_modulus(sc: Scenario):
     return results, expectations, batch
 
 
-def _run_comb_sequence(sc: Scenario):
-    a = sc.param("a", _parse_floats)
-    b = sc.param("b", _parse_floats)
-    iterations = sc.param("iterations", _parse_ints)
+def _run_comb_sequence(sc: Scenario, v: dict):
+    a, b, iterations = v["a"], v["b"], v["iterations"]
     domains = [build_comb(k, a[:k + 1], b[:k])[0] for k in iterations]
-    growth = sc.param("growth", _parse_floats) if sc.param("growth") else None
-    cfg = _kernel_config(sc, wos=lambda: WosConfig(with_time=True))
+    growth = v["growth"]
+    cfg = WosConfig(with_time=True) if v["kernel"] == "wos" else EmConfig()
     rep = verify_increasing_domains(
-        domains, complex(_parse_number(sc.param("start"))),
-        sc.param("p", float), sc.param("n", int), RngStream(sc.seed),
+        domains, v["start"], v["p"], v["n"], RngStream(sc.seed),
         cfg=cfg, workers=sc.workers, growth_schedule=growth)
     results = {
         "iterations": iterations,
@@ -570,17 +559,12 @@ def _run_comb_sequence(sc: Scenario):
     return results, expectations, None
 
 
-def _run_pushforward(sc: Scenario):
-    domain = parse_domain(sc.param("domain"))
-    image = parse_domain(sc.param("image"))
-    amap = parse_map(sc.param("map"))
-    start = complex(_parse_number(sc.param("start")))
-    n = sc.param("n", int)
-    batch = run_exits(domain, start, n, EmConfig(), RngStream(sc.seed),
-                      sc.workers)
+def _run_pushforward(sc: Scenario, v: dict):
+    batch = run_exits(v["domain"], v["start"], v["n"], EmConfig(),
+                      RngStream(sc.seed), sc.workers)
     ok = batch.ok
-    mapped = amap.evaluate(batch.exit_point[ok])
-    mapped_labels = image.label_codes(mapped)
+    mapped = v["map"].evaluate(batch.exit_point[ok])
+    mapped_labels = v["image"].label_codes(mapped)
     same = np.array_equal(mapped_labels, batch.label[ok])
     results = {
         "n_ok": int(np.sum(ok)),
@@ -593,46 +577,59 @@ def _run_pushforward(sc: Scenario):
     return results, expectations, batch
 
 
-# name -> (key schema, runner).  A schema maps each key to its default
-# string, None marking a required key.  A runner takes a Scenario and returns
-# (results, expectations, the exit batch --raw writes or None).
+# name -> (key schema, runner).  A schema maps each key to (default text,
+# parser): a None default marks a required key, and a "" default an
+# optional one whose empty value is None.  A runner takes the Scenario and
+# its values converted by those parsers, and returns (results,
+# expectations, the exit batch --raw writes or None).
 EXPERIMENTS = {
     "harmonic_measure": ({
-        "domain": None, "start": None, "region": None, "n": "100000",
-        "kernel": "wos", "expect_prob": "", "expect_sigmas": "3",
+        "domain": (None, parse_domain), "start": (None, _complex),
+        "region": (None, parse_region), "n": ("100000", int),
+        "kernel": ("wos", _kernel), "expect_prob": ("", float),
+        "expect_sigmas": ("3", float),
     }, _run_harmonic_measure),
     "moment": ({
-        "domain": None, "start": None, "p": None, "n": "100000",
-        "kernel": "em", "top_fraction": "0.05", "c": "0.1",
-        "max_steps": "1000000", "expect_verdict": "",
-        "expect_tail_index": "", "expect_tail_tol": "0.15",
+        "domain": (None, parse_domain), "start": (None, _complex),
+        "p": (None, float), "n": ("100000", int), "kernel": ("em", _kernel),
+        "top_fraction": ("0.05", float), "c": ("0.1", float),
+        "max_steps": ("1000000", int), "expect_verdict": ("", str),
+        "expect_tail_index": ("", float), "expect_tail_tol": ("0.15", float),
     }, _run_moment),
     "hardy": ({
-        "domain": None, "a": None, "r_schedule": None,
-        "cell_factor": "0.2", "rel_floor": "0.02", "prune_clearance": "0",
-        "min_cell": "", "max_rounds": "3", "max_nodes": "600000",
-        "expect_contains": "", "expect_classification": "",
+        "domain": (None, parse_domain), "a": (None, _complex),
+        "r_schedule": (None, _parse_floats), "cell_factor": ("0.2", float),
+        "rel_floor": ("0.02", float), "prune_clearance": ("0", float),
+        "min_cell": ("", float), "max_rounds": ("3", int),
+        "max_nodes": ("600000", int), "expect_contains": ("", float),
+        "expect_classification": ("", str),
     }, _run_hardy),
     "karafyllia": ({
-        "domain": None, "a": None, "split_re": None, "n": "100000",
-        "expect_ratio": "", "expect_ratio_tol": "0.1",
-        "expect_bound_sigmas": "3",
+        "domain": (None, parse_domain), "a": (None, _complex),
+        "split_re": (None, float), "n": ("100000", int),
+        "expect_ratio": ("", float), "expect_ratio_tol": ("0.1", float),
+        "expect_bound_sigmas": ("3", float),
     }, _run_karafyllia),
     "cauchy": ({
-        "gamma": None, "alpha_mobius": None, "alpha_power": None,
-        "lambda": None, "n": "1000000", "expect_sigmas": "4",
+        "gamma": (None, _complex), "alpha_mobius": (None, _complex),
+        "alpha_power": (None, float), "lambda": (None, float),
+        "n": ("1000000", int), "expect_sigmas": ("4", float),
     }, _run_cauchy),
     "modulus": ({
-        "domain": None, "start": "", "n": "100000", "map_scale": "3",
-        "expect_modulus": "", "expect_sigmas": "3",
+        "domain": (None, parse_domain), "start": ("", _complex),
+        "n": ("100000", int), "map_scale": ("3", _complex),
+        "expect_modulus": ("", float), "expect_sigmas": ("3", float),
     }, _run_modulus),
     "comb_sequence": ({
-        "a": None, "b": None, "iterations": "1 3 5", "start": "1",
-        "p": "0.25", "n": "20000", "kernel": "wos", "growth": "",
+        "a": (None, _parse_floats), "b": (None, _parse_floats),
+        "iterations": ("1 3 5", _parse_ints), "start": ("1", _complex),
+        "p": ("0.25", float), "n": ("20000", int), "kernel": ("wos", _kernel),
+        "growth": ("", _parse_floats),
     }, _run_comb_sequence),
     "pushforward_check": ({
-        "domain": None, "start": None, "map": None, "image": None,
-        "n": "20000",
+        "domain": (None, parse_domain), "start": (None, _complex),
+        "map": (None, parse_map), "image": (None, parse_domain),
+        "n": ("20000", int),
     }, _run_pushforward),
 }
 
@@ -662,18 +659,18 @@ def _write_raw_csv(path: str, scenario: str, batch):
             ])
 
 
-def _report_header(sc: Scenario) -> dict:
+def _report_header(scenario: Scenario) -> dict:
     """Schema, version and scenario echo that open every report."""
     return {
         "schema": SCHEMA_VERSION,
         "artifact_version": ARTIFACT_VERSION,
         "scenario": {
-            "name": sc.name,
-            "experiment": sc.experiment,
-            "params": dict(sc.params),
-            "seed": sc.seed,
-            "workers": sc.workers,
-            "out": sc.out,
+            "name": scenario.name,
+            "experiment": scenario.experiment,
+            "params": dict(scenario.params),
+            "seed": scenario.seed,
+            "workers": scenario.workers,
+            "out": scenario.out,
         },
     }
 
@@ -683,7 +680,7 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
     """Execute one scenario and return its report dictionary."""
     t0 = time.perf_counter()
     _, runner = EXPERIMENTS[sc.experiment]
-    results, expectations, raw_batch = runner(sc)
+    results, expectations, raw_batch = runner(sc, _typed_params(sc))
     wall = time.perf_counter() - t0
     report = {
         **_report_header(sc),
@@ -711,9 +708,7 @@ def run(config_path: str, overrides=None, out_dir: str | None = None,
     reports = []
     for sc in scenarios:
         if workers is not None:
-            sc = Scenario(name=sc.name, experiment=sc.experiment,
-                          params=sc.params, seed=sc.seed, workers=workers,
-                          out=sc.out)
+            sc = replace(sc, workers=workers)
         target_dir = out_dir or sc.out
         try:
             reports.append(run_scenario(sc, target_dir, write_raw))

@@ -51,7 +51,8 @@ class QhConfig:
 @dataclass
 class _Graph:
     """Accumulated union graph: node 0 the source, 1..T virtual targets,
-    leaves appended after."""
+    leaves appended after.  Edges are kept as one array per batch, in the
+    order the batches were added."""
 
     n_targets: int
     n_leaves: int = 0
@@ -64,9 +65,9 @@ class _Graph:
 
     def add_edges(self, rows, cols, weights):
         ok = np.isfinite(weights)
-        self.rows.extend(np.asarray(rows)[ok].tolist())
-        self.cols.extend(np.asarray(cols)[ok].tolist())
-        self.weights.extend(np.asarray(weights)[ok].tolist())
+        self.rows.append(np.asarray(rows, dtype=np.int64)[ok])
+        self.cols.append(np.asarray(cols, dtype=np.int64)[ok])
+        self.weights.append(np.asarray(weights)[ok])
 
 
 def _build_leaves(domain: Domain, source: complex, center: complex,
@@ -222,11 +223,11 @@ def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
 
 def _solve(graph: _Graph):
     n = 1 + graph.n_targets + graph.n_leaves
-    if not graph.rows:
+    weights = np.concatenate(graph.weights)
+    if not weights.size:
         raise TargetUnreachable("empty metric graph")
-    m = coo_matrix((np.array(graph.weights),
-                    (np.array(graph.rows, dtype=np.int64),
-                     np.array(graph.cols, dtype=np.int64))), shape=(n, n))
+    m = coo_matrix((weights, (np.concatenate(graph.rows),
+                              np.concatenate(graph.cols))), shape=(n, n))
     dist = dijkstra(m.tocsr(), directed=False, indices=0)
     return dist[1:1 + graph.n_targets]
 

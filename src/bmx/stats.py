@@ -154,21 +154,6 @@ def exit_proportion(region, batch: ExitBatch) -> ProportionEstimate:
     return proportion_estimate(hits, int(np.sum(ok)), excluded=batch.n_excluded)
 
 
-def estimate_harmonic_measure(domain: Domain, start: complex, region, n: int,
-                              rng: RngStream = RngStream(0),
-                              cfg: WosConfig | EmConfig = WosConfig(),
-                              workers: int = 1) -> ProportionEstimate:
-    """Probability that the exit lands in ``region``, with Wilson interval.
-
-    Step-capped paths are excluded from the proportion and reported in
-    ``excluded``.
-    """
-    if n < 100:
-        raise BadParameters("need at least 100 paths")
-    batch = run_exits(domain, start, n, cfg, rng, workers)
-    return exit_proportion(region, batch)
-
-
 # ---------------------------------------------------------------------------
 # Tail index and exit moments
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
-                     parse_map, parse_region, run, run_scenario,
-                     scenario_from_echo)
+                     parse_map, parse_region, run, run_scenario)
 from bmx.errors import ConfigError
 from bmx.geometry import Annulus, BoundaryLabel, Rectangle, Wedge
 from bmx.maps import Compose, Exp, Linear, PowerBranch
 from bmx.rng import RngStream
-from bmx.stats import estimate_harmonic_measure
+from bmx.sim import WosConfig
+from bmx.stats import exit_proportion, run_exits
 
 BASIC = """
 [scenario.square]
@@ -108,9 +108,12 @@ def test_defaults_materialized_and_round_trip(tmp_path):
     scenarios = parse_config(write(tmp_path, BASIC))
     assert len(scenarios) == 1
     sc = scenarios[0]
-    assert sc.param("expect_sigmas") == "4"
-    report = run_scenario(sc)
-    echoed = scenario_from_echo(report["scenario"])
+    assert dict(sc.params)["expect_sigmas"] == "4"
+    echo = run_scenario(sc)["scenario"]
+    echoed = Scenario(name=echo["name"], experiment=echo["experiment"],
+                      params=tuple(sorted(echo["params"].items())),
+                      seed=echo["seed"], workers=echo["workers"],
+                      out=echo["out"])
     assert echoed == sc
 
 
@@ -171,7 +174,7 @@ seed = {seed}
 def test_override_changes_echo(tmp_path):
     path = write(tmp_path, BASIC)
     sc = parse_config(path, {"n": "4000"})[0]
-    assert sc.param("n") == "4000"
+    assert dict(sc.params)["n"] == "4000"
 
 
 def test_cli_exit_codes_and_outputs(tmp_path, capsys):
@@ -346,8 +349,8 @@ expect_ratio_tol = 0.5
 
 def test_harmonic_measure_report_matches_estimator(tmp_path):
     rep = run(write(tmp_path, BASIC))[0]
-    est = estimate_harmonic_measure(Rectangle(1, 1), 0j, BoundaryLabel.S1,
-                                    2000, rng=RngStream(42))
+    batch = run_exits(Rectangle(1, 1), 0j, 2000, WosConfig(), RngStream(42))
+    est = exit_proportion(BoundaryLabel.S1, batch)
     assert rep["results"]["probability"] == {
         "value": est.value, "stderr": est.stderr, "n": est.n,
         "ci95": list(est.ci95), "wilson95": list(est.wilson95),
@@ -445,7 +448,93 @@ domain = wedge(1.5707963267948966)
 a = 1
 r_schedule = 10 31.6 100 316 1000
 max_nodes = 20000
+expect_contains = 2.0
 """
-    res = run(write(tmp_path, cfg))[0]["results"]
+    path = write(tmp_path, cfg)
+    rep = run(path)[0]
+    res = rep["results"]
     assert res["rounds"] == 1
     assert res["node_budget_hit"] is True
+    # Bounds from a refinement cut short by the budget decide nothing.
+    [gate] = rep["expectations"]
+    assert gate["name"] == "slope_bounds_contain"
+    assert not gate["passed"]
+    assert "max_nodes = 20000" in gate["detail"]
+    assert "after 1 round(s)" in gate["detail"]
+    assert main(["run", path]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "n = 5\n" + BASIC,
+    BASIC + "n = 5\n",
+], ids=["no_section_header", "duplicate_key"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match="cannot parse config file"):
+        parse_config(path)
+    assert main(["run", path]) == 1
+    assert f"error: cannot parse config file {path!r}" in (
+        capsys.readouterr().err)
+
+
+def test_unread_bad_values_recorded_not_fatal(tmp_path, capsys):
+    # The first four bad values sit in keys their runner does not read for
+    # that scenario; every key is still converted before the runner starts.
+    cfg = """
+[scenario.sigmas_without_prob]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 0
+region = s1
+n = 100
+expect_sigmas = banana
+
+[scenario.em_c_under_wos]
+experiment = moment
+domain = wedge(1.5707963267948966)
+start = 1
+p = 0.5
+n = 100
+kernel = wos
+c = banana
+
+[scenario.start_on_rectangle]
+experiment = modulus
+domain = rectangle(2, 1)
+n = 100
+start = nowhere
+
+[scenario.tol_without_ratio]
+experiment = karafyllia
+domain = strip(-1, 1)
+a = -2
+split_re = 0
+n = 100
+expect_ratio_tol = banana
+
+[scenario.annulus_without_start]
+experiment = modulus
+domain = annulus(1, 7.389056098930650)
+n = 100
+
+[scenario.start_beyond_float]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 1{zeros}
+region = s1
+n = 100
+""".format(zeros="0" * 400) + BASIC
+    path = write(tmp_path, cfg)
+    reports = run(path)
+    assert [r.get("error") for r in reports] == [
+        "ConfigError: bad value 'banana' for 'expect_sigmas'",
+        "ConfigError: bad value 'banana' for 'c'",
+        "ConfigError: bad value 'nowhere' for 'start'",
+        "ConfigError: bad value 'banana' for 'expect_ratio_tol'",
+        "ConfigError: modulus on an annulus needs 'start'",
+        f"ConfigError: bad value '1{'0' * 400}' for 'start'",
+        None]
+    assert not any(r["passed"] for r in reports[:-1])
+    assert reports[-1]["passed"]
+    assert main(["run", path]) == 1
+    assert "[square] probability: pass" in capsys.readouterr().out

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from bmx.errors import BadParameters, NestingViolation, TooFewTailSamples
+from bmx.errors import NestingViolation, TooFewTailSamples
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.rng import RngStream
 from bmx.sim import EmConfig, WosConfig
 from bmx.stats import (Estimate, classify_moment, doubling_ratio,
-                       estimate_harmonic_measure, estimate_moment,
-                       hill_tail_index,
+                       estimate_moment, exit_proportion, hill_tail_index,
                        proportion_estimate, run_exits,
                        verify_cauchy_identities, verify_increasing_domains,
                        verify_karafyllia, wilson_interval)
@@ -71,29 +70,25 @@ def test_moment_verdict_rule():
 # ---------------------------------------------------------------------------
 
 def test_harmonic_measure_annulus():
-    est = estimate_harmonic_measure(
-        Annulus(1.0, math.e ** 2), math.e + 0j, BoundaryLabel.ANNULUS_INNER,
-        50_000, RngStream(203))
+    batch = run_exits(Annulus(1.0, math.e ** 2), math.e + 0j, 50_000,
+                      WosConfig(), RngStream(203))
+    est = exit_proportion(BoundaryLabel.ANNULUS_INNER, batch)
     assert est.within(0.5, 3)
     assert est.excluded == 0
 
 
 def test_harmonic_measure_square_side():
-    est = estimate_harmonic_measure(
-        Rectangle(1, 1), 0j, BoundaryLabel.S1, 50_000, RngStream(204))
+    batch = run_exits(Rectangle(1, 1), 0j, 50_000, WosConfig(),
+                      RngStream(204))
+    est = exit_proportion(BoundaryLabel.S1, batch)
     assert est.within(0.25, 3)
 
 
 def test_harmonic_measure_halfplane_predicate():
-    est = estimate_harmonic_measure(
-        HalfPlane("north"), -1 + 1j, lambda z, lab: z.real > 0,
-        50_000, RngStream(205), cfg=EmConfig())
+    batch = run_exits(HalfPlane("north"), -1 + 1j, 50_000, EmConfig(),
+                      RngStream(205))
+    est = exit_proportion(lambda z, lab: z.real > 0, batch)
     assert est.within(0.25, 3)
-
-
-def test_harmonic_measure_requires_min_paths():
-    with pytest.raises(BadParameters):
-        estimate_harmonic_measure(Rectangle(1, 1), 0j, BoundaryLabel.S1, 10)
 
 
 # ---------------------------------------------------------------------------
