@@ -272,7 +272,10 @@ def _parse_seed(text: str) -> int:
 
 
 def parse_config(path: str, overrides=None) -> list[Scenario]:
-    """Parse a scenario file; resolve defaults, env seed, and overrides."""
+    """Parse a scenario file; resolve defaults, env seed, and overrides.
+
+    An override applies to every scenario whose experiment accepts its key;
+    a key that no scenario accepts is a ConfigError."""
     cp = configparser.ConfigParser(strict=True, interpolation=None)
     cp.optionxform = str
     try:
@@ -283,6 +286,7 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     overrides = dict(overrides or {})
+    applied = set()
     env_seed = os.environ.get("BMX_SEED")
 
     scenarios = []
@@ -293,7 +297,6 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
         raw = dict(cp.items(section))
         if env_seed is not None:
             raw["seed"] = env_seed
-        raw.update(overrides)
 
         exp = raw.pop("experiment", None)
         if exp is None:
@@ -301,6 +304,10 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
         if exp not in EXPERIMENTS:
             raise ConfigError(f"[{section}] unknown experiment {exp!r}")
         schema, _ = EXPERIMENTS[exp]
+        for key, value in overrides.items():
+            if key in schema or key in _COMMON_KEYS:
+                raw[key] = value
+                applied.add(key)
 
         seed = _convert("seed", raw.pop("seed", _COMMON_KEYS["seed"]),
                         _parse_seed)
@@ -324,6 +331,9 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
             seed=seed, workers=workers, out=out))
     if not scenarios:
         raise ConfigError("config declares no scenarios")
+    unused = sorted(set(overrides) - applied)
+    if unused:
+        raise ConfigError(f"no scenario accepts override keys {unused}")
     return scenarios
 
 
@@ -730,7 +740,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run scenarios from a config file")
     runp.add_argument("config")
     runp.add_argument("--set", action="append", default=[], metavar="K=V",
-                      help="override a config key in every scenario")
+                      help="override a config key in every scenario "
+                           "that accepts it")
     runp.add_argument("--raw", action="store_true",
                       help="write per-path CSV records")
     runp.add_argument("--workers", type=int, default=None)

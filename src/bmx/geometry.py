@@ -637,10 +637,6 @@ class Disk(Domain):
         return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
-# Grid spacing in the arm parameter t of the coarse nearest-point scan.
-_SPIRAL_SCAN_STEP = 0.05
-
-
 @dataclass(frozen=True)
 class SpiralPair(Domain):
     """One of the two components of the plane split by the interleaved
@@ -648,6 +644,20 @@ class SpiralPair(Domain):
 
     A point r e^{i theta} lies in U iff (theta - r) mod 2pi is in (0, pi);
     the other component is the complement side.  Both arms pass through 0.
+
+    Nearest points are exact.  Along gamma1 the squared distance to z is
+    g(t) = r^2 + t^2 - 2rt cos(t - theta), with half-derivative
+    h(t) = t - r cos u + rt sin u, u = t - theta.  Write t_k = theta + 2pi k
+    for the arm's crossings of the ray through z.  For u in [pi/2, pi]
+    every term of h is nonnegative, and at a zero of h with u in
+    (-pi, -pi/2) the derivative h' = 1 + 2r sin u + rt cos u is below -1,
+    so every interior local minimum of g lies in a bracket
+    [t_k - pi/2, t_k + pi/2].  On a bracket h' > 0 where u > 0 and h' is
+    nondecreasing where u <= 0, so h falls then rises and the bracket holds
+    at most one minimum, which bisection finds.  The nearest point is within
+    min(r, pi) of z, hence at t in [r - pi, r + pi], so the brackets of the
+    first two crossings t_k >= r - 3pi/2 and the origin are the only
+    candidates.
     """
 
     side: str = "U"
@@ -665,86 +675,49 @@ class SpiralPair(Domain):
             inside = phase > math.pi
         return (z != 0) & inside
 
-    def _arm_nearest(self, z):
-        """(distance, parameter) of the nearest point on gamma1, vectorized.
+    def _nearest(self, z):
+        """(distance, nearest boundary point, GAMMA1/GAMMA2 code) for each z.
 
-        Coarse scan over the window |z| +- 2pi brackets the minimizer
-        (successive arms are pi apart in radius, so the dips of the distance
-        along t are ~2pi apart and the scan cannot skip the global one),
-        then golden-section refines the bracket to width 1e-10.
+        gamma2 = -gamma1, so gamma2 is measured as gamma1 from -z.
         """
-        z = np.atleast_1d(_asarr(z))
-        r = np.abs(z)
-        lo = np.maximum(r - 2 * math.pi, 0.0)
-        span = (r + 2 * math.pi) - lo
-        m = max(3, int(np.ceil(span.max() / _SPIRAL_SCAN_STEP)))
-        best_d2 = np.full(z.shape, np.inf)
-        best_t = np.zeros(z.shape)
-        # Chunk the scan grid to bound memory on large batches.
-        grid = np.linspace(0.0, 1.0, m)
-        for piece in np.array_split(grid, max(1, m * z.size // 4_000_000 + 1)):
-            t = lo[..., None] + span[..., None] * piece
-            d2 = np.abs(z[..., None] - t * np.exp(1j * t)) ** 2
-            k = np.argmin(d2, axis=-1)
-            dmin = np.take_along_axis(d2, k[..., None], axis=-1)[..., 0]
-            tmin = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
-            better = dmin < best_d2
-            best_d2 = np.where(better, dmin, best_d2)
-            best_t = np.where(better, tmin, best_t)
-
-        step = span / (m - 1)
-        a = np.maximum(best_t - step, 0.0)
-        b = best_t + step
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def f(t):
-            return np.abs(z - t * np.exp(1j * t)) ** 2
-
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = f(c), f(d)
-        while np.max(b - a) > 1e-10:
-            take_c = fc < fd
-            b = np.where(take_c, d, b)
-            a = np.where(take_c, a, c)
-            c_new = b - gr * (b - a)
-            d_new = a + gr * (b - a)
-            # One endpoint of the new pair inherits an already-known value;
-            # only the other needs a fresh evaluation.
-            x_new = np.where(take_c, c_new, d_new)
-            f_new = f(x_new)
-            fc, fd = (np.where(take_c, f_new, fd),
-                      np.where(take_c, fc, f_new))
-            c, d = c_new, d_new
-        t_star = (a + b) / 2.0
-        return np.sqrt(f(t_star)), t_star
+        z = _asarr(z)
+        w = np.stack([z, -z], axis=-1)[..., None]
+        r = np.abs(w)
+        theta = np.mod(np.angle(w), 2 * math.pi)
+        k = np.ceil((r - 1.5 * math.pi - theta) / (2 * math.pi)) + [0, 1]
+        t_k = theta + 2 * math.pi * k
+        lo = np.maximum(t_k - math.pi / 2, 0.0)
+        hi = np.maximum(t_k + math.pi / 2, 0.0)
+        # 52 halvings take the width-pi brackets to double resolution.
+        for _ in range(52):
+            t = (lo + hi) / 2
+            cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
+            h = t - r * cos_u + r * t * sin_u
+            rising = (h >= 0) & (1 + 2 * r * sin_u + r * t * cos_u > 0)
+            hi = np.where(rising, t, hi)
+            lo = np.where(rising, lo, t)
+        t = (lo + hi) / 2
+        g = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
+        # The origin, where both arms start, is the last candidate.
+        t = np.where(g < r**2, t, 0.0).reshape(*z.shape, 4)
+        g = np.minimum(g, r**2).reshape(*z.shape, 4)
+        # Candidates 0-1 lie on gamma1 and 2-3 on gamma2; ties go to gamma1.
+        j = np.argmin(g, axis=-1)
+        t = np.take_along_axis(t, j[..., None], axis=-1)[..., 0]
+        on_gamma1 = j < 2
+        point = np.where(on_gamma1, 1.0, -1.0) * t * np.exp(1j * t)
+        code = np.where(on_gamma1, int(BoundaryLabel.GAMMA1),
+                        int(BoundaryLabel.GAMMA2)).astype(np.int64)
+        return np.abs(z - point), point, code
 
     def boundary_distance(self, z):
-        z = _asarr(z)
-        scalar = z.ndim == 0
-        d1, _ = self._arm_nearest(z)
-        d2, _ = self._arm_nearest(-z)
-        d = np.minimum(d1, d2)
-        return d[0] if scalar else d.reshape(z.shape)
+        return self._nearest(z)[0]
 
     def project(self, z):
-        z = _asarr(z)
-        scalar = z.ndim == 0
-        d1, t1 = self._arm_nearest(z)
-        d2, t2 = self._arm_nearest(-z)
-        p1 = t1 * np.exp(1j * t1)
-        p2 = -t2 * np.exp(1j * t2)
-        p = np.where(d1 <= d2, p1, p2)
-        return p[0] if scalar else p.reshape(z.shape)
+        return self._nearest(z)[1]
 
     def label_codes(self, z):
-        z = _asarr(z)
-        scalar = z.ndim == 0
-        d1, _ = self._arm_nearest(z)
-        d2, _ = self._arm_nearest(-z)
-        lab = np.where(d1 <= d2, int(BoundaryLabel.GAMMA1),
-                       int(BoundaryLabel.GAMMA2)).astype(np.int64)
-        return lab[0] if scalar else lab.reshape(z.shape)
+        return self._nearest(z)[2]
 
     def probe_box(self):
         return (-20.0, 20.0, -20.0, 20.0)
@@ -766,7 +739,8 @@ def sample_interior(domain: Domain, gen: np.random.Generator,
         got += take
         if got == n:
             return out
-    raise RuntimeError(f"interior sampling failed for {domain}")
+    raise BadParameters(f"found {got} of {n} interior points of {domain} "
+                        f"in its probe box {(xmin, xmax, ymin, ymax)}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ unions the new graph with the previous ones (node sets are disjoint, source
 and targets shared), so the estimate decreases monotonically and converges
 from above; rounds stop once successive values agree to ``refine_target``.
 
-Circle targets |z - center| = R enter as virtual nodes wired to every leaf
+Circle targets |z - source| = R enter as virtual nodes wired to every leaf
 whose cell meets the circle, so one Dijkstra run prices a whole radius
 schedule at once.
 """
@@ -30,11 +30,10 @@ from .geometry import Domain
 
 @dataclass(frozen=True)
 class CircleTarget:
-    """The set {|z - center| = radius} intersected with the domain; center
-    defaults to the source point."""
+    """The set {|z - a| = radius} intersected with the domain, where a is
+    the source point."""
 
     radius: float
-    center: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -204,13 +203,12 @@ def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
     for t_idx, target in enumerate(targets):
         node = 1 + t_idx
         if isinstance(target, CircleTarget):
-            c0 = a if target.center is None else target.center
-            rad = np.abs(centers - c0)
+            rad = np.abs(centers - a)
             gap = np.abs(rad - target.radius)
             idx = np.where((gap <= 2.0 * halves * math.sqrt(2.0))
                            & (rad > 0))[0]
             if idx.size:
-                on_circle = c0 + (centers[idx] - c0) / rad[idx] * target.radius
+                on_circle = a + (centers[idx] - a) / rad[idx] * target.radius
                 graph.add_edges(np.full(idx.size, node), offset + idx,
                                 _segment_weight(domain, centers[idx],
                                                 on_circle))
@@ -261,8 +259,7 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     reach = [d_a]
     for t in targets:
         if isinstance(t, CircleTarget):
-            c0 = a if t.center is None else t.center
-            reach.append(abs(c0 - a) + t.radius)
+            reach.append(t.radius)
         else:
             reach.append(abs(complex(t) - a))
     box_half = 1.2 * max(reach) + 4.0 * d_a

@@ -124,7 +124,8 @@ def run_exits(domain: Domain, start: complex, n: int,
                  ci, mark_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
     if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(payloads))) as pool:
             parts = list(pool.map(_chunk_task, payloads))
     else:
         parts = [_chunk_task(p) for p in payloads]
@@ -288,7 +289,7 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
         raise BadParameters("radius schedule needs at least two entries")
     if qh_cfg is None:
         qh_cfg = QhConfig(rel_floor=0.02)
-    targets = [CircleTarget(float(R), center=complex(a)) for R in r]
+    targets = [CircleTarget(float(R)) for R in r]
     values, history, budget_hit = quasi_hyperbolic_profile(
         domain, complex(a), targets, qh_cfg)
     if len(history) >= 2:

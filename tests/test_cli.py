@@ -200,6 +200,26 @@ def test_cli_exit_codes_and_outputs(tmp_path, capsys):
     assert code == 1
 
 
+def test_override_applies_where_accepted(tmp_path, capsys):
+    # A hardy scenario takes no 'n', so --set n resizes only the others.
+    cfg = BASIC + """
+[scenario.graph]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 4 8
+"""
+    path = write(tmp_path, cfg)
+    square, graph = parse_config(path, {"n": "4000", "seed": "9"})
+    assert dict(square.params)["n"] == "4000"
+    assert "n" not in dict(graph.params)
+    assert square.seed == graph.seed == 9
+    with pytest.raises(ConfigError, match=r"\['nn'\]"):
+        parse_config(path, {"n": "4000", "nn": "4000"})
+    assert main(["run", path, "--set", "nn=4000"]) == 1
+    assert "['nn']" in capsys.readouterr().err
+
+
 def test_cli_set_override(tmp_path, capsys):
     path = write(tmp_path, BASIC)
     code = main(["run", path, "--set", "seed=4242"])
@@ -305,6 +325,36 @@ seed = 7
     assert not reports[1]["passed"]
     assert reports[1]["error"] == "ConfigError: bad value 'foo' for 'kernel'"
     assert reports[2]["passed"]
+
+
+def test_interior_sampling_failure_recorded_not_fatal(tmp_path, capsys):
+    # No probe point lands in so thin a wedge, so its starlike check cannot
+    # sample the interior.
+    cfg = """
+[scenario.thin_wedge]
+experiment = karafyllia
+domain = wedge(1e-9)
+a = 1
+split_re = 2
+
+[scenario.cauchy]
+experiment = cauchy
+gamma = 2j
+alpha_mobius = 1j
+alpha_power = 0.5
+lambda = 1.0
+n = 20000
+seed = 7
+"""
+    path = write(tmp_path, cfg)
+    reports = run(path)
+    assert reports[0]["error"].startswith(
+        "BadParameters: found 0 of 64 interior points of Wedge(theta=1e-09) "
+        "in its probe box (")
+    assert not reports[0]["passed"]
+    assert reports[1]["passed"]
+    assert main(["run", path]) == 1
+    assert "[cauchy] identity_mobius: pass" in capsys.readouterr().out
 
 
 def test_fractional_iterations_recorded_not_fatal(tmp_path):

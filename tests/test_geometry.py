@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from bmx.combs import build_comb
 from bmx.errors import BadParameters
@@ -126,6 +127,48 @@ def test_spiral_distance_bound_far_out():
     th = gen.uniform(-math.pi, math.pi, 200)
     z = r * np.exp(1j * th)
     assert np.all(sp.boundary_distance(z) < math.pi)
+
+
+def _spiral_oracle(z, step=1e-3):
+    """Nearest point on the two spiral arms by a dense scan of t over
+    |z| +- 2pi; every grid-local minimum (not just the grid argmin) is
+    refined by a root of the derivative of the squared distance."""
+    nearest = []
+    for zi in z:
+        r = abs(zi)
+        t = np.arange(max(r - 2 * math.pi, 0.0), r + 2 * math.pi, step)
+        cands = [0j]
+        for sign in (1.0, -1.0):
+            def arm(s):
+                return sign * s * np.exp(1j * s)
+
+            def slope(s):
+                tangent = sign * np.exp(1j * s) * (1 + 1j * s)
+                return (np.conj(arm(s) - zi) * tangent).real
+
+            d2 = np.abs(zi - arm(t)) ** 2
+            dips = np.flatnonzero((d2[1:-1] <= d2[:-2])
+                                  & (d2[1:-1] <= d2[2:])) + 1
+            cands.extend(arm(t[[0, -1, *dips]]))
+            for j in dips:
+                if slope(t[j - 1]) < 0 < slope(t[j + 1]):
+                    cands.append(arm(brentq(slope, t[j - 1], t[j + 1],
+                                            xtol=1e-15)))
+        cands = np.array(cands)
+        nearest.append(cands[np.argmin(np.abs(zi - cands))])
+    p = np.array(nearest)
+    return np.abs(z - p), p
+
+
+def test_spiral_nearest_matches_dense_oracle():
+    sp = SpiralPair("U")
+    gen = RngStream(13).generator()
+    for radius in (100.0, 2.0):
+        r = radius * np.sqrt(gen.uniform(0, 1, 1000))
+        z = r * np.exp(1j * gen.uniform(-math.pi, math.pi, 1000))
+        dist, point = _spiral_oracle(z)
+        assert np.max(np.abs(sp.boundary_distance(z) - dist)) <= 1e-9
+        assert np.max(np.abs(sp.project(z) - point)) <= 1e-9
 
 
 def test_spiral_membership_phase():

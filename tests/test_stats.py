@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 from bmx.errors import NestingViolation, TooFewTailSamples
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
-from bmx.rng import RngStream
+from bmx.rng import CHUNK_SIZE, RngStream
 from bmx.sim import EmConfig, WosConfig
 from bmx.stats import (Estimate, classify_moment, doubling_ratio,
                        estimate_moment, exit_proportion, hill_tail_index,
@@ -153,6 +153,34 @@ def test_merging_is_exact():
     assert np.array_equal(b1.exit_point, b2.exit_point)
     assert float(np.mean(b1.exit_point.real)) == float(
         np.mean(b2.exit_point.real))
+
+
+def test_pool_never_exceeds_chunk_count(monkeypatch):
+    # However many workers are asked for, the pool gets at most one per
+    # chunk.  A stand-in executor records its size and runs the chunks in
+    # this process.
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr("bmx.stats.ProcessPoolExecutor", InlineExecutor)
+    rng = RngStream(212)
+    n = 2 * CHUNK_SIZE + 1
+    serial = run_exits(Rectangle(1, 1), 0j, n, WosConfig(), rng, 1)
+    pooled = run_exits(Rectangle(1, 1), 0j, n, WosConfig(), rng, 5000)
+    assert sizes == [3]
+    assert np.array_equal(serial.exit_point, pooled.exit_point)
 
 
 # ---------------------------------------------------------------------------
