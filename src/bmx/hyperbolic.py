@@ -8,6 +8,9 @@ weighted |edge| / clearance(midpoint).  Refinement halves the factor and
 unions the new graph with the previous ones (node sets are disjoint, source
 and targets shared), so the estimate decreases monotonically and converges
 from above; rounds stop once successive values agree to ``refine_target``.
+Neighbors come from one sort of the leaves in Morton (Z-curve) order and
+one ``searchsorted`` per probe direction; the int64 codes hold 31 levels,
+and a deeper tree (a source very near the boundary) raises BadParameters.
 
 Circle targets |z - source| = R enter as virtual nodes wired to every leaf
 whose cell meets the circle, so one Dijkstra run prices a whole radius
@@ -59,14 +62,17 @@ class _Graph:
     cols: list = field(default_factory=list)
     weights: list = field(default_factory=list)
 
-    def leaf_offset(self):
-        return 1 + self.n_targets + self.n_leaves
-
     def add_edges(self, rows, cols, weights):
         ok = np.isfinite(weights)
         self.rows.append(np.asarray(rows, dtype=np.int64)[ok])
         self.cols.append(np.asarray(cols, dtype=np.int64)[ok])
         self.weights.append(np.asarray(weights)[ok])
+
+
+_MAX_DEPTH = 31   # two 31-bit cell indices interleave into 62 bits of int64
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+           (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+           (1, 0x5555555555555555))   # moves bit b < 32 to bit 2b
 
 
 def _build_leaves(domain: Domain, source: complex, center: complex,
@@ -79,7 +85,8 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
     center is interior.  The floor grows with distance from the source
     (``rel_floor``), so far-field boundary detail costs O(log) cells per
     radius octave.  Fully exterior cells and cells entirely below the
-    ``prune`` clearance are dropped.
+    ``prune`` clearance are dropped.  Leaves deeper than ``_MAX_DEPTH``
+    raise BadParameters.
     """
     cx = np.array([center.real])
     cy = np.array([center.imag])
@@ -99,6 +106,13 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
         at_floor = (hs <= floor) & ~is_leaf & ~drop
         leaf = is_leaf | (at_floor & inside)
         if np.any(leaf):
+            depth = round(math.log2(half / hs[0]))
+            if depth > _MAX_DEPTH:
+                d_a = float(domain.boundary_distance(np.complex128(source)))
+                raise BadParameters(
+                    f"quadtree depth {depth} exceeds the {_MAX_DEPTH}-level "
+                    f"limit of its Morton keys (source clearance {d_a:.3g}, "
+                    f"min_cell {min_cell:.3g} this round, box half {half:g})")
             out_c.append(centers[leaf])
             out_h.append(hs[leaf])
             total += int(np.sum(leaf))
@@ -118,57 +132,50 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
     return np.concatenate(out_c), np.concatenate(out_h)
 
 
-def _locate(keys_by_depth, probes, root_center, root_half, max_depth):
-    """Leaf index containing each probe point (-1 if none), deepest first."""
-    found = np.full(probes.shape, -1, dtype=np.int64)
-    px = probes.real - (root_center.real - root_half)
-    py = probes.imag - (root_center.imag - root_half)
-    inside = (px >= 0) & (px < 2 * root_half) & (py >= 0) & (py < 2 * root_half)
-    for depth in range(max_depth, -1, -1):
-        if depth not in keys_by_depth:
-            continue
-        keys, idx = keys_by_depth[depth]
-        cell = 2 * root_half / (1 << depth)
-        ix = np.floor(px / cell).astype(np.int64)
-        iy = np.floor(py / cell).astype(np.int64)
-        key = (np.abs(ix) << 32) | np.abs(iy)
-        key = np.where(inside, key, -1)
-        pos = np.clip(np.searchsorted(keys, key), 0, len(keys) - 1)
-        hit = (keys[pos] == key) & inside & (found < 0)
-        found[hit] = idx[pos[hit]]
-    return found
-
-
 def _neighbor_pairs(centers, halves, root_center, root_half):
-    """Index pairs of 8-neighbor adjacency among one round's leaves."""
+    """Index pairs (rows < cols, sorted) of 8-neighbor adjacency among one
+    round's leaves.  With D the deepest leaf depth, a leaf k levels above
+    it covers the finest-level Morton codes [start, start + 4**k), start
+    being its center's code with the low 2k bits cleared.  Leaves are
+    disjoint, so after one sort by start the only leaf that can hold a
+    probe is the last start at or below the probe's code: one
+    ``searchsorted`` per direction.  Codes fit an int64 while D <= 31.
+    """
     depths = np.round(np.log2(root_half / halves)).astype(np.int64)
-    max_depth = int(depths.max())
-    keys_by_depth = {}
-    for depth in np.unique(depths):
-        sel = np.where(depths == depth)[0]
-        cell = 2 * root_half / (1 << int(depth))
-        ix = np.floor((centers[sel].real - (root_center.real - root_half)) / cell)
-        iy = np.floor((centers[sel].imag - (root_center.imag - root_half)) / cell)
-        key = (np.abs(ix.astype(np.int64)) << 32) | np.abs(iy.astype(np.int64))
-        order = np.argsort(key)
-        keys_by_depth[int(depth)] = (key[order], sel[order])
+    side = 2.0 ** depths.max()
+    finest = 2 * root_half / side
+    x0 = root_center.real - root_half
+    y0 = root_center.imag - root_half
 
-    dirs = np.array([1 + 0j, -1 + 0j, 1j, -1j,
-                     1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    eps = 1e-9 * root_half
-    rows, cols = [], []
-    for d in dirs:
-        probes = centers + d * (halves + eps)
-        nb = _locate(keys_by_depth, probes, root_center, root_half, max_depth)
-        valid = (nb >= 0) & (nb != np.arange(centers.size))
-        rows.append(np.where(valid)[0])
-        cols.append(nb[valid])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    uniq = np.unique(lo * centers.size + hi)
-    return uniq // centers.size, uniq % centers.size
+    def cell_code(z):
+        """(inside the root box, Morton code of the finest cell) per point."""
+        fx = np.floor((z.real - x0) / finest)
+        fy = np.floor((z.imag - y0) / finest)
+        inside = (fx >= 0) & (fx < side) & (fy >= 0) & (fy < side)
+        ix = np.where(inside, fx, 0).astype(np.int64)
+        iy = np.where(inside, fy, 0).astype(np.int64)
+        for step, mask in _SPREAD:
+            ix = (ix | (ix << step)) & mask
+            iy = (iy | (iy << step)) & mask
+        return inside, ix | (iy << 1)
+
+    width = 2 * (depths.max() - depths)
+    starts = cell_code(centers)[1] >> width << width
+    order = np.argsort(starts)
+    starts = starts[order]
+    ends = starts + (np.int64(1) << width[order])
+    idx = np.arange(centers.size)
+    keys = []
+    for d in (1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
+        inside, code = cell_code(centers + d * (halves + 1e-9 * root_half))
+        pos = np.searchsorted(starts, code, side="right") - 1
+        nb = order[pos]
+        hit = inside & (pos >= 0) & (code < ends[pos]) & (nb != idx)
+        keys.append(np.minimum(idx, nb)[hit] * idx.size
+                    + np.maximum(idx, nb)[hit])
+    key = np.sort(np.concatenate(keys))
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key // idx.size, key % idx.size
 
 
 def _segment_weight(domain, p, q):
@@ -194,7 +201,7 @@ def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
                rel_floor, prune, box_center, box_half, budget):
     centers, halves = _build_leaves(domain, a, box_center, box_half, factor,
                                     min_cell, rel_floor, prune, budget)
-    offset = graph.leaf_offset()
+    offset = 1 + graph.n_targets + graph.n_leaves
     rows, cols = _neighbor_pairs(centers, halves, box_center, box_half)
     graph.add_edges(offset + rows, offset + cols,
                     _segment_weight(domain, centers[rows], centers[cols]))
@@ -216,7 +223,6 @@ def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
             _connect_point(domain, graph, node, complex(target),
                            centers, halves, offset)
     graph.n_leaves += centers.size
-    return centers.size
 
 
 def _solve(graph: _Graph):
@@ -246,24 +252,19 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     targets = list(targets)
     if not targets:
         raise BadParameters("need at least one target")
-    for t in targets:
-        if not isinstance(t, CircleTarget):
-            if not domain.contains(np.complex128(complex(t))):
-                raise PointOutsideDomain("point target outside the domain")
-
     d_a = float(domain.boundary_distance(np.complex128(a)))
-    min_cell = cfg.min_cell
-    if min_cell is None:
-        min_cell = cfg.cell_factor * d_a / 8.0
-
     reach = [d_a]
     for t in targets:
         if isinstance(t, CircleTarget):
             reach.append(t.radius)
-        else:
+        elif domain.contains(np.complex128(complex(t))):
             reach.append(abs(complex(t) - a))
+        else:
+            raise PointOutsideDomain("point target outside the domain")
+    min_cell = cfg.min_cell
+    if min_cell is None:
+        min_cell = cfg.cell_factor * d_a / 8.0
     box_half = 1.2 * max(reach) + 4.0 * d_a
-    box_center = a
 
     graph = _Graph(n_targets=len(targets))
     history = []
@@ -275,21 +276,17 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
         try:
             _add_round(domain, graph, a, targets, factor, cell_floor,
                        cfg.rel_floor / (2 ** round_idx), cfg.prune_clearance,
-                       box_center, box_half, cfg.max_nodes)
+                       a, box_half, cfg.max_nodes)
         except NodeBudgetExceeded:
             if values is None:
                 raise
             budget_hit = True
             break
-        vals = _solve(graph)
-        history.append(vals.copy())
-        if values is not None:
-            rel = np.abs(vals - values) / np.maximum(np.abs(vals), 1e-30)
-            values = vals
-            if np.max(rel) <= cfg.refine_target:
-                break
-        else:
-            values = vals
+        prev, values = values, _solve(graph)
+        history.append(values.copy())
+        if prev is not None and np.max(np.abs(values - prev) / np.maximum(
+                np.abs(values), 1e-30)) <= cfg.refine_target:
+            break
         # The next round would have about four times as many leaves.
         if (graph.n_leaves * 4 > cfg.max_nodes and round_idx >= 1
                 and round_idx + 1 < cfg.max_rounds):

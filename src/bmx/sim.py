@@ -95,17 +95,20 @@ class PathSample:
 # Exact kernels
 # ---------------------------------------------------------------------------
 
+def _halfplane_exit_reals(start, gen, n):
+    """Real exit points of the upper half-plane from ``start``."""
+    if not start.imag > 0:
+        raise BadStart("half-plane sampler needs Im(start) > 0")
+    return start.real + start.imag * gen.standard_cauchy(n)
+
+
 def sample_halfplane_exit_batch(start: complex, gen: np.random.Generator,
                                 n: int) -> ExitBatch:
     """Exits of the upper half-plane from ``start``: Cauchy(Re, Im) on R."""
-    a, b = start.real, start.imag
-    if not b > 0:
-        raise BadStart("half-plane sampler needs Im(start) > 0")
-    x = a + b * gen.standard_cauchy(n)
-    pts = x.astype(complex)
-    labels = HalfPlane("north").label_codes(pts)
+    pts = _halfplane_exit_reals(start, gen, n).astype(complex)
     return ExitBatch(
-        exit_point=pts, exit_time=None, label=labels,
+        exit_point=pts, exit_time=None,
+        label=HalfPlane("north").label_codes(pts),
         steps=np.ones(n, dtype=np.int64), ok=np.ones(n, dtype=bool))
 
 

@@ -20,8 +20,8 @@ from .geometry import (BoundaryLabel, Domain, StarlikeVerdict,
                        check_delta_starlike, sample_interior)
 from .hyperbolic import CircleTarget, QhConfig, quasi_hyperbolic_profile
 from .rng import RngStream, chunk_ranges
-from .sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch,
-                  sample_halfplane_exit_batch, wos_exit_batch)
+from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
+                  em_exit_batch, wos_exit_batch)
 
 N_BATCH_MEANS = 32
 # Interior points probed for the leftward-ray property before a Karafyllia
@@ -424,20 +424,20 @@ def verify_cauchy_identities(gamma: complex, alpha_mobius: complex,
         raise BadParameters(f"need at least two draws for a stderr, got n = {n}")
 
     checks = []
-    c = sample_halfplane_exit_batch(gamma, rng.substream(0), n).exit_point.real
+    c = _halfplane_exit_reals(gamma, rng.substream(0), n)
     am = complex(alpha_mobius)
     mobius_vals = (c - am) / (c - np.conj(am))
     checks.append(_complex_mean_check(
         "mobius", mobius_vals, (gamma - am) / (gamma - np.conj(am)), n))
 
-    c = sample_halfplane_exit_batch(gamma, rng.substream(1), n).exit_point.real
+    c = _halfplane_exit_reals(gamma, rng.substream(1), n)
     powers = np.exp(alpha_power * (np.log(np.abs(c))
                                    + 1j * math.pi * (c < 0)))
     target = np.exp(alpha_power * (math.log(abs(gamma))
                                    + 1j * np.angle(gamma)))
     checks.append(_complex_mean_check("power", powers, target, n))
 
-    c1 = sample_halfplane_exit_batch(1j, rng.substream(2), n).exit_point.real
+    c1 = _halfplane_exit_reals(1j, rng.substream(2), n)
     cf_vals = np.exp(1j * lam * (2.0 / math.pi) * np.log(np.abs(c1)))
     checks.append(_complex_mean_check("cosh", cf_vals, 1.0 / math.cosh(lam), n))
     return checks

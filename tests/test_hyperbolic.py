@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bmx.errors import (NodeBudgetExceeded, PointOutsideDomain,
+from bmx import hyperbolic
+from bmx.errors import (BadParameters, NodeBudgetExceeded, PointOutsideDomain,
                         TargetUnreachable)
-from bmx.geometry import Disk, HalfPlane, KoebeSlit, Rectangle, Wedge
+from bmx.geometry import (Annulus, Disk, HalfPlane, KoebeSlit, Rectangle,
+                          SpiralPair, Wedge)
 from bmx.hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                             quasi_hyperbolic_profile)
+from bmx.stats import estimate_hardy_number
 
 
 def test_disk_radial_integral():
@@ -84,3 +87,114 @@ def test_node_budget_in_first_round_names_max_nodes():
         quasi_hyperbolic_distance(Disk(0j, 1.0), 0j, CircleTarget(0.5),
                                   QhConfig(max_nodes=50))
     assert issubclass(NodeBudgetExceeded, TargetUnreachable)
+
+
+def _oracle_neighbor_pairs(centers, halves, root_center, root_half):
+    """Reference 8-neighbor pairs: each probe goes to the leaf with its cell
+    index at that leaf's depth, searched deepest first in one sorted key
+    table per depth (keys hold 32 levels)."""
+    depths = np.round(np.log2(root_half / halves)).astype(np.int64)
+    x0, y0 = root_center.real - root_half, root_center.imag - root_half
+
+    def cell_keys(points, depth):
+        cell = 2 * root_half / (1 << int(depth))
+        ix = np.floor((points.real - x0) / cell).astype(np.int64)
+        iy = np.floor((points.imag - y0) / cell).astype(np.int64)
+        return (ix << 32) | iy
+
+    tables = []
+    for depth in np.unique(depths)[::-1]:
+        sel = np.where(depths == depth)[0]
+        keys = cell_keys(centers[sel], depth)
+        tables.append((depth, np.sort(keys), sel[np.argsort(keys)]))
+    rows, cols = [], []
+    for d in (1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
+        probes = centers + d * (halves + 1e-9 * root_half)
+        px, py = probes.real - x0, probes.imag - y0
+        found = np.full(centers.size, -1)
+        in_box = ((px >= 0) & (px < 2 * root_half)
+                    & (py >= 0) & (py < 2 * root_half))
+        for depth, keys, idx in tables:
+            key = cell_keys(probes, depth)
+            pos = np.clip(np.searchsorted(keys, key), 0, keys.size - 1)
+            hit = in_box & (found < 0) & (keys[pos] == key)
+            found[hit] = idx[pos[hit]]
+        valid = (found >= 0) & (found != np.arange(centers.size))
+        rows.append(np.where(valid)[0])
+        cols.append(found[valid])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    n = centers.size
+    uniq = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    return uniq // n, uniq % n
+
+
+def _checked_pairs(neighbor_pairs, *leaves):
+    rows, cols = neighbor_pairs(*leaves)
+    want_rows, want_cols = _oracle_neighbor_pairs(*leaves)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(cols, want_cols)
+    return rows, cols
+
+
+@pytest.mark.parametrize("domain, a, half, factor, min_cell, prune", [
+    pytest.param(Wedge(math.pi / 2), 1 + 0j, 12.0, 0.2, None, 0.0,
+                 id="wedge"),
+    pytest.param(KoebeSlit(), 1 + 0j, 12.0, 0.2, None, 0.0, id="koebe"),
+    pytest.param(Annulus(0.5, 2.0), 1.2 + 0.1j, 1.0, 0.3, 0.02, 0.0,
+                 id="annulus"),
+    pytest.param(SpiralPair("U"), -0.8415 + 0.5403j, 4.0, 0.25, 0.05, 0.0,
+                 id="spiral"),
+])
+def test_neighbor_pairs_match_per_depth_search(domain, a, half, factor,
+                                               min_cell, prune):
+    # Leaves of two refinement factors; the root box is small enough that
+    # some leaves touch its edge, where probes fall outside the tree.
+    clear = float(domain.boundary_distance(np.complex128(a)))
+    for f in (factor, factor / 2):
+        floor = min_cell if min_cell is not None else f * clear / 8
+        centers, halves = hyperbolic._build_leaves(
+            domain, a, a, half, f, floor, 0.02, prune, 200_000)
+        gap = np.maximum(np.abs(centers.real - a.real),
+                         np.abs(centers.imag - a.imag)) + halves
+        assert np.any(gap >= half * (1 - 1e-12))
+        rows, _ = _checked_pairs(hyperbolic._neighbor_pairs, centers,
+                                 halves, a, half)
+        assert rows.size > centers.size
+
+
+def test_neighbor_pairs_match_on_hardy_benchmark_rounds(monkeypatch):
+    # Every refinement round of the hardy_graph benchmark scenarios builds
+    # the same adjacency as the per-depth search.
+    rounds = []
+    neighbor_pairs = hyperbolic._neighbor_pairs
+
+    def checked(*leaves):
+        rounds.append(leaves[0].size)
+        return _checked_pairs(neighbor_pairs, *leaves)
+
+    monkeypatch.setattr(hyperbolic, "_neighbor_pairs", checked)
+    r = [10, 31.6, 100, 316, 1000]
+    estimate_hardy_number(Wedge(math.pi / 2), 1, r, QhConfig(rel_floor=0.02,
+                                                             max_rounds=3))
+    estimate_hardy_number(KoebeSlit(), 1, r, QhConfig(rel_floor=0.02,
+                                                      max_rounds=3))
+    estimate_hardy_number(
+        SpiralPair("U"), -0.8415 + 0.5403j, [6, 12, 24, 48],
+        QhConfig(cell_factor=0.25, rel_floor=0.0, prune_clearance=0.45,
+                 min_cell=0.5, max_rounds=1, max_nodes=500_000))
+    assert len(rounds) == 6
+
+
+def test_tree_deeper_than_morton_keys_is_rejected():
+    # At clearance ~7e-10 the tree would need 40 levels, past the 31 a
+    # Morton key holds.  Aliased keys give 7.22 here, far below the lower
+    # bound log(1 + 10 / 7e-10) ~ 23 on the distance.
+    cfg = QhConfig(rel_floor=0.02, max_rounds=1)
+    with pytest.raises(BadParameters, match=r"depth 32 exceeds the 31-level"
+                       r".*clearance 7.07e-10, min_cell 1.77e-11"):
+        quasi_hyperbolic_profile(Wedge(math.pi / 2), 1 + (1 - 1e-9) * 1j,
+                                 [CircleTarget(10.0)], cfg)
+    # 30 levels deep: within the limit, and the value is pinned.
+    vals, _, _ = quasi_hyperbolic_profile(
+        Wedge(math.pi / 2), 1 + (1 - 1e-6) * 1j, [CircleTarget(10.0)], cfg)
+    assert vals[0] == pytest.approx(16.90346167823782, rel=1e-12)

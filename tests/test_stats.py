@@ -146,10 +146,11 @@ def test_wos_and_em_moments_agree():
 
 def test_merging_is_exact():
     # Same seed => bit-identical batches regardless of how many workers the
-    # chunks were scheduled on; the reduction sees the same array.
+    # chunks were scheduled on; the reduction sees the same array.  9000
+    # paths are 3 chunks, so the second call runs a real two-process pool.
     rng = RngStream(210)
     b1 = run_exits(Rectangle(1, 1), 0j, 9000, WosConfig(), rng, 1)
-    b2 = run_exits(Rectangle(1, 1), 0j, 9000, WosConfig(), rng, 1)
+    b2 = run_exits(Rectangle(1, 1), 0j, 9000, WosConfig(), rng, 2)
     assert np.array_equal(b1.exit_point, b2.exit_point)
     assert float(np.mean(b1.exit_point.real)) == float(
         np.mean(b2.exit_point.real))
