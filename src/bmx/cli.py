@@ -106,6 +106,13 @@ def parse_call(expr: str):
     return name, args
 
 
+def _int_arg(arg) -> int:
+    """A call argument that must be an integer: ``2``, not ``2.5``."""
+    if not isinstance(arg, int):
+        raise ConfigError(f"expected an integer argument, got {arg!r}")
+    return arg
+
+
 def parse_domain(expr: str):
     name, args = parse_call(expr) if "(" in expr else (expr.strip().lower(), [])
     try:
@@ -131,7 +138,7 @@ def parse_domain(expr: str):
         if name == "spiralpair":
             return SpiralPair(str(args[0]) if args else "U")
         if name == "comb":
-            n, a, b, side = int(args[0]), args[1], args[2], str(args[3])
+            n, a, b, side = _int_arg(args[0]), args[1], args[2], str(args[3])
             v, w = build_comb(n, [float(x) for x in a], [float(x) for x in b])
             if side.upper() == "V":
                 return v
@@ -148,7 +155,7 @@ def parse_domain(expr: str):
 _MAP_BUILDERS = {
     "linear": lambda args: maps_mod.Linear(complex(args[0])),
     "powerint": lambda args: maps_mod.PowerInt(
-        int(args[0]), complex(args[1]) if len(args) > 1 else 1.0 + 0j),
+        _int_arg(args[0]), complex(args[1]) if len(args) > 1 else 1.0 + 0j),
     "powerbranch": lambda args: maps_mod.PowerBranch(float(args[0])),
     "mobius": lambda args: maps_mod.Mobius(complex(args[0])),
     "koebeparabola": lambda args: maps_mod.KoebeParabola(),
@@ -514,12 +521,6 @@ def _run_modulus(sc: Scenario, v: dict):
         batch = run_exits(domain, 0j, n, WosConfig(), rng, sc.workers)
         em_batch = run_exits(domain, 0j, n, EmConfig(), rng.child(1),
                              sc.workers)
-        okw = batch.ok
-        scale = v["map_scale"]
-        image = Rectangle(abs(scale) * domain.a, abs(scale) * domain.b)
-        mapped = maps_mod.Linear(scale).evaluate(batch.exit_point[okw])
-        same = np.array_equal(image.label_codes(mapped),
-                              batch.label[okw])
         freqs_w, freqs_e = [], []
         agree = True
         for side in (BoundaryLabel.S1, BoundaryLabel.S2,
@@ -534,9 +535,8 @@ def _run_modulus(sc: Scenario, v: dict):
         results["aspect_ratio"] = domain.a / domain.b
         results["side_probs_wos"] = freqs_w
         results["side_probs_em"] = freqs_e
-        expectations.append(_expectation(
-            "labels_invariant_under_scaling", same,
-            f"Linear({scale}) pushforward relabels identically"))
+        results["excluded"] = {"wos": batch.n_excluded,
+                               "em": em_batch.n_excluded}
         expectations.append(_expectation(
             "kernels_agree", agree,
             f"WoS vs EM side frequencies within {sig} joint se"))
@@ -557,6 +557,7 @@ def _run_comb_sequence(sc: Scenario, v: dict):
         "iterations": iterations,
         "moments": [_estimate_dict(m.estimate) for m in rep.moments],
         "tail_indices": [m.tail_index.value for m in rep.moments],
+        "excluded": [m.excluded for m in rep.moments],
         "monotone": rep.monotone_ok,
     }
     expectations = [_expectation("monotone", rep.monotone_ok,
@@ -627,8 +628,8 @@ EXPERIMENTS = {
     }, _run_cauchy),
     "modulus": ({
         "domain": (None, parse_domain), "start": ("", _complex),
-        "n": ("100000", int), "map_scale": ("3", _complex),
-        "expect_modulus": ("", float), "expect_sigmas": ("3", float),
+        "n": ("100000", int), "expect_modulus": ("", float),
+        "expect_sigmas": ("3", float),
     }, _run_modulus),
     "comb_sequence": ({
         "a": (None, _parse_floats), "b": (None, _parse_floats),

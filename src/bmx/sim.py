@@ -3,6 +3,8 @@ Euler-Maruyama, and analytic-map pushforward.
 
 Every kernel is a vectorized ``*_batch`` function that advances a whole
 block of paths per numpy sweep and returns one :class:`ExitBatch`.
+Walk-on-spheres can also mark each path's arrival at a vertical line
+without stopping it, which the doubling-inequality check reads.
 :func:`em_path` runs the Euler-Maruyama kernel on one start and also keeps
 its trajectory as a :class:`PathSample`, which :func:`pushforward` maps.
 Randomness always comes from a generator derived from an
@@ -30,10 +32,10 @@ _LABEL_NONE = -1
 class WosConfig:
     """Walk-on-spheres controls.
 
-    The shell width and the jump-radius cap are 1e-6*(1+|start|) and
-    64*(1+|start|) per path; planar Brownian motion exits almost surely but
-    heavy tails make the step cap a real event that is reported, never
-    dropped.
+    The shell width is 1e-6*(1+|start|) per path, and each jump takes the
+    whole inscribed disk, with no cap on its radius.  Planar Brownian
+    motion exits almost surely, but a path may still meet the step cap;
+    that is reported, never dropped.
     """
 
     max_steps: int = 1_000_000
@@ -61,9 +63,9 @@ class ExitBatch:
 
     ``ok`` is False where the path hit the step cap; such paths carry NaN
     exit data and must be excluded (and counted) by consumers.
-    ``line_hit`` is set where the path crossed the marked vertical line of
-    :func:`em_exit_batch` before its exit, and is None when no line was
-    marked.
+    ``line_hit`` is set where the path came within the eps shell of the
+    marked vertical line of :func:`wos_exit_batch` before its exit, and is
+    None when no line was marked.
     """
 
     exit_point: np.ndarray
@@ -130,29 +132,36 @@ def sample_disk_exit_batch(center: complex, radius: float,
 # ---------------------------------------------------------------------------
 
 def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
-                   cfg: WosConfig = WosConfig()) -> ExitBatch:
+                   cfg: WosConfig = WosConfig(),
+                   mark_line_re: float | None = None) -> ExitBatch:
     """Walk-on-spheres exits for a block of paths.
 
-    Jumps to a uniform point of the largest inscribed disk (radius capped at
-    r_cap) until the path enters the eps shell, then projects onto the
-    boundary.  With ``with_time`` each jump adds radius^2 times an exact
-    unit-disk exit time, so the accumulated exit time is exact in law up to
-    the final shell.
+    Jumps to a uniform point of the largest inscribed disk, exact in law
+    however long the jump, until the path enters the eps shell, then
+    projects onto the boundary.  With ``with_time`` each jump adds radius^2
+    times an exact unit-disk exit time, so the accumulated exit time is
+    exact in law up to the final shell.  With ``mark_line_re`` = r (every
+    start left of {Re z = r}) an unmarked path jumps at most to the line
+    and is marked within eps of it; the line never stops a path, and every
+    exit right of it is marked.  Paths still inside after ``max_steps``
+    jumps have ``ok`` False, NaN exit point and time, and label -1.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
     if not np.all(domain.contains(starts)):
         raise PointOutsideDomain("walk-on-spheres start outside the domain")
+    line = mark_line_re
+    if line is not None and not np.all(starts.real < line):
+        raise BadStart("marked line must lie right of every start")
 
-    scale = 1.0 + np.abs(starts)
-    eps = 1e-6 * scale
-    r_cap = 64.0 * scale
+    eps = 1e-6 * (1.0 + np.abs(starts))
 
     steps = np.zeros(n, dtype=np.int64)
     exit_t = np.full(n, np.nan) if cfg.with_time else None
     exit_pt = np.full(n, np.nan, dtype=complex)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
+    line_hit = None if line is None else np.zeros(n, dtype=bool)
 
     # State of the paths still walking, compacted in path order so that
     # every sweep draws exactly as the full-width loop would.
@@ -161,7 +170,13 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     t = np.zeros(n) if cfg.with_time else None
     step = 0
     while idx.size:
-        d = domain.boundary_distance(z)
+        d = r = domain.boundary_distance(z)
+        if line is not None:
+            # Marked before the shell test: projection moves a point by
+            # less than eps, so an exit right of the line is always marked.
+            gap = np.abs(z.real - line)
+            line_hit[idx[gap < eps]] = True
+            r = np.where(line_hit[idx], d, np.minimum(d, gap))
         shell = d < eps
         if np.any(shell):
             done = idx[shell]
@@ -173,8 +188,7 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
             if t is not None:
                 exit_t[done] = t[shell]
             keep = ~shell
-            idx, z, d, eps, r_cap = (idx[keep], z[keep], d[keep], eps[keep],
-                                     r_cap[keep])
+            idx, z, r, eps = idx[keep], z[keep], r[keep], eps[keep]
             if t is not None:
                 t = t[keep]
             if idx.size == 0:
@@ -184,7 +198,6 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         if step >= cfg.max_steps:
             steps[idx] = step
             break
-        r = np.minimum(d, r_cap)
         theta = gen.uniform(0.0, 2 * math.pi, idx.size)
         z = z + r * np.exp(1j * theta)
         if t is not None:
@@ -192,7 +205,7 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         step += 1
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                     steps=steps, ok=ok)
+                     steps=steps, ok=ok, line_hit=line_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +214,29 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
 
 def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
                   cfg: EmConfig = EmConfig(),
-                  mark_line_re: float | None = None,
                   path: list | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
     Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
     segment is handed to :meth:`Domain.first_boundary_crossing`, which
     locates the first boundary point on it exactly for line, ray, segment
-    and circle boundaries (bisection only for curved ones), so excursions that leave and re-enter within one step still end
-    the path; the exit time is interpolated linearly along the step.  With
-    ``mark_line_re`` = r, every start must lie left of the vertical line
-    {Re z = r}; a path that has not yet crossed it also keeps its steps
-    small near it (dt uses min(dist, |Re z - r|)), and the step whose
-    segment reaches the line before any domain exit sets the path's
-    ``line_hit``.  The line never stops a path, so exits are always domain
-    exits.  Paths still inside after ``max_steps`` steps have ``ok`` False,
-    NaN exit point and time, and label -1.  When ``path`` is a list, the
-    ``(t, z)`` of path 0 after each step it survives is appended to it.
+    and circle boundaries (bisection only for curved ones), so excursions
+    that leave and re-enter within one step still end the path; the exit
+    time is interpolated linearly along the step.  Paths still inside after
+    ``max_steps`` steps have ``ok`` False, NaN exit point and time, and
+    label -1.  When ``path`` is a list, the ``(t, z)`` of path 0 after each
+    step it survives is appended to it.
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
     if not np.all(domain.contains(starts)):
         raise PointOutsideDomain("Euler-Maruyama start outside the domain")
-    line = mark_line_re
-    if line is not None and not np.all(starts.real < line):
-        raise BadStart("marked line must lie right of every start")
 
     steps = np.zeros(n, dtype=np.int64)
     exit_pt = np.full(n, np.nan, dtype=complex)
     exit_t = np.full(n, np.nan)
     labels = np.full(n, _LABEL_NONE, dtype=np.int64)
     ok = np.zeros(n, dtype=bool)
-    line_hit = None if line is None else np.zeros(n, dtype=bool)
 
     # State of the paths still inside, compacted in path order so that
     # every sweep draws exactly as the full-width loop would.
@@ -243,9 +247,6 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     while idx.size:
         step += 1
         d = domain.boundary_distance(z)
-        if line is not None:
-            before = ~line_hit[idx]
-            d = np.where(before, np.minimum(d, np.abs(z.real - line)), d)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
         dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
@@ -255,14 +256,6 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
 
         s = domain.first_boundary_crossing(z, z1)
         finished = np.isfinite(s)
-        if line is not None:
-            # A path left of the line reaches it within this step exactly
-            # when the step ends on or right of it.
-            dx = z1.real - z.real
-            s_line = np.where(before & (z1.real >= line),
-                              (line - z.real) / np.where(dx == 0, 1.0, dx),
-                              np.inf)
-            line_hit[idx[s_line < s]] = True
         if np.any(finished):
             done = idx[finished]
             p = domain.project(z[finished] + (z1 - z)[finished] * s[finished])
@@ -281,7 +274,7 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
             break
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
-                     steps=steps, ok=ok, line_hit=line_hit)
+                     steps=steps, ok=ok)
 
 
 def em_path(domain: Domain, start: complex, cfg: EmConfig,

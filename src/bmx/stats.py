@@ -89,9 +89,9 @@ def _chunk_task(payload):
     gen = RngStream(seed, stream_id).substream(chunk_idx)
     starts = np.full(count, complex(start))
     if isinstance(cfg, WosConfig):
-        return wos_exit_batch(domain, starts, gen, cfg)
+        return wos_exit_batch(domain, starts, gen, cfg, mark_line_re=line)
     if isinstance(cfg, EmConfig):
-        return em_exit_batch(domain, starts, gen, cfg, mark_line_re=line)
+        return em_exit_batch(domain, starts, gen, cfg)
     raise BadParameters(f"no kernel takes a {type(cfg).__name__} config")
 
 
@@ -116,10 +116,12 @@ def run_exits(domain: Domain, start: complex, n: int,
               mark_line_re: float | None = None) -> ExitBatch:
     """n exit paths in deterministic chunks, merged in path order; identical
     output for any ``workers``.  The type of ``cfg`` picks the kernel:
-    walk-on-spheres for a WosConfig, Euler-Maruyama (which alone takes
-    ``mark_line_re``) for an EmConfig."""
+    walk-on-spheres (which alone takes ``mark_line_re``) for a WosConfig,
+    Euler-Maruyama for an EmConfig."""
     if n < 1:
         raise BadParameters(f"need at least one path, got n = {n}")
+    if isinstance(cfg, EmConfig) and mark_line_re is not None:
+        raise BadParameters("only walk-on-spheres marks a line")
     payloads = [(domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
                  ci, mark_line_re)
                 for ci, (lo, hi) in enumerate(chunk_ranges(n))]
@@ -343,14 +345,14 @@ def doubling_ratio(nu: ProportionEstimate,
 
 
 def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
-                      rng: RngStream = RngStream(0), cfg: EmConfig = EmConfig(),
+                      rng: RngStream = RngStream(0),
                       workers: int = 1) -> KarafylliaReport:
     """Estimate nu = P(Re(B_tau) > r) and nu_hat = P(B hits {Re = r} before
     tau), and their ratio with a delta-method CI.
 
-    One Euler-Maruyama run marks each path's first crossing of the line and
-    lets it go on to its exit, so both proportions are shares of the same
-    ok paths (step-capped paths are excluded from both).
+    One walk-on-spheres run marks each path's arrival at the line and lets
+    it go on to its exit, so both proportions are shares of the same ok
+    paths (step-capped paths are excluded from both).
 
     The leftward-ray property is spot-checked first at STARLIKE_PROBES
     interior points; a failure downgrades to a warning recorded on the
@@ -361,7 +363,7 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
         raise BadParameters("basepoint must lie left of the split line")
     verdict = check_delta_starlike(domain, STARLIKE_PROBES, rng.child(901))
 
-    batch = run_exits(domain, a, n, cfg, rng.child(902), workers,
+    batch = run_exits(domain, a, n, WosConfig(), rng.child(902), workers,
                       mark_line_re=split_re)
     nu = exit_proportion(lambda z, lab: z.real > split_re, batch)
     nu_hat = proportion_estimate(int(np.sum(batch.line_hit & batch.ok)), nu.n,

@@ -9,7 +9,7 @@ from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
                      parse_map, parse_region, run, run_scenario)
 from bmx.errors import ConfigError
 from bmx.geometry import Annulus, BoundaryLabel, Rectangle, Wedge
-from bmx.maps import Compose, Exp, Linear, PowerBranch
+from bmx.maps import Compose, Exp, Linear, PowerBranch, PowerInt
 from bmx.rng import RngStream
 from bmx.sim import WosConfig
 from bmx.stats import exit_proportion, run_exits
@@ -56,6 +56,9 @@ def test_parse_domain_variants():
     assert parse_domain("comb(1, [1, 3], [-2], w)").side == "W"
     with pytest.raises(ConfigError, match="'X'"):
         parse_domain("comb(1, [1, 3], [-2], X)")
+    # A fractional iteration count is an error, not a silent V_1.
+    with pytest.raises(ConfigError, match="1.9"):
+        parse_domain("comb(1.9, [1, 40], [-50], V)")
     with pytest.raises(ConfigError):
         parse_domain("pentagon(1)")
     with pytest.raises(ConfigError):
@@ -65,6 +68,10 @@ def test_parse_domain_variants():
 def test_parse_map_variants():
     assert parse_map("linear(3)") == Linear(3)
     assert parse_map("powerbranch(0.5)") == PowerBranch(0.5)
+    assert parse_map("powerint(2)") == PowerInt(2)
+    # A fractional power is an error, not a silent z^2.
+    with pytest.raises(ConfigError, match="2.5"):
+        parse_map("powerint(2.5)")
     m = parse_map("compose(linear(2), exp())")
     assert m == Compose((Linear(2), Exp()))
     nested = parse_map("compose(linear(2), compose(exp()))")

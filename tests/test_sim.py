@@ -229,12 +229,12 @@ def test_em_reproducible():
     assert np.array_equal(a.exit_time, b.exit_time)
 
 
-def test_em_absorbing_line():
+def test_wos_marked_line():
     # The marked line {Re = 0} never stops a path: every exit is a domain
     # exit, and every path that exits right of the line has hit it.
     starts = np.full(5000, -2.0 + 0j)
-    batch = em_exit_batch(Strip(-1, 1), starts, RngStream(114).generator(),
-                          mark_line_re=0.0)
+    batch = wos_exit_batch(Strip(-1, 1), starts, RngStream(114).generator(),
+                           mark_line_re=0.0)
     assert isinstance(batch, ExitBatch)
     assert batch.line_hit.dtype == bool and len(batch.line_hit) == 5000
     assert batch.ok.all()
@@ -246,12 +246,35 @@ def test_em_absorbing_line():
     assert hit_left.any() and not batch.line_hit.all()
     assert np.array_equal(batch.label,
                           Strip(-1, 1).label_codes(batch.exit_point))
-    plain = em_exit_batch(Strip(-1, 1), starts[:100],
-                          RngStream(114).generator())
+    plain = wos_exit_batch(Strip(-1, 1), starts[:100],
+                           RngStream(114).generator())
     assert plain.line_hit is None
     with pytest.raises(BadStart):
-        em_exit_batch(Strip(-1, 1), starts[:10], RngStream(114).generator(),
-                      mark_line_re=-3.0)
+        wos_exit_batch(Strip(-1, 1), starts[:10], RngStream(114).generator(),
+                       mark_line_re=-3.0)
+
+
+def test_wos_marked_line_halfplane_laws():
+    # From -1+i in the upper half-plane, Brownian motion reaches {Re = 0}
+    # before its exit with probability 1/2 and exits right of it with
+    # probability 1/4 (the Cauchy(-1, 1) exit law).
+    n = 50_000
+    batch = wos_exit_batch(HalfPlane("north"), np.full(n, -1 + 1j),
+                           RngStream(117).generator(), mark_line_re=0.0)
+    assert batch.ok.all()
+    right = batch.exit_point.real > 0
+    for hits, p in ((batch.line_hit, 0.5), (right, 0.25)):
+        assert abs(np.mean(hits) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+    assert np.all(batch.line_hit[right])
+
+
+def test_wos_jumps_are_uncapped():
+    # On the Koebe slit domain paths wander far out; a jump takes the whole
+    # inscribed disk, so 2000 jumps end every path.
+    b = wos_exit_batch(KoebeSlit(), np.full(4096, 1 + 0j),
+                       RngStream(117).generator(), WosConfig(max_steps=2000))
+    assert b.n_excluded == 0
+    assert np.all(b.exit_point.real <= -0.25 + 1e-6)
 
 
 @pytest.mark.parametrize("kernel", ["em", "wos"])

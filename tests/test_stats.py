@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from bmx.errors import NestingViolation, TooFewTailSamples
+from bmx.errors import BadParameters, NestingViolation, TooFewTailSamples
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.rng import CHUNK_SIZE, RngStream
@@ -182,6 +182,16 @@ def test_pool_never_exceeds_chunk_count(monkeypatch):
     pooled = run_exits(Rectangle(1, 1), 0j, n, WosConfig(), rng, 5000)
     assert sizes == [3]
     assert np.array_equal(serial.exit_point, pooled.exit_point)
+
+
+def test_only_walk_on_spheres_marks_a_line():
+    rng = RngStream(214)
+    with pytest.raises(BadParameters, match="walk-on-spheres"):
+        run_exits(Strip(-1, 1), -2 + 0j, 100, EmConfig(), rng,
+                  mark_line_re=0.0)
+    marked = run_exits(Strip(-1, 1), -2 + 0j, 100, WosConfig(), rng,
+                       mark_line_re=0.0)
+    assert marked.line_hit.shape == (100,)
 
 
 # ---------------------------------------------------------------------------
