@@ -176,7 +176,7 @@ def parse_map(expr):
         raise ConfigError(f"unknown map {name!r}")
     try:
         return _MAP_BUILDERS[name](args)
-    except (IndexError, TypeError, ValueError) as exc:
+    except (BadParameters, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad map spec {name!r}: {exc}") from exc
 
 

@@ -125,16 +125,19 @@ class Domain:
 def _bisect_first_violation(z0, z1, violates, tol):
     """Vectorized bisection for the first point of [z0, z1] where
     ``violates`` holds; z0 must not violate, z1 must.  Returns the fraction
-    s on the violating side, within ``tol`` (in length) of the flip."""
+    s on the violating side, within ``tol`` (in length) of the flip.  Each
+    segment takes its own halving count from its length, so its fraction
+    does not depend on the other segments of the batch."""
     step = np.abs(z1 - z0)
-    iters = int(np.clip(np.ceil(np.log2(max(step.max() / tol, 2.0))), 8, 64))
+    iters = np.clip(np.ceil(np.log2(np.maximum(step / tol, 2.0))), 8, 64)
     s_lo = np.zeros(z0.shape)
     s_hi = np.ones(z0.shape)
-    for _ in range(iters):
+    for k in range(int(iters.max())):
+        live = iters > k
         mid = 0.5 * (s_lo + s_hi)
         bad = violates(z0 + (z1 - z0) * mid)
-        s_hi = np.where(bad, mid, s_hi)
-        s_lo = np.where(bad, s_lo, mid)
+        s_hi = np.where(live & bad, mid, s_hi)
+        s_lo = np.where(live & ~bad, mid, s_lo)
     return s_hi
 
 

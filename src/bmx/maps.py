@@ -33,9 +33,13 @@ class AnalyticMap:
 
 @dataclass(frozen=True)
 class Linear(AnalyticMap):
-    """z -> c z."""
+    """z -> c z for a nonzero c."""
 
     c: complex
+
+    def __post_init__(self):
+        if self.c == 0:
+            raise BadParameters("linear coefficient must be nonzero")
 
     def evaluate(self, z):
         return self.c * _asarr(z)
@@ -47,7 +51,8 @@ class Linear(AnalyticMap):
 
 @dataclass(frozen=True)
 class PowerInt(AnalyticMap):
-    """z -> xi * z**n for a nonzero integer n (negative n has a pole at 0)."""
+    """z -> xi * z**n for a nonzero integer n and nonzero xi (negative n
+    has a pole at 0)."""
 
     n: int
     xi: complex = 1.0 + 0j
@@ -55,6 +60,8 @@ class PowerInt(AnalyticMap):
     def __post_init__(self):
         if self.n == 0:
             raise BadParameters("power exponent must be nonzero")
+        if self.xi == 0:
+            raise BadParameters("power coefficient must be nonzero")
 
     def _check_pole(self, z):
         if self.n < 0 and np.any(z == 0):

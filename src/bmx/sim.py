@@ -2,7 +2,11 @@
 Euler-Maruyama, and analytic-map pushforward.
 
 Every kernel is a vectorized ``*_batch`` function that advances a whole
-block of paths per numpy sweep and returns one :class:`ExitBatch`.
+block of paths per numpy sweep and returns one :class:`ExitBatch`.  The
+walk-on-spheres and Euler-Maruyama kernels take one generator, or one per
+chunk of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
+sharing every geometry call of a sweep, while each draws from its own
+generator exactly what a call on that chunk alone would draw.
 Walk-on-spheres can also mark each path's arrival at a vertical line
 without stopping it, which the doubling-inequality check reads.
 :func:`em_path` runs the Euler-Maruyama kernel on one start and also keeps
@@ -20,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk_time import sample_unit_disk_time
-from .errors import BadStart, MaxStepsExceeded, PointOutsideDomain
+from .errors import (BadParameters, BadStart, MaxStepsExceeded,
+                     PointOutsideDomain)
 from .geometry import BoundaryLabel, Domain, HalfPlane, _asarr
 from .maps import AnalyticMap
-from .rng import RngStream
+from .rng import RngStream, chunk_ranges
 
 _LABEL_NONE = -1
 
@@ -128,10 +133,58 @@ def sample_disk_exit_batch(center: complex, radius: float,
 
 
 # ---------------------------------------------------------------------------
+# Per-chunk draws for a lockstep sweep
+# ---------------------------------------------------------------------------
+
+class _ChunkDraws:
+    """Generator-like source of one sweep's draws for the live paths.
+
+    ``gen`` is one generator for all ``n`` paths, or a sequence with one
+    generator per chunk of ``chunk_ranges(n)``.  :meth:`split` takes the
+    sorted indices of the paths still live; each draw method then draws
+    every chunk's share from that chunk's generator, in path order, and
+    concatenates the shares, so each generator draws exactly what a call on
+    its chunk alone would.  The size argument of a draw method is the live
+    count and is implied by the split.
+    """
+
+    def __init__(self, gen, n):
+        if isinstance(gen, np.random.Generator):
+            self._gens = [gen]
+            self._bounds = np.empty(0, dtype=np.int64)
+            return
+        self._gens = list(gen)
+        ranges = chunk_ranges(n)
+        if len(self._gens) != len(ranges):
+            raise BadParameters(f"{n} paths make {len(ranges)} chunks, but "
+                                f"{len(self._gens)} generators were given")
+        self._bounds = np.array([lo for lo, _ in ranges[1:]], dtype=np.int64)
+
+    def split(self, idx):
+        cuts = np.searchsorted(idx, self._bounds)
+        counts = np.diff(cuts, prepend=0, append=idx.size)
+        self._shares = [(g, int(m)) for g, m in zip(self._gens, counts) if m]
+
+    def _each(self, draw):
+        parts = [draw(g, m) for g, m in self._shares]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+    def uniform(self, low, high, size):
+        return self._each(lambda g, m: g.uniform(low, high, m))
+
+    def random(self, size):
+        return self._each(lambda g, m: g.random(m))
+
+    def standard_normal(self, size):
+        return self._each(lambda g, m: g.standard_normal((*size[:-1], m)))
+
+
+# ---------------------------------------------------------------------------
 # Walk on spheres
 # ---------------------------------------------------------------------------
 
-def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
+def wos_exit_batch(domain: Domain, starts,
+                   gen: np.random.Generator | list[np.random.Generator],
                    cfg: WosConfig = WosConfig(),
                    mark_line_re: float | None = None) -> ExitBatch:
     """Walk-on-spheres exits for a block of paths.
@@ -145,9 +198,12 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     and is marked within eps of it; the line never stops a path, and every
     exit right of it is marked.  Paths still inside after ``max_steps``
     jumps have ``ok`` False, NaN exit point and time, and label -1.
+    ``gen`` is one generator, or one per chunk of the starts (see
+    :class:`_ChunkDraws`).
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
+    draws = _ChunkDraws(gen, n)
     if not np.all(domain.contains(starts)):
         raise PointOutsideDomain("walk-on-spheres start outside the domain")
     line = mark_line_re
@@ -198,10 +254,11 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         if step >= cfg.max_steps:
             steps[idx] = step
             break
-        theta = gen.uniform(0.0, 2 * math.pi, idx.size)
+        draws.split(idx)
+        theta = draws.uniform(0.0, 2 * math.pi, idx.size)
         z = z + r * np.exp(1j * theta)
         if t is not None:
-            t = t + r ** 2 * sample_unit_disk_time(gen, idx.size)
+            t = t + r ** 2 * sample_unit_disk_time(draws, idx.size)
         step += 1
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
@@ -212,7 +269,8 @@ def wos_exit_batch(domain: Domain, starts, gen: np.random.Generator,
 # Euler-Maruyama
 # ---------------------------------------------------------------------------
 
-def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
+def em_exit_batch(domain: Domain, starts,
+                  gen: np.random.Generator | list[np.random.Generator],
                   cfg: EmConfig = EmConfig(),
                   path: list | None = None) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
@@ -225,10 +283,12 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
     time is interpolated linearly along the step.  Paths still inside after
     ``max_steps`` steps have ``ok`` False, NaN exit point and time, and
     label -1.  When ``path`` is a list, the ``(t, z)`` of path 0 after each
-    step it survives is appended to it.
+    step it survives is appended to it.  ``gen`` is one generator, or one
+    per chunk of the starts (see :class:`_ChunkDraws`).
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
+    draws = _ChunkDraws(gen, n)
     if not np.all(domain.contains(starts)):
         raise PointOutsideDomain("Euler-Maruyama start outside the domain")
 
@@ -251,7 +311,8 @@ def em_exit_batch(domain: Domain, starts, gen: np.random.Generator,
         # near-boundary crawls at float resolution.
         dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
         dt = np.maximum(dt, 4e-16 * t)
-        g = gen.standard_normal((2, idx.size))
+        draws.split(idx)
+        g = draws.standard_normal((2, idx.size))
         z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
 
         s = domain.first_boundary_crossing(z, z1)

@@ -2,9 +2,12 @@
 
 All Monte Carlo estimators draw paths in fixed-size chunks, each chunk on
 its own child stream, and reduce over the concatenated per-path arrays in
-path order.  Results therefore depend only on (seed, stream_id, n, config),
-not on the worker count or scheduling, and estimates merged from partitions
-equal the single-stream estimate exactly.
+path order.  The chunks advance in lockstep: one kernel call runs a
+contiguous group of up to GROUP_CHUNKS chunks, sharing each sweep's geometry
+calls, while every chunk draws from its own stream exactly what it would
+draw alone.  Results therefore depend only on (seed, stream_id, n, config),
+not on the worker count, the grouping or scheduling, and estimates merged
+from partitions equal the single-stream estimate exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (BadParameters, NestingViolation, TooFewTailSamples)
 from .geometry import (BoundaryLabel, Domain, StarlikeVerdict,
                        check_delta_starlike, sample_interior)
 from .hyperbolic import CircleTarget, QhConfig, quasi_hyperbolic_profile
-from .rng import RngStream, chunk_ranges
+from .rng import GROUP_CHUNKS, RngStream, chunk_ranges
 from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
                   em_exit_batch, wos_exit_batch)
 
@@ -84,15 +87,26 @@ def proportion_estimate(k: int, n: int, excluded: int = 0) -> ProportionEstimate
 # Chunked, worker-independent path generation
 # ---------------------------------------------------------------------------
 
-def _chunk_task(payload):
-    (domain, start, count, cfg, seed, stream_id, chunk_idx, line) = payload
-    gen = RngStream(seed, stream_id).substream(chunk_idx)
+def _group_task(payload):
+    (domain, start, count, cfg, seed, stream_id, chunks, line) = payload
+    stream = RngStream(seed, stream_id)
+    gens = [stream.substream(ci) for ci in chunks]
     starts = np.full(count, complex(start))
     if isinstance(cfg, WosConfig):
-        return wos_exit_batch(domain, starts, gen, cfg, mark_line_re=line)
+        return wos_exit_batch(domain, starts, gens, cfg, mark_line_re=line)
     if isinstance(cfg, EmConfig):
-        return em_exit_batch(domain, starts, gen, cfg)
+        return em_exit_batch(domain, starts, gens, cfg)
     raise BadParameters(f"no kernel takes a {type(cfg).__name__} config")
+
+
+def _chunk_groups(n_chunks: int, workers: int) -> list[range]:
+    """Contiguous runs of chunk indices, each at most GROUP_CHUNKS long and
+    as even as can be; their count is a multiple of ``workers`` where there
+    are chunks enough, so every worker gets the same number of groups."""
+    fewest = -(-n_chunks // GROUP_CHUNKS)
+    count = min(n_chunks, -(-fewest // workers) * workers)
+    cuts = [n_chunks * k // count for k in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _concat_batches(batches):
@@ -114,23 +128,25 @@ def _concat_batches(batches):
 def run_exits(domain: Domain, start: complex, n: int,
               cfg: WosConfig | EmConfig, rng: RngStream, workers: int = 1,
               mark_line_re: float | None = None) -> ExitBatch:
-    """n exit paths in deterministic chunks, merged in path order; identical
-    output for any ``workers``.  The type of ``cfg`` picks the kernel:
+    """n exit paths in deterministic chunks, advanced in lockstep groups
+    (one kernel call per group) and merged in path order; identical output
+    for any ``workers``.  The type of ``cfg`` picks the kernel:
     walk-on-spheres (which alone takes ``mark_line_re``) for a WosConfig,
     Euler-Maruyama for an EmConfig."""
     if n < 1:
         raise BadParameters(f"need at least one path, got n = {n}")
     if isinstance(cfg, EmConfig) and mark_line_re is not None:
         raise BadParameters("only walk-on-spheres marks a line")
-    payloads = [(domain, start, hi - lo, cfg, rng.seed, rng.stream_id,
-                 ci, mark_line_re)
-                for ci, (lo, hi) in enumerate(chunk_ranges(n))]
+    ranges = chunk_ranges(n)
+    payloads = [(domain, start, ranges[g[-1]][1] - ranges[g[0]][0], cfg,
+                 rng.seed, rng.stream_id, g, mark_line_re)
+                for g in _chunk_groups(len(ranges), max(workers, 1))]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(payloads))) as pool:
-            parts = list(pool.map(_chunk_task, payloads))
+            parts = list(pool.map(_group_task, payloads))
     else:
-        parts = [_chunk_task(p) for p in payloads]
+        parts = [_group_task(p) for p in payloads]
     return _concat_batches(parts)
 
 

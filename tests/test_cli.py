@@ -80,6 +80,13 @@ def test_parse_map_variants():
         parse_map("spiral(1)")
     with pytest.raises(ConfigError, match="map calls"):
         parse_map("compose(linear(1), compose(3))")
+    # A zero coefficient makes a constant map, which is not conformal.
+    with pytest.raises(ConfigError, match="'linear'.*nonzero"):
+        parse_map("linear(0)")
+    with pytest.raises(ConfigError, match="'powerint'.*nonzero"):
+        parse_map("powerint(2, 0)")
+    with pytest.raises(ConfigError, match="'linear'"):
+        parse_map("compose(exp(), linear(0j))")
 
 
 def test_parse_region_forms():

@@ -219,6 +219,24 @@ def test_koebe_crossing_only_on_slit():
     assert s == math.inf
 
 
+@pytest.mark.parametrize("domain, z0, direction", [
+    pytest.param(ParabolaComplement(), 1.0003 + 0j, -1.0, id="parabola"),
+    pytest.param(SpiralPair("U"), 3.0 * np.exp(3.0003j), np.exp(3.0003j),
+                 id="spiral"),
+])
+def test_bisected_crossing_does_not_depend_on_its_batch(domain, z0, direction):
+    # A curved boundary's crossing is bisected with a halving count taken
+    # from each segment's own length, so a short segment gets the same
+    # fraction alone as beside a segment 1000 times longer.
+    short = z0 + 1e-3 * direction
+    assert domain.contains(z0) and not domain.contains(short)
+    alone = domain.first_boundary_crossing(np.array([z0]), np.array([short]))
+    batched = domain.first_boundary_crossing(
+        np.array([z0, z0]), np.array([short, z0 + 1.0 * direction]))
+    assert alone[0] == batched[0]
+    assert batched[1] < 1.0
+
+
 # Every domain with an exact crossing rule, with the tip of its slit for
 # slit domains (the slit runs from the tip toward -inf along the real axis)
 # and the window z0 is drawn from when the probe box is mostly outside.

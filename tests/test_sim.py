@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
-from bmx.errors import BadStart, MaxStepsExceeded, PointOutsideDomain
+from bmx.errors import (BadParameters, BadStart, MaxStepsExceeded,
+                        PointOutsideDomain)
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           ParabolaComplement, Rectangle, Strip, Wedge)
 from bmx.maps import Exp, Linear, PowerInt
-from bmx.rng import RngStream
+from bmx.rng import CHUNK_SIZE, RngStream
 from bmx.sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch, em_path,
                      pushforward, sample_disk_exit_batch,
                      sample_halfplane_exit_batch, wos_exit_batch)
@@ -227,6 +228,16 @@ def test_em_reproducible():
                       RngStream(66, 1).generator(), cfg)
     assert np.array_equal(a.exit_point, b.exit_point)
     assert np.array_equal(a.exit_time, b.exit_time)
+
+
+@pytest.mark.parametrize("kernel", [em_exit_batch, wos_exit_batch])
+def test_one_generator_per_chunk(kernel):
+    # A list of generators must hold one per chunk of the starts.
+    starts = np.zeros(CHUNK_SIZE + 1, dtype=complex)
+    gens = [RngStream(67).substream(ci) for ci in range(2)]
+    assert len(kernel(Rectangle(1, 1), starts, gens)) == CHUNK_SIZE + 1
+    with pytest.raises(BadParameters, match="2 chunks, but 1 generators"):
+        kernel(Rectangle(1, 1), starts, gens[:1])
 
 
 def test_wos_marked_line():

@@ -7,11 +7,11 @@ from scipy.stats import ks_2samp
 from bmx.errors import BadParameters, NestingViolation, TooFewTailSamples
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
-from bmx.rng import CHUNK_SIZE, RngStream
-from bmx.sim import EmConfig, WosConfig
-from bmx.stats import (Estimate, classify_moment, doubling_ratio,
-                       estimate_moment, exit_proportion, hill_tail_index,
-                       proportion_estimate, run_exits,
+from bmx.rng import CHUNK_SIZE, GROUP_CHUNKS, RngStream, chunk_ranges
+from bmx.sim import EmConfig, WosConfig, em_exit_batch, wos_exit_batch
+from bmx.stats import (Estimate, _chunk_groups, classify_moment,
+                       doubling_ratio, estimate_moment, exit_proportion,
+                       hill_tail_index, proportion_estimate, run_exits,
                        verify_cauchy_identities, verify_increasing_domains,
                        verify_karafyllia, wilson_interval)
 
@@ -156,10 +156,10 @@ def test_merging_is_exact():
         np.mean(b2.exit_point.real))
 
 
-def test_pool_never_exceeds_chunk_count(monkeypatch):
-    # However many workers are asked for, the pool gets at most one per
-    # chunk.  A stand-in executor records its size and runs the chunks in
-    # this process.
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in process pool that records its size and runs the tasks in
+    this process; yields the list of sizes."""
     sizes = []
 
     class InlineExecutor:
@@ -176,12 +176,67 @@ def test_pool_never_exceeds_chunk_count(monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr("bmx.stats.ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+def test_pool_never_exceeds_chunk_count(inline_pool):
+    # However many workers are asked for, the pool gets at most one per
+    # chunk.
     rng = RngStream(212)
     n = 2 * CHUNK_SIZE + 1
     serial = run_exits(Rectangle(1, 1), 0j, n, WosConfig(), rng, 1)
     pooled = run_exits(Rectangle(1, 1), 0j, n, WosConfig(), rng, 5000)
-    assert sizes == [3]
+    assert inline_pool == [3]
     assert np.array_equal(serial.exit_point, pooled.exit_point)
+
+
+@pytest.mark.parametrize("n_chunks, workers", [
+    (1, 1), (3, 2), (16, 1), (17, 1), (25, 2), (40, 2), (40, 3), (5, 8)])
+def test_chunk_groups_cover_every_chunk_once(n_chunks, workers):
+    groups = _chunk_groups(n_chunks, workers)
+    assert [ci for g in groups for ci in g] == list(range(n_chunks))
+    assert all(0 < len(g) <= GROUP_CHUNKS for g in groups)
+    assert len(groups) >= min(workers, n_chunks)
+    if n_chunks >= workers:
+        assert len(groups) % workers == 0
+
+
+_LOCKSTEP_CASES = [
+    pytest.param(Rectangle(2, 1), -1 + 0j, WosConfig(with_time=True), 0.0,
+                 id="wos_time_marked"),
+    pytest.param(Rectangle(1, 1), 0j, WosConfig(), None, id="wos"),
+    pytest.param(Wedge(math.pi / 2), 1 + 0j, EmConfig(), None, id="em"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("domain, start, cfg, line", _LOCKSTEP_CASES)
+def test_lockstep_groups_match_one_call_per_chunk(inline_pool, domain, start,
+                                                  cfg, line, workers):
+    # Chunks advanced together in one kernel call draw exactly what each
+    # draws alone on its own substream, so every per-path array matches
+    # the concatenation of one-chunk calls bit for bit.
+    rng = RngStream(216)
+    n = 2 * CHUNK_SIZE + 17
+    batch = run_exits(domain, start, n, cfg, rng, workers, mark_line_re=line)
+    parts = []
+    for ci, (lo, hi) in enumerate(chunk_ranges(n)):
+        starts = np.full(hi - lo, start)
+        gen = rng.substream(ci)
+        if isinstance(cfg, WosConfig):
+            parts.append(wos_exit_batch(domain, starts, gen, cfg,
+                                        mark_line_re=line))
+        else:
+            parts.append(em_exit_batch(domain, starts, gen, cfg))
+    for name in ("exit_point", "exit_time", "label", "steps", "ok",
+                 "line_hit"):
+        got = getattr(batch, name)
+        if getattr(parts[0], name) is None:
+            assert got is None, name
+            continue
+        want = np.concatenate([getattr(p, name) for p in parts])
+        assert got.tobytes() == want.tobytes(), name
+    assert inline_pool == ([] if workers == 1 else [workers])
 
 
 def test_only_walk_on_spheres_marks_a_line():
