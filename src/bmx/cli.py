@@ -8,7 +8,8 @@ parser; unknown keys are errors, and every default is materialized into the
 report echo so a rerun of the echoed config reproduces the run bit for bit.
 Every value is converted by its key's parser before the experiment runs, so
 a bad value in any key, read by the runner or not, is a ConfigError in that
-scenario's report.  Seed precedence: config < BMX_SEED < --set seed=...
+scenario's report, and domain and map calls are read by Python's ``ast``.
+Seed precedence: config < BMX_SEED < --set seed=...
 
 Exit status: 0 when all declared expectations pass, 2 when any fails,
 1 on configuration or runtime errors.
@@ -17,6 +18,7 @@ Exit status: 0 when all declared expectations pass, 2 when any fails,
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
 import csv
 import json
@@ -50,134 +52,117 @@ ARTIFACT_VERSION = "0.1.0"
 # Value and call-expression parsing
 # ---------------------------------------------------------------------------
 
-def _parse_number(tok: str):
-    tok = tok.strip()
+def _number(source):
+    """A number, complex number or number list ``source`` spells, else None."""
     try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    try:
-        return complex(tok.replace(" ", ""))
-    except ValueError:
-        raise ConfigError(f"cannot parse number {tok!r}")
+        value = ast.literal_eval(source)
+    except (SyntaxError, TypeError, ValueError):
+        return None
+    items = value if type(value) is list else [value]
+    if all(type(v) in (int, float, complex) for v in items):
+        return value
 
 
-def _split_args(body: str):
-    """Split on top-level commas (respecting parentheses and brackets)."""
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur and "".join(cur).strip():
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+def _call(node, expr: str):
+    """``(name, args)`` of a bare-name or ``name(...)`` node of ``expr``."""
+    if isinstance(node, ast.Name):
+        return node.id.lower(), []
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords):
+        raise ConfigError(f"expected name(arg, ...) with no keywords, got "
+                          f"{ast.unparse(node)!r} in {expr!r}")
+    return node.func.id.lower(), [_arg(arg, expr) for arg in node.args]
+
+
+def _arg(node, expr: str):
+    """A nested call, a bare word, or what ``_number`` reads."""
+    if isinstance(node, ast.Name):
+        return node.id
+    value = _call(node, expr) if isinstance(node, ast.Call) else _number(node)
+    if value is None:
+        raise ConfigError(f"bad argument {ast.unparse(node)!r} in {expr!r}")
+    return value
 
 
 def parse_call(expr: str):
-    """Parse ``name(arg, ...)`` where an arg is a number, a bare word, a
-    bracketed number list, or a nested call."""
-    expr = expr.strip()
-    m = re.fullmatch(r"([a-zA-Z_][a-zA-Z_0-9]*)\s*\((.*)\)", expr, re.DOTALL)
-    if not m:
-        raise ConfigError(f"expected name(...), got {expr!r}")
-    name = m.group(1).lower()
-    args = []
-    for tok in _split_args(m.group(2)):
-        if re.fullmatch(r"[a-zA-Z_][a-zA-Z_0-9]*\s*\(.*\)", tok, re.DOTALL):
-            args.append(parse_call(tok))
-        elif tok.startswith("["):
-            inner = tok[1:-1]
-            args.append([_parse_number(t) for t in _split_args(inner)])
-        elif re.fullmatch(r"[a-zA-Z_][a-zA-Z_0-9]*", tok):
-            args.append(tok)
-        else:
-            args.append(_parse_number(tok))
-    return name, args
+    """Read ``name(arg, ...)``, or a bare ``name`` for ``name()``, with
+    Python's parser into ``(name, args)``, names lower-cased."""
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse {expr!r}: {exc.msg}") from None
+    return _call(tree.body, expr)
 
 
 def _int_arg(arg) -> int:
     """A call argument that must be an integer: ``2``, not ``2.5``."""
     if not isinstance(arg, int):
-        raise ConfigError(f"expected an integer argument, got {arg!r}")
+        raise ValueError(f"expected an integer argument, got {arg!r}")
     return arg
 
 
-def parse_domain(expr: str):
-    name, args = parse_call(expr) if "(" in expr else (expr.strip().lower(), [])
-    try:
-        if name == "rectangle":
-            return Rectangle(float(args[0]), float(args[1]))
-        if name == "annulus":
-            return Annulus(float(args[0]), float(args[1]))
-        if name == "wedge":
-            return Wedge(float(args[0]))
-        if name == "halfplane":
-            return HalfPlane(str(args[0]) if args else "north")
-        if name == "strip":
-            return Strip(float(args[0]), float(args[1]))
-        if name == "halfstripcomplement":
-            return HalfStripComplement(float(args[0]),
-                                       float(args[1]) if len(args) > 1 else 0.0)
-        if name == "parabolacomplement":
-            return ParabolaComplement()
-        if name == "koebeslit":
-            return KoebeSlit()
-        if name == "disk":
-            return Disk(complex(args[0]), float(args[1]))
-        if name == "spiralpair":
-            return SpiralPair(str(args[0]) if args else "U")
-        if name == "comb":
-            n, a, b, side = _int_arg(args[0]), args[1], args[2], str(args[3])
-            v, w = build_comb(n, [float(x) for x in a], [float(x) for x in b])
-            if side.upper() == "V":
-                return v
-            if side.upper() == "W":
-                return w
-            raise ConfigError(f"comb side must be V or W, got {side!r}")
-    except ConfigError:
-        raise
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad domain spec {expr!r}: {exc}") from exc
-    raise ConfigError(f"unknown domain {name!r}")
+def _comb(n: int, a: list, b: list, side: str):
+    """Side ``V`` or ``W`` (either case) of the comb pair after ``n``
+    iterations."""
+    return replace(build_comb(n, a, b)[0], side=side.upper())
 
 
-_MAP_BUILDERS = {
-    "linear": lambda args: maps_mod.Linear(complex(args[0])),
-    "powerint": lambda args: maps_mod.PowerInt(
-        _int_arg(args[0]), complex(args[1]) if len(args) > 1 else 1.0 + 0j),
-    "powerbranch": lambda args: maps_mod.PowerBranch(float(args[0])),
-    "mobius": lambda args: maps_mod.Mobius(complex(args[0])),
-    "koebeparabola": lambda args: maps_mod.KoebeParabola(),
-    "wedgepower": lambda args: maps_mod.WedgePower(float(args[0])),
-    "exp": lambda args: maps_mod.Exp(),
+# name -> (builder, parsers of the required arguments, parsers of the
+# optional ones); a lone parser last takes any number of arguments.
+_DOMAINS = {
+    "rectangle": (Rectangle, (float, float), ()),
+    "annulus": (Annulus, (float, float), ()),
+    "wedge": (Wedge, (float,), ()),
+    "halfplane": (HalfPlane, (), (str,)),
+    "strip": (Strip, (float, float), ()),
+    "halfstripcomplement": (HalfStripComplement, (float,), (float,)),
+    "parabolacomplement": (ParabolaComplement, (), ()),
+    "koebeslit": (KoebeSlit, (), ()),
+    "disk": (Disk, (complex, float), ()),
+    "spiralpair": (SpiralPair, (), (str,)),
+    "comb": (_comb, (_int_arg, list, list, str), ()),
+}
+_MAPS = {
+    "linear": (maps_mod.Linear, (complex,), ()),
+    "powerint": (maps_mod.PowerInt, (_int_arg,), (complex,)),
+    "powerbranch": (maps_mod.PowerBranch, (float,), ()),
+    "mobius": (maps_mod.Mobius, (complex,), ()),
+    "koebeparabola": (maps_mod.KoebeParabola, (), ()),
+    "wedgepower": (maps_mod.WedgePower, (float,), ()),
+    "exp": (maps_mod.Exp, (), ()),
+    "compose": (lambda *stages: maps_mod.Compose(stages), (),
+                lambda call: _build(_MAPS, "map", call)),
 }
 
 
-def parse_map(expr):
-    """A map from ``name(args)`` text or from a call ``parse_call`` already
-    split; ``compose`` takes map calls, nested to any depth."""
-    name, args = parse_call(expr) if isinstance(expr, str) else expr
-    if name == "compose":
-        if not all(isinstance(sub, tuple) for sub in args):
-            raise ConfigError("compose() arguments must be map calls")
-        return maps_mod.Compose(tuple(parse_map(sub) for sub in args))
-    if name not in _MAP_BUILDERS:
-        raise ConfigError(f"unknown map {name!r}")
+def _build(table, kind: str, call):
+    """Build a ``(name, args)`` call from ``table``; errors name the call."""
+    if not isinstance(call, tuple):  # a word or number such as compose(3)
+        raise ValueError(f"arguments must be {kind} calls, got {call!r}")
+    name, args = call
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    build, required, optional = table[name]
+    if callable(optional):
+        optional = (optional,) * (len(args) - len(required))
+    if not len(required) <= len(args) <= len(required) + len(optional):
+        raise ConfigError(f"bad {kind} spec {name!r}: takes {len(required)} "
+                          f"required and {len(optional)} optional argument(s),"
+                          f" got {len(args)}")
     try:
-        return _MAP_BUILDERS[name](args)
-    except (BadParameters, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad map spec {name!r}: {exc}") from exc
+        return build(*[p(a) for p, a in zip(required + optional, args)])
+    except (BadParameters, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} spec {name!r}: {exc}") from exc
+
+
+def parse_domain(expr: str):
+    """The domain a call such as ``rectangle(2, 1)`` names."""
+    return _build(_DOMAINS, "domain", parse_call(expr))
+
+
+def parse_map(expr: str):
+    """The map a call such as ``compose(linear(2), exp)`` names."""
+    return _build(_MAPS, "map", parse_call(expr))
 
 
 _LABELS = {lab.name.lower(): lab for lab in BoundaryLabel}
@@ -213,18 +198,13 @@ def _parse_ints(s: str):
 
 
 def _complex(text: str) -> complex:
-    """A real or complex number such as ``2``, ``0.5`` or ``-1+1j``."""
-    try:
-        return complex(_parse_number(text))
-    except ConfigError:
-        raise ValueError(text) from None
+    """A real or complex number such as ``2`` or ``-1+1j``, else TypeError."""
+    return complex(_number(text))
 
 
-def _kernel(text: str) -> str:
-    """``wos`` (walk-on-spheres) or ``em`` (Euler-Maruyama)."""
-    if text not in ("wos", "em"):
-        raise ValueError(text)
-    return text
+def _one_of(*words):
+    """A parser that accepts only ``words``: ``index`` raises otherwise."""
+    return lambda text: words[words.index(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +577,16 @@ EXPERIMENTS = {
     "harmonic_measure": ({
         "domain": (None, parse_domain), "start": (None, _complex),
         "region": (None, parse_region), "n": ("100000", int),
-        "kernel": ("wos", _kernel), "expect_prob": ("", float),
+        "kernel": ("wos", _one_of("wos", "em")), "expect_prob": ("", float),
         "expect_sigmas": ("3", float),
     }, _run_harmonic_measure),
     "moment": ({
         "domain": (None, parse_domain), "start": (None, _complex),
-        "p": (None, float), "n": ("100000", int), "kernel": ("em", _kernel),
-        "top_fraction": ("0.05", float), "c": ("0.1", float),
-        "max_steps": ("1000000", int), "expect_verdict": ("", str),
-        "expect_tail_index": ("", float), "expect_tail_tol": ("0.15", float),
+        "p": (None, float), "n": ("100000", int), "c": ("0.1", float),
+        "kernel": ("em", _one_of("wos", "em")), "max_steps": ("1000000", int),
+        "top_fraction": ("0.05", float), "expect_tail_tol": ("0.15", float),
+        "expect_tail_index": ("", float), "expect_verdict": ("", _one_of(
+            "finite", "infinite", "inconclusive")),
     }, _run_moment),
     "hardy": ({
         "domain": (None, parse_domain), "a": (None, _complex),
@@ -613,7 +594,7 @@ EXPERIMENTS = {
         "rel_floor": ("0.02", float), "prune_clearance": ("0", float),
         "min_cell": ("", float), "max_rounds": ("3", int),
         "max_nodes": ("600000", int), "expect_contains": ("", float),
-        "expect_classification": ("", str),
+        "expect_classification": ("", _one_of("finite", "infinite")),
     }, _run_hardy),
     "karafyllia": ({
         "domain": (None, parse_domain), "a": (None, _complex),
@@ -634,8 +615,8 @@ EXPERIMENTS = {
     "comb_sequence": ({
         "a": (None, _parse_floats), "b": (None, _parse_floats),
         "iterations": ("1 3 5", _parse_ints), "start": ("1", _complex),
-        "p": ("0.25", float), "n": ("20000", int), "kernel": ("wos", _kernel),
-        "growth": ("", _parse_floats),
+        "p": ("0.25", float), "n": ("20000", int),
+        "kernel": ("wos", _one_of("wos", "em")), "growth": ("", _parse_floats),
     }, _run_comb_sequence),
     "pushforward_check": ({
         "domain": (None, parse_domain), "start": (None, _complex),

@@ -78,7 +78,8 @@ def _membership(z, n, a, b, want_v):
     return in_v if want_v else in_w
 
 
-def boundary_polyline(n: int, a, b) -> np.ndarray:
+@lru_cache(maxsize=None)
+def boundary_polyline(n: int, a: tuple, b: tuple) -> np.ndarray:
     """Vertices of the shared boundary of (V_n, W_n), ends clipped at +-1e6."""
     pts = [(-FAR_CLIP, a[0]), (0.0, a[0]), (0.0, -a[0]), (-FAR_CLIP, -a[0])]
     for k in range(1, n + 1):
@@ -87,11 +88,6 @@ def boundary_polyline(n: int, a, b) -> np.ndarray:
         inner = [(bk, pts[0][1])] + pts[1:-1] + [(bk, pts[-1][1])]
         pts = [(end, a[k]), (bk, a[k])] + inner + [(bk, -a[k]), (end, -a[k])]
     return np.array([px + 1j * py for px, py in pts])
-
-
-@lru_cache(maxsize=None)
-def _polyline_cached(n: int, a: tuple, b: tuple) -> np.ndarray:
-    return boundary_polyline(n, a, b)
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,12 @@ class CombDomain(Domain):
 
     def __post_init__(self):
         if self.side not in ("V", "W"):
-            raise BadParameters("comb side must be 'V' or 'W'")
+            raise BadParameters(f"comb side must be V or W, got {self.side!r}")
         _validate(self.n, self.a, self.b)
 
     @property
     def polyline(self) -> np.ndarray:
-        return _polyline_cached(self.n, self.a, self.b)
+        return boundary_polyline(self.n, self.a, self.b)
 
     @property
     def _segments(self):

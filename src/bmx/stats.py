@@ -154,23 +154,18 @@ def run_exits(domain: Domain, start: complex, n: int,
 # Harmonic measure
 # ---------------------------------------------------------------------------
 
-def region_matches(region, batch: ExitBatch) -> np.ndarray:
-    """Boolean per-path membership of exits in a boundary region.
-
-    ``region`` is a BoundaryLabel or a callable (exit_points, labels) ->
-    bool array, e.g. ``lambda z, lab: z.real > 0``.
-    """
-    if isinstance(region, BoundaryLabel):
-        return batch.label == int(region)
-    return np.asarray(region(batch.exit_point, batch.label), dtype=bool)
-
-
 def exit_proportion(region, batch: ExitBatch) -> ProportionEstimate:
-    """Share of the ok paths whose exit lies in ``region``.  Step-capped
-    paths are left out of both counts and reported in ``excluded``."""
+    """Share of the ok paths whose exit lies in ``region``: a BoundaryLabel
+    or a callable (exit_points, labels) -> bool array, e.g.
+    ``lambda z, lab: z.real > 0``.  Step-capped paths are left out of both
+    counts and reported in ``excluded``."""
+    if isinstance(region, BoundaryLabel):
+        hits = batch.label == int(region)
+    else:
+        hits = np.asarray(region(batch.exit_point, batch.label), dtype=bool)
     ok = batch.ok
-    hits = int(np.sum(region_matches(region, batch) & ok))
-    return proportion_estimate(hits, int(np.sum(ok)), excluded=batch.n_excluded)
+    return proportion_estimate(int(np.sum(hits & ok)), int(np.sum(ok)),
+                               excluded=batch.n_excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +476,16 @@ def verify_increasing_domains(domains, start: complex, p: float, n: int,
                               workers: int = 1,
                               growth_schedule=None) -> IncreasingReport:
     """Moment estimates along a nested family, checked nondecreasing up to
-    joint CIs; optional per-domain growth floors.
+    joint CIs; optional growth floors, one per domain.
 
     Pairwise nesting is verified by containment sampling at
     CONTAINMENT_SAMPLES points before any simulation; a violation raises
     NestingViolation.
     """
     domains = list(domains)
+    if growth_schedule is not None and len(growth_schedule) != len(domains):
+        raise BadParameters(f"growth schedule has {len(growth_schedule)} "
+                            f"floors for {len(domains)} domains")
     for k in range(len(domains) - 1):
         pts = sample_interior(domains[k], rng.child(700 + k).generator(),
                               CONTAINMENT_SAMPLES)

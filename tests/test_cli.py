@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
                      parse_map, parse_region, run, run_scenario)
 from bmx.errors import ConfigError
-from bmx.geometry import Annulus, BoundaryLabel, Rectangle, Wedge
+from bmx.geometry import (Annulus, BoundaryLabel, HalfPlane,
+                          HalfStripComplement, Rectangle, SpiralPair, Wedge)
 from bmx.maps import Compose, Exp, Linear, PowerBranch, PowerInt
 from bmx.rng import RngStream
 from bmx.sim import WosConfig
@@ -43,6 +45,17 @@ def test_parse_call_nested():
     assert name == "compose"
     assert args[0] == ("linear", [2])
     assert args[1] == ("exp", [])
+    assert parse_call("Comb(1, [1, 2.5], [-5], V)") == (
+        "comb", [1, [1, 2.5], [-5], "V"])
+    assert parse_call("MOBIUS(-1+1j)") == ("mobius", [-1 + 1j])
+    assert parse_call("strip(-1, 1e-3)") == ("strip", [-1, 0.001])
+    assert parse_call("compose(Linear(-2j), exp)") == (
+        "compose", [("linear", [-2j]), "exp"])
+    # A bare name is a call with no arguments.
+    assert parse_call("koebeslit") == ("koebeslit", [])
+    for bad in ("rectangle(a=2, b=1)", "os.system(1)", "rectangle('2', 1)"):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            parse_call(bad)
 
 
 def test_parse_domain_variants():
@@ -87,6 +100,95 @@ def test_parse_map_variants():
         parse_map("powerint(2, 0)")
     with pytest.raises(ConfigError, match="'linear'"):
         parse_map("compose(exp(), linear(0j))")
+
+
+def test_spaced_digits_are_errors(tmp_path):
+    # Spaces do not join digits: "1 2" is an error, not 12.
+    with pytest.raises(ConfigError, match=re.escape("'linear(1 2)'")):
+        parse_map("linear(1 2)")
+    with pytest.raises(ConfigError, match=re.escape("'disk(1 2, 3)'")):
+        parse_domain("disk(1 2, 3)")
+    rep = run(write(tmp_path, BASIC.replace("start = 0", "start = 1 2")))[0]
+    assert rep["error"] == "ConfigError: bad value '1 2' for 'start'"
+
+
+@pytest.mark.parametrize("parse, spec, required, optional, got", [
+    (parse_domain, "wedge(1.5707963267948966, 3)", 1, 0, 2),
+    (parse_domain, "koebeslit(5)", 0, 0, 1),
+    (parse_map, "exp(1)", 0, 0, 1),
+    (parse_domain, "rectangle(2, 1, 5)", 2, 0, 3),
+    (parse_domain, "halfstripcomplement(1, 0, 2)", 1, 1, 3),
+    (parse_domain, "disk()", 2, 0, 0),
+], ids=["wedge", "koebeslit", "exp", "rectangle", "halfstripcomplement",
+        "disk"])
+def test_argument_count_is_checked(parse, spec, required, optional, got):
+    name = spec.split("(")[0]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"spec '{name}': takes {required} required and {optional} "
+            f"optional argument(s), got {got}")):
+        parse(spec)
+
+
+def test_optional_arguments_take_defaults():
+    assert parse_domain("halfplane") == HalfPlane("north")
+    assert parse_domain("spiralpair()") == SpiralPair("U")
+    assert parse_domain("halfstripcomplement(1)") == HalfStripComplement(1, 0)
+    assert parse_map("powerint(-2)") == PowerInt(-2, 1)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("rectangle(-1, 1)", "bad domain spec 'rectangle': rectangle half-sides "
+                         "must be positive"),
+    ("halfplane(up)", "bad domain spec 'halfplane': unknown half-plane "
+                      "direction 'up'"),
+], ids=["rectangle", "halfplane"])
+def test_bad_domain_parameters_name_the_spec(spec, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_domain(spec)
+
+
+def test_rejected_inputs_recorded_not_fatal(tmp_path, capsys):
+    cfg = """
+[scenario.extra_argument]
+experiment = moment
+domain = wedge(1.5707963267948966, 3)
+start = 1
+p = 0.5
+
+[scenario.typo_verdict]
+experiment = moment
+domain = wedge(1.5707963267948966)
+start = 1
+p = 0.5
+expect_verdict = finit
+
+[scenario.moment_verdict_for_hardy]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 4 8
+expect_classification = inconclusive
+
+[scenario.short_growth]
+experiment = comb_sequence
+a = 1 40 41 100 101 900
+b = -50 5 -51 6 -52
+iterations = 1 3 5
+growth = 1.6
+""" + BASIC
+    path = write(tmp_path, cfg)
+    reports = run(path)
+    assert [r.get("error") for r in reports] == [
+        "ConfigError: bad domain spec 'wedge': takes 1 required and 0 "
+        "optional argument(s), got 2",
+        "ConfigError: bad value 'finit' for 'expect_verdict'",
+        "ConfigError: bad value 'inconclusive' for 'expect_classification'",
+        "BadParameters: growth schedule has 1 floors for 3 domains",
+        None]
+    assert not any(r["passed"] for r in reports[:-1])
+    assert reports[-1]["passed"]
+    assert main(["run", path]) == 1
+    assert "[square] probability: pass" in capsys.readouterr().out
 
 
 def test_parse_region_forms():

@@ -352,3 +352,14 @@ def test_increasing_domains_rejects_bad_nesting():
     with pytest.raises(NestingViolation):
         verify_increasing_domains([Disk(0j, 2.0), Disk(0j, 1.0)], 0j, 1.0,
                                   1000, RngStream(226))
+
+
+@pytest.mark.parametrize("growth", [[0.1], [0.1, 0.2, 0.3]])
+def test_increasing_domains_growth_schedule_length(growth):
+    # zip would gate only the first domains; a schedule of another length
+    # is an error before any path runs.
+    with pytest.raises(BadParameters,
+                       match=f"{len(growth)} floors for 2 domains"):
+        verify_increasing_domains([Disk(0j, 1.0), Disk(0j, 2.0)], 0j, 1.0,
+                                  1000, RngStream(227),
+                                  growth_schedule=growth)
