@@ -224,12 +224,15 @@ class Scenario:
 
 
 def _convert(key: str, text: str, kind):
-    """``kind(text)``; a value it rejects is a ConfigError naming the key
-    and the value, so the scenario's report records it."""
+    """``kind(text)``; a value it rejects is a ConfigError naming the key and
+    either the value or the parser's own message (which names a call spec),
+    so the scenario's report records it."""
     try:
         return kind(text)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value {text!r} for {key!r}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 def _typed_params(scenario: Scenario) -> dict:
@@ -498,8 +501,9 @@ def _run_modulus(sc: Scenario, v: dict):
                 "modulus", abs(modulus - want) <= sig * mod_se,
                 f"{modulus:.4f} vs {want} (+-{sig} se = {sig * mod_se:.4f})"))
     elif isinstance(domain, Rectangle):
-        batch = run_exits(domain, 0j, n, WosConfig(), rng, sc.workers)
-        em_batch = run_exits(domain, 0j, n, EmConfig(), rng.child(1),
+        start = 0j if v["start"] is None else v["start"]
+        batch = run_exits(domain, start, n, WosConfig(), rng, sc.workers)
+        em_batch = run_exits(domain, start, n, EmConfig(), rng.child(1),
                              sc.workers)
         freqs_w, freqs_e = [], []
         agree = True

@@ -9,9 +9,9 @@ three restricting lines Re z = b[k], Im z = +-a[k]:
 
 and the partner domain is the open complement of the closure.  V_k and W_k
 share their boundary, a single rectilinear curve through infinity, which is
-stored explicitly as a polyline (unbounded ends clipped at +-1e6) for exact
-distance queries.  The sequences satisfy V_1 c V_3 c V_5 ... and
-W_2 c W_4 ... by construction.
+stored explicitly as a polyline whose two open ends are rays, so distances,
+nearest points and exit crossings are exact.  The sequences satisfy
+V_1 c V_3 c V_5 ... and W_2 c W_4 ... by construction.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameters
-from .geometry import (FAR_CLIP, Domain, _asarr, _end_guard,
-                       _rectilinear_crossing_fraction, _segment_distance,
-                       _segment_project)
+from .geometry import BoundaryLabel, _asarr, _Rectilinear
 
 
 def default_offsets(n: int) -> list[float]:
@@ -80,18 +78,19 @@ def _membership(z, n, a, b, want_v):
 
 @lru_cache(maxsize=None)
 def boundary_polyline(n: int, a: tuple, b: tuple) -> np.ndarray:
-    """Vertices of the shared boundary of (V_n, W_n), ends clipped at +-1e6."""
-    pts = [(-FAR_CLIP, a[0]), (0.0, a[0]), (0.0, -a[0]), (-FAR_CLIP, -a[0])]
+    """Vertices of the shared boundary of (V_n, W_n); the first and last
+    are at infinity, so the two end pieces are rays."""
+    pts = [(-np.inf, a[0]), (0.0, a[0]), (0.0, -a[0]), (-np.inf, -a[0])]
     for k in range(1, n + 1):
         bk = b[k - 1]
-        end = FAR_CLIP if k % 2 == 1 else -FAR_CLIP
+        end = np.inf if k % 2 == 1 else -np.inf
         inner = [(bk, pts[0][1])] + pts[1:-1] + [(bk, pts[-1][1])]
         pts = [(end, a[k]), (bk, a[k])] + inner + [(bk, -a[k]), (end, -a[k])]
-    return np.array([px + 1j * py for px, py in pts])
+    return np.array([complex(px, py) for px, py in pts])
 
 
 @dataclass(frozen=True)
-class CombDomain(Domain):
+class CombDomain(_Rectilinear):
     """One side of the iterated construction; ``side`` is "V" or "W"."""
 
     n: int
@@ -108,33 +107,12 @@ class CombDomain(Domain):
     def polyline(self) -> np.ndarray:
         return boundary_polyline(self.n, self.a, self.b)
 
-    @property
-    def _segments(self):
+    def pieces(self):
         p = self.polyline
-        return p[:-1], p[1:]
+        return [(u, v, BoundaryLabel.GENERIC) for u, v in zip(p[:-1], p[1:])]
 
     def contains(self, z):
         return _membership(z, self.n, self.a, self.b, self.side == "V")
-
-    def boundary_distance(self, z):
-        z = _asarr(z)
-        p, q = self._segments
-        d = _segment_distance(z[..., None], p, q)
-        return np.min(d, axis=-1)
-
-    def project(self, z):
-        z = _asarr(z)
-        p, q = self._segments
-        d = _segment_distance(z[..., None], p, q)
-        k = np.argmin(d, axis=-1)
-        feet = _segment_project(z, p[k], q[k])
-        return feet
-
-    def first_boundary_crossing(self, z0, z1):
-        z0, z1 = _asarr(z0), _asarr(z1)
-        p, q = self._segments
-        s = _rectilinear_crossing_fraction(z0, z1, p, q)
-        return _end_guard(self, z1, s)
 
     def probe_box(self):
         xs = [0.0] + list(self.b)

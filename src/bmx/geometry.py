@@ -14,6 +14,11 @@ Every domain is an immutable dataclass exposing vectorized primitives:
 
 ``z`` may be a python complex or any complex ndarray; results have matching
 shape.  Domains are open: points exactly on the boundary are not contained.
+
+A boundary made of horizontal and vertical segments, rays and lines
+(rectangle, half-plane, strip, Koebe slit, half-strip complement, comb) is
+stated once, as a table of pieces with infinite ends allowed; the
+``_Rectilinear`` base class reads the last four primitives from it.
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParameters
 from .rng import RngStream
 
-# Unbounded boundary pieces are clipped at this abscissa for distance queries
-# and ray marches; nothing simulated ever gets near it.
+# check_delta_starlike probes each leftward ray down to Re z = -FAR_CLIP.
 FAR_CLIP = 1e6
 
 # Length along the segment to which the containment bisection of
@@ -66,20 +71,6 @@ def _ray_project(z, phi):
     w = _asarr(z) * np.exp(-1j * phi)
     t = np.maximum(w.real, 0.0)
     return t * np.exp(1j * phi)
-
-
-def _segment_project(z, p, q):
-    """Nearest point on segment [p, q] to z; p, q broadcast against z."""
-    z = _asarr(z)
-    d = np.asarray(q) - np.asarray(p)
-    denom = np.abs(d) ** 2
-    t = ((z - p) * np.conj(d)).real / np.where(denom == 0.0, 1.0, denom)
-    t = np.clip(np.where(denom == 0.0, 0.0, t), 0.0, 1.0)
-    return p + t * d
-
-
-def _segment_distance(z, p, q):
-    return np.abs(_asarr(z) - _segment_project(z, p, q))
 
 
 class Domain:
@@ -183,29 +174,71 @@ def _circle_crossing_fraction(w0, w1, radius, leaving_disk):
     return np.where(hit, np.clip(s, 0.0, 1.0), np.inf)
 
 
-def _rectilinear_crossing_fraction(z0, z1, p, q):
-    """First s in [0, 1] where each segment z0 -> z1 touches one of the
-    axis-parallel closed segments [p_k, q_k]; inf where it touches none."""
-    z0, z1 = z0[..., None], z1[..., None]
-    horiz = p.imag == q.imag
-    # Coordinate across each piece (its line is across == level) and along it.
-    a0 = np.where(horiz, z0.imag, z0.real)
-    a1 = np.where(horiz, z1.imag, z1.real)
-    b0 = np.where(horiz, z0.real, z0.imag)
-    b1 = np.where(horiz, z1.real, z1.imag)
-    level = np.where(horiz, p.imag, p.real)
-    lo = np.where(horiz, np.minimum(p.real, q.real),
-                  np.minimum(p.imag, q.imag))
-    hi = np.where(horiz, np.maximum(p.real, q.real),
-                  np.maximum(p.imag, q.imag))
-    s = _line_crossing_fraction(a0 - level, a1 - level)
-    along = b0 + np.where(np.isfinite(s), s, 0.0) * (b1 - b0)
-    s = np.where((along >= lo) & (along <= hi), s, np.inf)
-    return np.min(s, axis=-1)
+class _Rectilinear(Domain):
+    """A domain whose boundary is a table of horizontal and vertical pieces.
+
+    A subclass's ``pieces()`` lists each piece as (p, q, label): its end
+    points, either of which may be infinite (``complex(-inf, y)`` ends a
+    ray), and the BoundaryLabel code of the points nearest it.  Nearest
+    points, labels and exit crossings are read from the table; a tie goes to
+    the earlier piece.  Subclasses keep closed forms only for methods that
+    the kernels call on every sweep.
+    """
+
+    @cached_property
+    def _table(self):
+        """(horizontal, level, lo, hi, label), one entry per piece: a piece
+        is {across == level, lo <= along <= hi}, where along is Re z on a
+        horizontal piece and Im z on a vertical one."""
+        p, q, label = (np.array(c) for c in zip(*self.pieces()))
+        p, q = p.astype(complex), q.astype(complex)
+        horiz = p.imag == q.imag
+        ends = np.where(horiz, [p.real, q.real], [p.imag, q.imag])
+        return (horiz, np.where(horiz, p.imag, p.real), ends.min(axis=0),
+                ends.max(axis=0), label.astype(np.int64))
+
+    def _coords(self, z):
+        """(across - level, along) of z against every piece, on a last axis."""
+        horiz, level = self._table[:2]
+        z = _asarr(z)[..., None]
+        return (np.where(horiz, z.imag, z.real) - level,
+                np.where(horiz, z.real, z.imag))
+
+    def _feet(self, z):
+        """(distance, foot's along coordinate) for every piece."""
+        across, along = self._coords(z)
+        foot = np.minimum(np.maximum(along, self._table[2]), self._table[3])
+        return np.hypot(along - foot, across), foot
+
+    def boundary_distance(self, z):
+        return np.min(self._feet(z)[0], axis=-1)
+
+    def project(self, z):
+        dist, foot = self._feet(z)
+        k = np.argmin(dist, axis=-1)
+        # foot[..., k], gathered flat: cheaper per call than take_along_axis.
+        rows = np.arange(k.size).reshape(k.shape)
+        foot = foot.reshape(-1)[rows * foot.shape[-1] + k]
+        horiz, level = self._table[0][k], self._table[1][k]
+        return np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
+
+    def label_codes(self, z):
+        return self._table[4][np.argmin(self._feet(z)[0], axis=-1)]
+
+    def first_boundary_crossing(self, z0, z1):
+        """The first s at which the across coordinate of z0 -> z1 reaches a
+        piece's level with the along coordinate in [lo, hi]."""
+        a0, b0 = self._coords(z0)
+        a1, b1 = self._coords(z1)
+        s = _line_crossing_fraction(a0, a1)
+        along = b0 + np.where(np.isfinite(s), s, 0.0) * (b1 - b0)
+        lo, hi = self._table[2:4]
+        s = np.where((along >= lo) & (along <= hi), s, np.inf)
+        return _end_guard(self, z1, np.min(s, axis=-1))
 
 
 @dataclass(frozen=True)
-class Rectangle(Domain):
+class Rectangle(_Rectilinear):
     """Open rectangle (-a, a) x (-b, b)."""
 
     a: float
@@ -214,6 +247,13 @@ class Rectangle(Domain):
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise BadParameters("rectangle half-sides must be positive")
+
+    def pieces(self):
+        a, b = self.a, self.b
+        return [(complex(a, -b), complex(a, b), BoundaryLabel.S1),
+                (complex(-a, -b), complex(a, -b), BoundaryLabel.S2),
+                (complex(-a, -b), complex(-a, b), BoundaryLabel.S3),
+                (complex(-a, b), complex(a, b), BoundaryLabel.S4)]
 
     def contains(self, z):
         z = _asarr(z)
@@ -226,29 +266,6 @@ class Rectangle(Domain):
         outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
         inside = np.minimum(np.maximum(qx, qy), 0.0)
         return np.abs(outside + inside)
-
-    def _side_distances(self, z):
-        z = _asarr(z)
-        x, y = z.real, z.imag
-        over_y = np.maximum(np.abs(y) - self.b, 0.0)
-        over_x = np.maximum(np.abs(x) - self.a, 0.0)
-        d1 = np.hypot(x - self.a, over_y)
-        d2 = np.hypot(over_x, y + self.b)
-        d3 = np.hypot(x + self.a, over_y)
-        d4 = np.hypot(over_x, y - self.b)
-        return np.stack([d1, d2, d3, d4])
-
-    def label_codes(self, z):
-        return np.argmin(self._side_distances(z), axis=0).astype(np.int64)
-
-    def project(self, z):
-        z = _asarr(z)
-        side = self.label_codes(z)
-        x = np.clip(z.real, -self.a, self.a)
-        y = np.clip(z.imag, -self.b, self.b)
-        px = np.where(side == 0, self.a, np.where(side == 2, -self.a, x))
-        py = np.where(side == 1, -self.b, np.where(side == 3, self.b, y))
-        return px + 1j * py
 
     def first_boundary_crossing(self, z0, z1):
         # The rectangle is convex: exactly the steps that end outside leave
@@ -372,14 +389,14 @@ class Wedge(Domain):
 
 
 @dataclass(frozen=True)
-class HalfPlane(Domain):
+class HalfPlane(_Rectilinear):
     """Open half-plane whose boundary passes through the origin.
 
     ``direction`` is the inward normal: "north" is {Im z > 0}, "east" is
     {Re z > 0}, and so on.  The boundary line splits at the origin into
     HALFLINE_LEFT / HALFLINE_RIGHT (positive line coordinate is "right";
     the line coordinate is Re z for horizontal boundaries, Im z for
-    vertical ones).
+    vertical ones; the origin itself is "left").
     """
 
     direction: str = "north"
@@ -398,29 +415,19 @@ class HalfPlane(Domain):
         z = _asarr(z)
         return (z * np.conj(self.normal)).real
 
-    def _line_coord(self, z):
-        z = _asarr(z)
-        if self.direction in ("north", "south"):
-            return z.real
-        return z.imag
+    def pieces(self):
+        if self.normal.real == 0:
+            left, right = complex(-math.inf, 0), complex(math.inf, 0)
+        else:
+            left, right = complex(0, -math.inf), complex(0, math.inf)
+        return [(left, 0j, BoundaryLabel.HALFLINE_LEFT),
+                (0j, right, BoundaryLabel.HALFLINE_RIGHT)]
 
     def contains(self, z):
         return self._inward(z) > 0
 
     def boundary_distance(self, z):
         return np.abs(self._inward(z))
-
-    def project(self, z):
-        z = _asarr(z)
-        return z - self._inward(z) * self.normal
-
-    def label_codes(self, z):
-        t = self._line_coord(z)
-        return np.where(t > 0, int(BoundaryLabel.HALFLINE_RIGHT),
-                        int(BoundaryLabel.HALFLINE_LEFT)).astype(np.int64)
-
-    def first_boundary_crossing(self, z0, z1):
-        return _line_crossing_fraction(self._inward(z0), self._inward(z1))
 
     def probe_box(self):
         n = self.normal
@@ -429,7 +436,7 @@ class HalfPlane(Domain):
 
 
 @dataclass(frozen=True)
-class Strip(Domain):
+class Strip(_Rectilinear):
     """Open horizontal strip lo < Im z < hi."""
 
     lo: float
@@ -439,6 +446,10 @@ class Strip(Domain):
         if not (self.lo < self.hi):
             raise BadParameters("strip needs lo < hi")
 
+    def pieces(self):
+        return [(complex(-math.inf, y), complex(math.inf, y),
+                 BoundaryLabel.GENERIC) for y in (self.lo, self.hi)]
+
     def contains(self, z):
         y = _asarr(z).imag
         return (y > self.lo) & (y < self.hi)
@@ -447,25 +458,12 @@ class Strip(Domain):
         y = _asarr(z).imag
         return np.minimum(np.abs(y - self.lo), np.abs(y - self.hi))
 
-    def project(self, z):
-        z = _asarr(z)
-        y = z.imag
-        target = np.where(np.abs(y - self.lo) <= np.abs(y - self.hi),
-                          self.lo, self.hi)
-        return z.real + 1j * target
-
-    def first_boundary_crossing(self, z0, z1):
-        y0, y1 = _asarr(z0).imag, _asarr(z1).imag
-        return np.minimum(
-            _line_crossing_fraction(y0 - self.lo, y1 - self.lo),
-            _line_crossing_fraction(self.hi - y0, self.hi - y1))
-
     def probe_box(self):
         return (-10.0, 10.0, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
-class HalfStripComplement(Domain):
+class HalfStripComplement(_Rectilinear):
     """Complement of the closed half-strip {Re z <= x0, |Im z| <= a}."""
 
     a: float
@@ -475,41 +473,15 @@ class HalfStripComplement(Domain):
         if not self.a > 0:
             raise BadParameters("half-strip half-height must be positive")
 
+    def pieces(self):
+        a, x0, g = self.a, self.x0, BoundaryLabel.GENERIC
+        return [(complex(-math.inf, a), complex(x0, a), g),
+                (complex(-math.inf, -a), complex(x0, -a), g),
+                (complex(x0, a), complex(x0, -a), g)]
+
     def contains(self, z):
         z = _asarr(z)
         return (z.real > self.x0) | (np.abs(z.imag) > self.a)
-
-    def _piece_distances(self, z):
-        z = _asarr(z)
-        x, y = z.real, z.imag
-        over = np.maximum(x - self.x0, 0.0)
-        d_top = np.hypot(over, y - self.a)
-        d_bot = np.hypot(over, y + self.a)
-        d_end = np.hypot(x - self.x0, np.maximum(np.abs(y) - self.a, 0.0))
-        return d_top, d_bot, d_end
-
-    def boundary_distance(self, z):
-        d_top, d_bot, d_end = self._piece_distances(z)
-        return np.minimum(np.minimum(d_top, d_bot), d_end)
-
-    def project(self, z):
-        z = _asarr(z)
-        x, y = z.real, z.imag
-        d_top, d_bot, d_end = self._piece_distances(z)
-        px_ray = np.minimum(x, self.x0)
-        p_top = px_ray + 1j * self.a
-        p_bot = px_ray - 1j * self.a
-        p_end = self.x0 + 1j * np.clip(y, -self.a, self.a)
-        best = np.argmin(np.stack([d_top, d_bot, d_end]), axis=0)
-        return np.choose(best, [p_top, p_bot, p_end])
-
-    def first_boundary_crossing(self, z0, z1):
-        z0, z1 = _asarr(z0), _asarr(z1)
-        corners = np.array([complex(-np.inf, self.a), complex(self.x0, self.a),
-                            complex(self.x0, -self.a),
-                            complex(-np.inf, -self.a)])
-        s = _rectilinear_crossing_fraction(z0, z1, corners[:-1], corners[1:])
-        return _end_guard(self, z1, s)
 
     def probe_box(self):
         return (self.x0 - 4, self.x0 + 8, -self.a - 5, self.a + 5)
@@ -578,8 +550,12 @@ class ParabolaComplement(Domain):
 
 
 @dataclass(frozen=True)
-class KoebeSlit(Domain):
+class KoebeSlit(_Rectilinear):
     """The slit plane C \\ (-inf, -1/4]."""
+
+    def pieces(self):
+        return [(complex(-math.inf, 0), complex(-0.25, 0),
+                 BoundaryLabel.GENERIC)]
 
     def contains(self, z):
         z = _asarr(z)
@@ -590,11 +566,6 @@ class KoebeSlit(Domain):
         z = _asarr(z)
         return np.where(z.real <= -0.25, np.abs(z.imag),
                         np.hypot(z.real + 0.25, z.imag))
-
-    def project(self, z):
-        z = _asarr(z)
-        return np.where(z.real <= -0.25, z.real + 0.0j,
-                        np.complex128(-0.25))
 
     def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)

@@ -179,8 +179,8 @@ growth = 1.6
     path = write(tmp_path, cfg)
     reports = run(path)
     assert [r.get("error") for r in reports] == [
-        "ConfigError: bad domain spec 'wedge': takes 1 required and 0 "
-        "optional argument(s), got 2",
+        "ConfigError: bad value for 'domain': bad domain spec 'wedge': takes "
+        "1 required and 0 optional argument(s), got 2",
         "ConfigError: bad value 'finit' for 'expect_verdict'",
         "ConfigError: bad value 'inconclusive' for 'expect_classification'",
         "BadParameters: growth schedule has 1 floors for 3 domains",
@@ -539,6 +539,45 @@ expect_sigmas = 3
     assert abs(rep["results"]["modulus"]["true"] - 2.0) < 1e-12
 
 
+def test_modulus_rectangle_runs_from_start(tmp_path):
+    # From 1.9, near the right side S1 of (-2, 2) x (-1, 1), most paths exit
+    # through S1; from the centre (no start) about 5% do.
+    cfg = """
+[scenario.centre]
+experiment = modulus
+domain = rectangle(2, 1)
+n = 2000
+seed = 1003
+
+[scenario.near_s1]
+experiment = modulus
+domain = rectangle(2, 1)
+start = 1.9
+n = 2000
+seed = 1003
+"""
+    centre, near = run(write(tmp_path, cfg))
+    assert centre["results"]["side_probs_wos"][0] < 0.1
+    for kernel in ("wos", "em"):
+        assert near["results"][f"side_probs_{kernel}"][0] > 0.3
+
+
+def test_image_call_spec_error_names_the_key(tmp_path):
+    cfg = """
+[scenario.short_image]
+experiment = pushforward_check
+domain = rectangle(2, 1)
+start = 0
+map = linear(3)
+image = rectangle(3)
+n = 100
+"""
+    rep = run(write(tmp_path, cfg))[0]
+    assert rep["error"] == (
+        "ConfigError: bad value for 'image': bad domain spec 'rectangle': "
+        "takes 2 required and 0 optional argument(s), got 1")
+
+
 def test_too_few_paths_recorded_not_fatal(tmp_path):
     cfg = """
 [scenario.no_paths]
@@ -644,8 +683,9 @@ def test_malformed_ini_is_config_error(tmp_path, capsys, text):
 
 
 def test_unread_bad_values_recorded_not_fatal(tmp_path, capsys):
-    # The first four bad values sit in keys their runner does not read for
-    # that scenario; every key is still converted before the runner starts.
+    # Three of the first four bad values sit in keys their runner does not
+    # read for that scenario, and the modulus runner reads a rectangle's
+    # 'start'; every key is converted before the runner starts.
     cfg = """
 [scenario.sigmas_without_prob]
 experiment = harmonic_measure

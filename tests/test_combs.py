@@ -73,6 +73,16 @@ def test_distance_and_projection():
     assert np.all(v1.boundary_distance(proj) < 1e-9)
 
 
+def test_open_ends_are_rays():
+    # Far past |Re z| = 1e6 the upper end of V_1 is still the line Im z = 40.
+    v1 = build_comb(1, [1, 40], [-50])[0]
+    z = 2e6 + 39.5j
+    assert v1.boundary_distance(z) == 0.5
+    assert v1.project(z) == 2e6 + 40j
+    s = v1.first_boundary_crossing(np.array([z]), np.array([2e6 + 40.5j]))
+    assert s[0] == 0.5
+
+
 def test_parameter_validation():
     with pytest.raises(BadParameters):
         build_comb(1, [2, 3], [-5])              # a[0] must be 1

@@ -10,7 +10,7 @@ from bmx.combs import build_comb
 from bmx.errors import BadParameters
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
-                          Rectangle, SpiralPair, Strip, Wedge,
+                          Rectangle, SpiralPair, Strip, Wedge, _Rectilinear,
                           check_delta_starlike, sample_interior)
 from bmx.rng import RngStream
 
@@ -107,6 +107,50 @@ def test_classify_halfplane_halflines():
     hp = HalfPlane("north")
     assert hp.label_codes(2.0 + 0j) == BoundaryLabel.HALFLINE_RIGHT
     assert hp.label_codes(-2.0 + 0j) == BoundaryLabel.HALFLINE_LEFT
+
+
+@pytest.mark.parametrize("direction", ["north", "south", "east", "west"])
+def test_classify_halfplane_halflines_every_direction(direction):
+    # +1 along the line is the right half-line, -1 the left one, and the
+    # origin, where they meet, goes to the left one.
+    hp = HalfPlane(direction)
+    along = 1j if direction in ("east", "west") else 1 + 0j
+    assert hp.label_codes(along) == BoundaryLabel.HALFLINE_RIGHT
+    assert hp.label_codes(-along) == BoundaryLabel.HALFLINE_LEFT
+    assert hp.label_codes(0j) == BoundaryLabel.HALFLINE_LEFT
+
+
+def _random_and_on_axis_points(gen, scale, n=20_000):
+    """Uniform points in a square and points on its grid lines of step
+    1/4, which hold every boundary line of the closed-form domains."""
+    z = gen.uniform(-scale, scale, n) + 1j * gen.uniform(-scale, scale, n)
+    grid = np.round(gen.uniform(-scale, scale, n) * 4) / 4
+    other = gen.uniform(-scale, scale, n)
+    return np.concatenate([z, grid + 1j * other, other + 1j * grid,
+                           grid + 0j, 1j * grid])
+
+
+@pytest.mark.parametrize("domain", [
+    Rectangle(2, 1), Rectangle(1, 1), HalfPlane("north"), HalfPlane("south"),
+    HalfPlane("east"), HalfPlane("west"), Strip(-1, 1), KoebeSlit()],
+    ids=repr)
+def test_closed_forms_equal_the_piece_table(domain):
+    gen = RngStream(21).generator()
+    z = _random_and_on_axis_points(gen, 4.0)
+    assert np.array_equal(domain.boundary_distance(z),
+                          _Rectilinear.boundary_distance(domain, z))
+    if "first_boundary_crossing" not in vars(type(domain)):
+        return                  # no closed form: the table is the crossing
+    z0 = z[domain.contains(z)]
+    for step in (0.1, 1.0, 10.0):
+        z1 = z0 + step * (gen.standard_normal(z0.size)
+                          + 1j * gen.standard_normal(z0.size))
+        # Half the far ends snapped onto a grid line, often a boundary line.
+        z1[::4] = np.round(z1[::4].real * 4) / 4 + 1j * z1[::4].imag
+        z1[1::4] = z1[1::4].real + 1j * np.round(z1[1::4].imag * 4) / 4
+        assert np.array_equal(
+            domain.first_boundary_crossing(z0, z1),
+            _Rectilinear.first_boundary_crossing(domain, z0, z1))
 
 
 def test_classify_deterministic_near_boundary():
