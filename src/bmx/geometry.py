@@ -628,7 +628,18 @@ class SpiralPair(Domain):
     so every interior local minimum of g lies in a bracket
     [t_k - pi/2, t_k + pi/2].  On a bracket h' > 0 where u > 0 and h' is
     nondecreasing where u <= 0, so h falls then rises and the bracket holds
-    at most one minimum, which bisection finds.  The nearest point is within
+    at most one minimum.  The test "h >= 0 and h' > 0" holds exactly to its
+    right, so bisection on it keeps the minimum bracketed, and 10 halvings
+    leave width pi/1024.  At the minimum h' = r cos u (t + 2/t) - 1 grows
+    like rt far out, while |h''| = r|3 cos u - t sin u| grows only like r;
+    so the narrowed bracket lies where h' > 0 (over 6e5 points of the probe
+    box, radii up to 60 and within 1e-3 of 0, the least h' on a nearest
+    point's bracket was 0.06), and the 3 Newton steps that follow converge
+    quadratically from an error below pi/2048 to double resolution.  A step
+    is skipped where h' <= 0 and clipped to the bracket; the bracket holds
+    the minimum, so the clip only moves t towards it.  Newton on the width-pi
+    brackets, where h' can vanish or change sign, left a third of the
+    points off by more than 1e-9.  The nearest point is within
     min(r, pi) of z, hence at t in [r - pi, r + pi], so the brackets of the
     first two crossings t_k >= r - 3pi/2 and the origin are the only
     candidates.
@@ -662,15 +673,26 @@ class SpiralPair(Domain):
         t_k = theta + 2 * math.pi * k
         lo = np.maximum(t_k - math.pi / 2, 0.0)
         hi = np.maximum(t_k + math.pi / 2, 0.0)
-        # 52 halvings take the width-pi brackets to double resolution.
-        for _ in range(52):
-            t = (lo + hi) / 2
+
+        def h_and_slope(t):
             cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
-            h = t - r * cos_u + r * t * sin_u
-            rising = (h >= 0) & (1 + 2 * r * sin_u + r * t * cos_u > 0)
+            return (t - r * cos_u + r * t * sin_u,
+                    1 + 2 * r * sin_u + r * t * cos_u)
+
+        # 10 halvings leave a width-pi/1024 bracket about each minimum,
+        for _ in range(10):
+            t = (lo + hi) / 2
+            h, dh = h_and_slope(t)
+            rising = (h >= 0) & (dh > 0)
             hi = np.where(rising, t, hi)
             lo = np.where(rising, lo, t)
         t = (lo + hi) / 2
+        # and 3 Newton steps, clipped to it, take t to double resolution.
+        for _ in range(3):
+            h, dh = h_and_slope(t)
+            up = dh > 0
+            t = np.clip(t - np.where(up, h, 0.0) / np.where(up, dh, 1.0),
+                        lo, hi)
         g = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
         # The origin, where both arms start, is the last candidate.
         t = np.where(g < r**2, t, 0.0).reshape(*z.shape, 4)

@@ -164,7 +164,9 @@ def _neighbor_pairs(centers, halves, root_center, root_half):
     order = np.argsort(starts)
     starts = starts[order]
     ends = starts + (np.int64(1) << width[order])
-    idx = np.arange(centers.size)
+    # Probing from the leaves in Morton order hands each search nearly
+    # sorted codes; idx keeps each probing leaf's own index.
+    centers, halves, idx = centers[order], halves[order], order
     keys = []
     for d in (1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
         inside, code = cell_code(centers + d * (halves + 1e-9 * root_half))

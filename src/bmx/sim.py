@@ -51,10 +51,16 @@ class WosConfig:
 class EmConfig:
     """Adaptive Euler-Maruyama controls: dt = min(dt_max, c * dist^2).
 
-    The quadratic rule keeps the per-step escape-without-detection
-    probability at the e^{-2/c} level and makes the step count logarithmic
-    in the exit scale; cap dt_max only when a time-resolved path is needed.
-    Each step's exit is located by :meth:`Domain.first_boundary_crossing`.
+    The quadratic rule makes the step count logarithmic in the exit scale;
+    cap dt_max only when a time-resolved path is needed.  Each step's exit
+    is located by :meth:`Domain.first_boundary_crossing` on the straight
+    step, so a step from clearance d0 to clearance d1 hides a crossing with
+    probability about exp(-2 d0 d1 / dt).  That is the e^{-2/c} level only
+    when d1 is about d0; a step that ends close to the boundary hides far
+    more.  Hidden crossings lengthen paths, and exit-time moments come out
+    high: against the exact wedge values, E[tau^p] at p = alpha/4 was
+    0.07% to 0.11% above (z-scores 2.3 to 3.8) on the pi/2 wedge, the
+    half-plane and the Koebe slit, at c = 0.1 with 4 seeds of 4e5 paths.
     """
 
     dt_max: float = math.inf

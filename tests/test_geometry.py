@@ -215,6 +215,54 @@ def test_spiral_nearest_matches_dense_oracle():
         assert np.max(np.abs(sp.project(z) - point)) <= 1e-9
 
 
+def _spiral_bisection_reference(z):
+    """(nearest point, label code) by 52 halvings of each width-pi bracket,
+    with no Newton steps."""
+    w = np.stack([z, -z], axis=-1)[..., None]
+    r = np.abs(w)
+    theta = np.mod(np.angle(w), 2 * math.pi)
+    k = np.ceil((r - 1.5 * math.pi - theta) / (2 * math.pi)) + [0, 1]
+    t_k = theta + 2 * math.pi * k
+    lo = np.maximum(t_k - math.pi / 2, 0.0)
+    hi = np.maximum(t_k + math.pi / 2, 0.0)
+    for _ in range(52):
+        t = (lo + hi) / 2
+        cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
+        h = t - r * cos_u + r * t * sin_u
+        rising = (h >= 0) & (1 + 2 * r * sin_u + r * t * cos_u > 0)
+        hi = np.where(rising, t, hi)
+        lo = np.where(rising, lo, t)
+    t = (lo + hi) / 2
+    g = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
+    t = np.where(g < r**2, t, 0.0).reshape(*z.shape, 4)
+    g = np.minimum(g, r**2).reshape(*z.shape, 4)
+    j = np.argmin(g, axis=-1)
+    t = np.take_along_axis(t, j[..., None], axis=-1)[..., 0]
+    on_gamma1 = j < 2
+    point = np.where(on_gamma1, 1.0, -1.0) * t * np.exp(1j * t)
+    code = np.where(on_gamma1, int(BoundaryLabel.GAMMA1),
+                    int(BoundaryLabel.GAMMA2))
+    return point, code
+
+
+def test_spiral_nearest_matches_bisection_reference():
+    # Bracketing then Newton lands on the 52-halving answer: in the probe
+    # box, out to radius 60 and within 1e-3 of the origin where both arms
+    # start.
+    gen = RngStream(17).generator()
+    n = 10_000
+    z = np.concatenate([
+        gen.uniform(-20, 20, n) + 1j * gen.uniform(-20, 20, n),
+        gen.uniform(0, 60, n) * np.exp(1j * gen.uniform(-math.pi, math.pi, n)),
+        gen.uniform(0, 1e-3, n) * np.exp(1j * gen.uniform(-math.pi, math.pi,
+                                                          n))])
+    point, code = _spiral_bisection_reference(z)
+    for side in ("U", "complement"):
+        sp = SpiralPair(side)
+        assert np.max(np.abs(sp.project(z) - point)) <= 1e-12
+        assert np.array_equal(sp.label_codes(z), code)
+
+
 def test_spiral_membership_phase():
     sp_u = SpiralPair("U")
     sp_c = SpiralPair("complement")

@@ -185,6 +185,27 @@ def test_neighbor_pairs_match_on_hardy_benchmark_rounds(monkeypatch):
     assert len(rounds) == 6
 
 
+def test_neighbor_pairs_do_not_depend_on_leaf_order():
+    # The second round of the wedge_hardy benchmark scenario, its leaves
+    # shuffled: mapped back through the shuffle, the pairs are the
+    # unshuffled call's.
+    domain, a = Wedge(math.pi / 2), 1 + 0j
+    clear = float(domain.boundary_distance(np.complex128(a)))
+    half = 1.2 * 1000 + 4 * clear
+    centers, halves = hyperbolic._build_leaves(
+        domain, a, a, half, 0.1, 0.1 * clear / 8, 0.01, 0.0, 600_000)
+    rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
+    perm = np.random.default_rng(16).permutation(centers.size)
+    p_rows, p_cols = hyperbolic._neighbor_pairs(centers[perm], halves[perm],
+                                                a, half)
+    n = centers.size
+    key = np.sort(np.minimum(perm[p_rows], perm[p_cols]) * n
+                  + np.maximum(perm[p_rows], perm[p_cols]))
+    assert rows.size > n
+    assert np.array_equal(key // n, rows)
+    assert np.array_equal(key % n, cols)
+
+
 def test_tree_deeper_than_morton_keys_is_rejected():
     # At clearance ~7e-10 the tree would need 40 levels, past the 31 a
     # Morton key holds.  Aliased keys give 7.22 here, far below the lower
