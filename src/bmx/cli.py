@@ -555,7 +555,9 @@ def _run_comb_sequence(sc: Scenario, v: dict):
 
 
 def _run_pushforward(sc: Scenario, v: dict):
-    batch = run_exits(v["domain"], v["start"], v["n"], EmConfig(),
+    # Only exit points are mapped, and walk-on-spheres draws their law
+    # exactly, where Euler-Maruyama misses crossings.
+    batch = run_exits(v["domain"], v["start"], v["n"], WosConfig(),
                       RngStream(sc.seed), sc.workers)
     ok = batch.ok
     mapped = v["map"].evaluate(batch.exit_point[ok])

@@ -7,6 +7,8 @@ Every domain is an immutable dataclass exposing vectorized primitives:
                             (defined everywhere, not just inside),
 * ``project(z)``            nearest boundary point,
 * ``label_codes(z)``        integer code of the nearest boundary region,
+* ``exit_points(z)``        (nearest boundary point, its label code), the
+                            kernels' one query per exit,
 * ``first_boundary_crossing(z0, z1)``
                             fraction of the first boundary point along each
                             segment z0 -> z1, the exit rule of the
@@ -18,7 +20,8 @@ shape.  Domains are open: points exactly on the boundary are not contained.
 A boundary made of horizontal and vertical segments, rays and lines
 (rectangle, half-plane, strip, Koebe slit, half-strip complement, comb) is
 stated once, as a table of pieces with infinite ends allowed; the
-``_Rectilinear`` base class reads the last four primitives from it.
+``_Rectilinear`` base class reads all but ``contains`` from it, and answers
+``exit_points`` with one nearest-piece search.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ class Domain:
     def label_codes(self, z):
         z = _asarr(z)
         return np.full(z.shape, int(BoundaryLabel.GENERIC), dtype=np.int64)
+
+    def exit_points(self, z):
+        """(project(z), label code of that boundary point): where a path
+        that ends near z leaves the domain, and the region it leaves by."""
+        p = self.project(z)
+        return p, self.label_codes(p)
 
     def first_boundary_crossing(self, z0, z1):
         """Fraction s in [0, 1] of the first boundary point on each segment
@@ -210,17 +219,40 @@ class _Rectilinear(Domain):
         foot = np.minimum(np.maximum(along, self._table[2]), self._table[3])
         return np.hypot(along - foot, across), foot
 
-    def boundary_distance(self, z):
-        return np.min(self._feet(z)[0], axis=-1)
+    @cached_property
+    def _groups(self):
+        """(horizontal, level, lo, hi) of the horizontal pieces and of the
+        vertical ones, leaving out an empty group."""
+        horiz, level, lo, hi = self._table[:4]
+        return [(h, level[m], lo[m], hi[m])
+                for h, m in ((True, horiz), (False, ~horiz)) if m.any()]
 
-    def project(self, z):
+    def boundary_distance(self, z):
+        # The distances of _feet, a group of parallel pieces at a time.
+        z = _asarr(z)[..., None]
+        dist = None
+        for horiz, level, lo, hi in self._groups:
+            across, along = (z.imag, z.real) if horiz else (z.real, z.imag)
+            foot = np.minimum(np.maximum(along, lo), hi)
+            d = np.hypot(along - foot, across - level).min(axis=-1)
+            dist = d if dist is None else np.minimum(dist, d)
+        return dist
+
+    def exit_points(self, z):
+        # The point's own nearest piece is z's: an earlier piece through it
+        # would be at least as near z, and win the tie.  So one search
+        # gives both the point and its label.
         dist, foot = self._feet(z)
         k = np.argmin(dist, axis=-1)
         # foot[..., k], gathered flat: cheaper per call than take_along_axis.
         rows = np.arange(k.size).reshape(k.shape)
         foot = foot.reshape(-1)[rows * foot.shape[-1] + k]
-        horiz, level = self._table[0][k], self._table[1][k]
-        return np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
+        horiz, level, label = (self._table[i][k] for i in (0, 1, 4))
+        p = np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
+        return p, label
+
+    def project(self, z):
+        return self.exit_points(z)[0]
 
     def label_codes(self, z):
         return self._table[4][np.argmin(self._feet(z)[0], axis=-1)]

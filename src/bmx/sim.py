@@ -6,9 +6,14 @@ block of paths per numpy sweep and returns one :class:`ExitBatch`.  The
 walk-on-spheres and Euler-Maruyama kernels take one generator, or one per
 chunk of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
 sharing every geometry call of a sweep, while each draws from its own
-generator exactly what a call on that chunk alone would draw.
-Walk-on-spheres can also mark each path's arrival at a vertical line
-without stopping it, which the doubling-inequality check reads.
+generator exactly what a call on that chunk alone would draw.  Each sweep
+with exits answers them with one :meth:`Domain.exit_points` query, the
+nearest boundary point and its label, which a piece-table domain reads
+from a single nearest-piece search.  Walk-on-spheres draws the exit law
+exactly, so it also serves the CLI's pushforward check, which maps exit
+points only.  Walk-on-spheres can also mark each path's arrival at a
+vertical line without stopping it, which the doubling-inequality check
+reads.
 :func:`em_path` runs the Euler-Maruyama kernel on one start and also keeps
 its trajectory as a :class:`PathSample`, which :func:`pushforward` maps.
 Randomness always comes from a generator derived from an
@@ -167,9 +172,13 @@ class _ChunkDraws:
         self._bounds = np.array([lo for lo, _ in ranges[1:]], dtype=np.int64)
 
     def split(self, idx):
-        cuts = np.searchsorted(idx, self._bounds)
-        counts = np.diff(cuts, prepend=0, append=idx.size)
-        self._shares = [(g, int(m)) for g, m in zip(self._gens, counts) if m]
+        m = idx.size
+        if len(self._gens) == 1:
+            self._shares = [(self._gens[0], m)] if m else []
+            return
+        cuts = [0, *np.searchsorted(idx, self._bounds).tolist(), m]
+        self._shares = [(g, hi - lo) for g, lo, hi
+                        in zip(self._gens, cuts, cuts[1:]) if hi > lo]
 
     def _each(self, draw):
         parts = [draw(g, m) for g, m in self._shares]
@@ -240,11 +249,9 @@ def wos_exit_batch(domain: Domain, starts,
             line_hit[idx[gap < eps]] = True
             r = np.where(line_hit[idx], d, np.minimum(d, gap))
         shell = d < eps
-        if np.any(shell):
+        if shell.any():
             done = idx[shell]
-            p = domain.project(z[shell])
-            exit_pt[done] = p
-            labels[done] = domain.label_codes(p)
+            exit_pt[done], labels[done] = domain.exit_points(z[shell])
             ok[done] = True
             steps[done] = step
             if t is not None:
@@ -315,7 +322,7 @@ def em_exit_batch(domain: Domain, starts,
         d = domain.boundary_distance(z)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
-        dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
+        dt = np.minimum(np.maximum(cfg.c * d * d, 1e-18), cfg.dt_max)
         dt = np.maximum(dt, 4e-16 * t)
         draws.split(idx)
         g = draws.standard_normal((2, idx.size))
@@ -323,12 +330,12 @@ def em_exit_batch(domain: Domain, starts,
 
         s = domain.first_boundary_crossing(z, z1)
         finished = np.isfinite(s)
-        if np.any(finished):
+        if finished.any():
             done = idx[finished]
-            p = domain.project(z[finished] + (z1 - z)[finished] * s[finished])
-            exit_pt[done] = p
-            labels[done] = domain.label_codes(p)
-            exit_t[done] = t[finished] + s[finished] * dt[finished]
+            z0, sf = z[finished], s[finished]
+            exit_pt[done], labels[done] = domain.exit_points(
+                z0 + (z1[finished] - z0) * sf)
+            exit_t[done] = t[finished] + sf * dt[finished]
             ok[done] = True
             steps[done] = step
             keep = ~finished

@@ -362,6 +362,39 @@ def test_raw_csv_rows(tmp_path):
     assert all(r.split(",")[-1] in ("ok", "max_steps") for r in rows)
 
 
+PUSHFORWARD = """
+[scenario.push]
+experiment = pushforward_check
+domain = rectangle(2, 1)
+start = 0
+map = linear(3)
+image = rectangle(6, 3)
+n = 5000
+seed = 0
+"""
+
+
+def test_pushforward_runs_walk_on_spheres(tmp_path):
+    # Walk-on-spheres exits carry no exit time and take about 20 jumps
+    # each; Euler-Maruyama took about 260 steps per path here.
+    path = write(tmp_path, PUSHFORWARD)
+    reports = {}
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        reports[workers] = strip_wall_time(
+            run(path, out_dir=out, write_raw=True, workers=workers)[0])
+        reports[workers]["scenario"].pop("workers")
+        with open(os.path.join(out, "push.csv"), encoding="utf-8") as fh:
+            rows = [r.split(",") for r in fh.read().strip().splitlines()[1:]]
+        assert len(rows) == 5000
+        assert all(r[4] == "" and r[7] == "ok" for r in rows)
+        assert np.mean([int(r[6]) for r in rows]) < 50
+    assert reports[1] == reports[2]
+    assert reports[1]["passed"]
+    assert reports[1]["results"] == {"n_ok": 5000, "excluded": 0,
+                                     "labels_identical": True}
+
+
 def test_scenario_errors_recorded_not_fatal(tmp_path):
     cfg = BASIC + """
 [scenario.broken]

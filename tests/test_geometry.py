@@ -153,6 +153,77 @@ def test_closed_forms_equal_the_piece_table(domain):
             _Rectilinear.first_boundary_crossing(domain, z0, z1))
 
 
+V5, W5 = build_comb(5, [1, 40, 41, 100, 101, 900], [-50, 5, -51, 6, -52])
+V2, W2 = build_comb(2, [1, 2, 4])
+PIECE_TABLES = [
+    Rectangle(2, 1), Rectangle(1, 1), HalfPlane("north"), HalfPlane("south"),
+    HalfPlane("east"), HalfPlane("west"), Strip(-1, 1),
+    HalfStripComplement(1.0), HalfStripComplement(0.5, -2.0), KoebeSlit(),
+    V5, W5, V2, W2]
+
+
+def _points_near_piece_ends(domain, gen):
+    """Uniform points over the domain's probe box, wider than the box, and
+    points near and on every finite end of a boundary piece: at distances
+    1e-3, 1e-7 and 1e-12 in 16 directions, and on exact diagonals (offsets
+    2^-10, 2^-23 and 2^-40, exact at these corners), where the distances
+    to two pieces tie."""
+    xmin, xmax, ymin, ymax = domain.probe_box()
+    w, h = xmax - xmin, ymax - ymin
+    z = [gen.uniform(xmin - w, xmax + w, 20_000)
+         + 1j * gen.uniform(ymin - h, ymax + h, 20_000)]
+    if isinstance(domain, _Rectilinear):
+        ends = np.array([e for p, q, _ in domain.pieces() for e in (p, q)],
+                        dtype=complex)
+        ends = np.unique(ends[np.isfinite(ends)])
+    else:
+        ends = np.array([0j, 1, 1j, -1, -1j, math.e, -math.e * 1j])
+    ring = np.exp(2j * math.pi * np.arange(16) / 16)
+    diagonal = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    for end in ends:
+        z.append([end])
+        for eps in (1e-3, 1e-7, 1e-12):
+            z.append(end + eps * ring)
+            z.append(end + eps * np.exp(2j * math.pi * gen.random(16)))
+        for eps in (2.0 ** -10, 2.0 ** -23, 2.0 ** -40):
+            z.append(end + eps * diagonal)
+    return np.concatenate(z)
+
+
+@pytest.mark.parametrize("domain", PIECE_TABLES + [
+    Annulus(1, math.e), Wedge(math.pi / 2), Wedge(2 * math.pi)], ids=repr)
+def test_exit_points_equal_project_then_label_codes(domain):
+    z = _points_near_piece_ends(domain, RngStream(22).generator())
+    points, labels = domain.exit_points(z)
+    projected = domain.project(z)
+    assert points.tobytes() == projected.tobytes()
+    assert np.array_equal(labels, domain.label_codes(projected))
+    assert labels.dtype == np.int64
+    point, label = domain.exit_points(z[0])
+    assert np.shape(point) == np.shape(label) == ()
+    assert point == projected[0] and label == labels[0]
+
+
+def _distance_over_every_piece(domain, z):
+    """The piece-table distance as one N x P block, every piece at once."""
+    horiz, level, lo, hi, _ = domain._table
+    z = np.asarray(z, dtype=complex)[..., None]
+    across = np.where(horiz, z.imag, z.real) - level
+    along = np.where(horiz, z.real, z.imag)
+    foot = np.minimum(np.maximum(along, lo), hi)
+    return np.min(np.hypot(along - foot, across), axis=-1)
+
+
+@pytest.mark.parametrize("domain", PIECE_TABLES, ids=repr)
+def test_grouped_distance_equals_every_piece_distance(domain):
+    gen = RngStream(23).generator()
+    z = np.concatenate([_points_near_piece_ends(domain, gen),
+                        _random_and_on_axis_points(gen, 4.0, 2_000)])
+    grouped = _Rectilinear.boundary_distance(domain, z)
+    assert grouped.tobytes() == _distance_over_every_piece(domain, z).tobytes()
+    assert _Rectilinear.boundary_distance(domain, z[7]) == grouped[7]
+
+
 def test_classify_deterministic_near_boundary():
     gen = RngStream(3).generator()
     r = Rectangle(2, 1)

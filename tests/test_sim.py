@@ -10,9 +10,10 @@ from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           ParabolaComplement, Rectangle, Strip, Wedge)
 from bmx.maps import Exp, Linear, PowerInt
 from bmx.rng import CHUNK_SIZE, RngStream
-from bmx.sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch, em_path,
-                     pushforward, sample_disk_exit_batch,
-                     sample_halfplane_exit_batch, wos_exit_batch)
+from bmx.sim import (EmConfig, ExitBatch, WosConfig, _ChunkDraws,
+                     em_exit_batch, em_path, pushforward,
+                     sample_disk_exit_batch, sample_halfplane_exit_batch,
+                     wos_exit_batch)
 
 
 def cauchy_cdf(x, a, b):
@@ -238,6 +239,46 @@ def test_one_generator_per_chunk(kernel):
     assert len(kernel(Rectangle(1, 1), starts, gens)) == CHUNK_SIZE + 1
     with pytest.raises(BadParameters, match="2 chunks, but 1 generators"):
         kernel(Rectangle(1, 1), starts, gens[:1])
+
+
+def _split_idx_cases(n):
+    c = CHUNK_SIZE
+    every = np.arange(n)
+    return [
+        every[:0],                                  # no live path
+        every,
+        every[c:2 * c],                             # one whole chunk
+        every[2 * c:],                              # chunks 0 and 1 skipped
+        every[c - 1:c + 1],                         # across a chunk edge
+        every[c:c + 5], every[c - 5:c],             # start, end on an edge
+        np.array([0, c, 2 * c, 3 * c]),             # one per chunk
+        np.array([c - 1, 3 * c]),                   # chunks 1 and 2 skipped
+        np.array([n - 1]),
+        np.sort(RngStream(68).generator().choice(n, 500, replace=False)),
+    ]
+
+
+def test_chunk_draw_shares_are_the_chunk_counts():
+    # Each share is the number of live paths in its chunk, as the counts
+    # np.diff takes between the chunk edges; empty chunks get no share.
+    n = 3 * CHUNK_SIZE + 5
+    gens = [RngStream(68).substream(ci) for ci in range(4)]
+    draws = _ChunkDraws(gens, n)
+    for idx in _split_idx_cases(n):
+        cuts = np.searchsorted(idx, [CHUNK_SIZE * k for k in (1, 2, 3)])
+        counts = np.diff(cuts, prepend=0, append=idx.size)
+        draws.split(idx)
+        assert draws._shares == [(g, int(m)) for g, m in zip(gens, counts)
+                                 if m]
+        assert all(type(m) is int for _, m in draws._shares)
+    gen = RngStream(68).generator()
+    one = _ChunkDraws(gen, n)
+    for idx in _split_idx_cases(n):
+        one.split(idx)
+        assert one._shares == ([(gen, idx.size)] if idx.size else [])
+    listed = _ChunkDraws([gen], 10)
+    listed.split(np.array([3, 4]))
+    assert listed._shares == [(gen, 2)]
 
 
 def test_wos_marked_line():
