@@ -219,24 +219,8 @@ class _Rectilinear(Domain):
         foot = np.minimum(np.maximum(along, self._table[2]), self._table[3])
         return np.hypot(along - foot, across), foot
 
-    @cached_property
-    def _groups(self):
-        """(horizontal, level, lo, hi) of the horizontal pieces and of the
-        vertical ones, leaving out an empty group."""
-        horiz, level, lo, hi = self._table[:4]
-        return [(h, level[m], lo[m], hi[m])
-                for h, m in ((True, horiz), (False, ~horiz)) if m.any()]
-
     def boundary_distance(self, z):
-        # The distances of _feet, a group of parallel pieces at a time.
-        z = _asarr(z)[..., None]
-        dist = None
-        for horiz, level, lo, hi in self._groups:
-            across, along = (z.imag, z.real) if horiz else (z.real, z.imag)
-            foot = np.minimum(np.maximum(along, lo), hi)
-            d = np.hypot(along - foot, across - level).min(axis=-1)
-            dist = d if dist is None else np.minimum(dist, d)
-        return dist
+        return np.min(self._feet(z)[0], axis=-1)
 
     def exit_points(self, z):
         # The point's own nearest piece is z's: an earlier piece through it

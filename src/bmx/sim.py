@@ -172,11 +172,7 @@ class _ChunkDraws:
         self._bounds = np.array([lo for lo, _ in ranges[1:]], dtype=np.int64)
 
     def split(self, idx):
-        m = idx.size
-        if len(self._gens) == 1:
-            self._shares = [(self._gens[0], m)] if m else []
-            return
-        cuts = [0, *np.searchsorted(idx, self._bounds).tolist(), m]
+        cuts = [0, *np.searchsorted(idx, self._bounds).tolist(), idx.size]
         self._shares = [(g, hi - lo) for g, lo, hi
                         in zip(self._gens, cuts, cuts[1:]) if hi > lo]
 
@@ -249,7 +245,7 @@ def wos_exit_batch(domain: Domain, starts,
             line_hit[idx[gap < eps]] = True
             r = np.where(line_hit[idx], d, np.minimum(d, gap))
         shell = d < eps
-        if shell.any():
+        if np.any(shell):
             done = idx[shell]
             exit_pt[done], labels[done] = domain.exit_points(z[shell])
             ok[done] = True
@@ -322,7 +318,7 @@ def em_exit_batch(domain: Domain, starts,
         d = domain.boundary_distance(z)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
-        dt = np.minimum(np.maximum(cfg.c * d * d, 1e-18), cfg.dt_max)
+        dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
         dt = np.maximum(dt, 4e-16 * t)
         draws.split(idx)
         g = draws.standard_normal((2, idx.size))
@@ -330,7 +326,7 @@ def em_exit_batch(domain: Domain, starts,
 
         s = domain.first_boundary_crossing(z, z1)
         finished = np.isfinite(s)
-        if finished.any():
+        if np.any(finished):
             done = idx[finished]
             z0, sf = z[finished], s[finished]
             exit_pt[done], labels[done] = domain.exit_points(

@@ -204,26 +204,6 @@ def test_exit_points_equal_project_then_label_codes(domain):
     assert point == projected[0] and label == labels[0]
 
 
-def _distance_over_every_piece(domain, z):
-    """The piece-table distance as one N x P block, every piece at once."""
-    horiz, level, lo, hi, _ = domain._table
-    z = np.asarray(z, dtype=complex)[..., None]
-    across = np.where(horiz, z.imag, z.real) - level
-    along = np.where(horiz, z.real, z.imag)
-    foot = np.minimum(np.maximum(along, lo), hi)
-    return np.min(np.hypot(along - foot, across), axis=-1)
-
-
-@pytest.mark.parametrize("domain", PIECE_TABLES, ids=repr)
-def test_grouped_distance_equals_every_piece_distance(domain):
-    gen = RngStream(23).generator()
-    z = np.concatenate([_points_near_piece_ends(domain, gen),
-                        _random_and_on_axis_points(gen, 4.0, 2_000)])
-    grouped = _Rectilinear.boundary_distance(domain, z)
-    assert grouped.tobytes() == _distance_over_every_piece(domain, z).tobytes()
-    assert _Rectilinear.boundary_distance(domain, z[7]) == grouped[7]
-
-
 def test_classify_deterministic_near_boundary():
     gen = RngStream(3).generator()
     r = Rectangle(2, 1)
