@@ -12,8 +12,14 @@ F(t) ~ A t^{-1/2} exp(-1/(2t)), with A fixed by continuity at the switch
 point.  Sampling is by inverse CDF: a monotone-cubic table over 4096 knots
 covers the bulk, the left tail is inverted by bisection on the asymptotic
 form, and the right tail (where only the leading series term survives)
-analytically.  The table is built once per process and checksummed so
-regressions in the underlying special functions are caught loudly.
+analytically.
+
+The Bessel values j_k and J_1(j_k) are pinned module constants and the
+monotone cubic is a port of scipy's (``_MonotoneCubic``), so this module
+needs numpy only.  The table is built once per process and checksummed; the
+checksum pins the build from those constants bit for bit, so a change in
+the knot layout, the series or the float arithmetic behind them is caught
+loudly.
 """
 
 from __future__ import annotations
@@ -22,22 +28,111 @@ import hashlib
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import j1, jn_zeros
 
 N_TERMS = 50
 T_SWITCH = 0.05      # below: saddlepoint form; above: 50-term series
 T_SINGLE = 3.0       # above: only the leading series term survives in float64
 N_KNOTS = 4096
 
+# The first N_TERMS positive zeros j_k of J_0 and the values J_1(j_k), as
+# scipy.special's jn_zeros(0, 50) and j1 give them; each repr round-trips
+# to the same float64.
+J0_ZEROS = (
+    2.4048255576957724, 5.520078110286311, 8.653727912911013,
+    11.791534439014281, 14.930917708487787, 18.071063967910924,
+    21.21163662987926, 24.352471530749302, 27.493479132040253,
+    30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815,
+    49.482609897397815, 52.624051841115, 55.76551075501998, 58.90698392608094,
+    62.048469190227166, 65.18996480020687, 68.3314693298568, 71.47298160359374,
+    74.61450064370183, 77.75602563038805, 80.89755587113763, 84.0390907769382,
+    87.18062984364116, 90.32217263721049, 93.46371878194478, 96.60526795099626,
+    99.7468198586806, 102.88837425419479, 106.02993091645162,
+    109.17148964980538, 112.3130502804949, 115.45461265366694,
+    118.59617663087253, 121.73774208795096, 124.87930891323295,
+    128.02087700600833, 131.1624462752139, 134.30401663830546,
+    137.44558802028428, 140.58716035285428, 143.72873357368974,
+    146.87030762579664, 150.01188245695477, 153.15345801922788,
+    156.29503426853353
+)
+J1_AT_ZEROS = (
+    0.5191474972894669, -0.34026480655836827, 0.271452299928382,
+    -0.23245983136472478, 0.20654643307799597, -0.18772880304043946,
+    0.17326589422922983, -0.16170155068925002, 0.15218121377059457,
+    -0.14416597768637315, 0.13729694340850299, -0.13132462666866793,
+    0.12606949712727342, -0.12139862477175016, 0.11721119889066538,
+    -0.11342919261642984, 0.10999114304627802, -0.10684788825471286,
+    0.1039595728693621, -0.1012934989339433, 0.09882255380119995,
+    -0.09652404046467991, 0.09437879398467641, -0.09237050482355331,
+    0.09048519416295768, -0.0887108024409698, 0.0870368633240976,
+    -0.08545424291091486, 0.08395492928345757, -0.08253186130830983,
+    0.08117878831953207, -0.07989015430874276, 0.07866100171930493,
+    -0.07748689103965989, 0.07636383321829138, -0.07528823255205501,
+    0.0742568381822715, -0.07326670270620797, 0.07231514670236977,
+    -0.07139972819623201, 0.07051821627333571, -0.06966856819003345,
+    0.06884890944684943, -0.06805751638168503, 0.06729280091473991,
+    -0.06655329713771117, 0.0658376494894271, -0.065144602300793,
+    0.06447299052550669, -0.06382173150081485
+)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, with the shape guards:
+    zero if its sign differs from the end secant's, and at most three
+    times that secant where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _MonotoneCubic:
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) of Fritsch and
+    Carlson (1980), on at least three strictly increasing knots x.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, zero where they change sign or vanish.  The arithmetic, and
+    so every bit, is that of scipy's ``PchipInterpolator``: the same slope
+    and coefficient formulas, and evaluation in its power basis,
+    ``c3 + c2*s + c1*s**2 + c0*s**3`` with ``s`` the offset from the
+    interval's left knot.  Only points in [x[0], x[-1]] are valid.
+    """
+
+    def __init__(self, x, y):
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0) | (m[:-1] == 0))
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(
+                flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    def __call__(self, u):
+        i = np.minimum(np.searchsorted(self.x, u, "right") - 1,
+                       self.x.size - 2)
+        s = u - self.x[i]
+        s2 = s * s
+        c0, c1, c2, c3 = self.c[:, i]
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
 
 class UnitDiskExitSampler:
     """Inverse-CDF sampler for the unit-disk center exit time."""
 
     def __init__(self):
-        j = jn_zeros(0, N_TERMS)
+        j = np.array(J0_ZEROS)
         self._rates = j ** 2 / 2.0
-        self._coeffs = 2.0 / (j * j1(j))
+        self._coeffs = 2.0 / (j * np.array(J1_AT_ZEROS))
 
         t_knots = np.geomspace(T_SWITCH, T_SINGLE, N_KNOTS)
         u_knots = self.cdf(t_knots)
@@ -45,7 +140,7 @@ class UnitDiskExitSampler:
             raise RuntimeError("exit-time CDF table is not strictly increasing")
         self._t_knots = t_knots
         self._u_knots = u_knots
-        self._interp = PchipInterpolator(u_knots, t_knots, extrapolate=False)
+        self._interp = _MonotoneCubic(u_knots, t_knots)
         self._u_lo = u_knots[0]
         self._u_hi = u_knots[-1]
         # F(t) ~ tail_amp * t^{-1/2} exp(-1/(2t)) for small t, glued at the

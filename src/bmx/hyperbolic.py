@@ -15,20 +15,33 @@ and a deeper tree (a source very near the boundary) raises BadParameters.
 Circle targets |z - source| = R enter as virtual nodes wired to every leaf
 whose cell meets the circle, so one Dijkstra run prices a whole radius
 schedule at once.
+
+scipy.sparse, which holds the Dijkstra solver, is imported when the first
+graph is solved, not with this module.  The module attribute ``dijkstra``
+resolves to scipy's function on first access, and ``_solve`` calls
+whatever that attribute holds, so a profiler may rebind it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (BadParameters, NodeBudgetExceeded, PointOutsideDomain,
                      TargetUnreachable)
 from .geometry import Domain
+
+
+def __getattr__(name):
+    """Bind scipy's ``dijkstra`` into the module on first access."""
+    if name != "dijkstra":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global dijkstra
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra
 
 
 @dataclass(frozen=True)
@@ -37,6 +50,11 @@ class CircleTarget:
     the source point."""
 
     radius: float
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise BadParameters(
+                f"circle target radius must be positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -228,13 +246,15 @@ def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
 
 
 def _solve(graph: _Graph):
+    from scipy.sparse import coo_matrix
     n = 1 + graph.n_targets + graph.n_leaves
     weights = np.concatenate(graph.weights)
     if not weights.size:
         raise TargetUnreachable("empty metric graph")
     m = coo_matrix((weights, (np.concatenate(graph.rows),
                               np.concatenate(graph.cols))), shape=(n, n))
-    dist = dijkstra(m.tocsr(), directed=False, indices=0)
+    solver = sys.modules[__name__].dijkstra   # through __getattr__ at first
+    dist = solver(m.tocsr(), directed=False, indices=0)
     return dist[1:1 + graph.n_targets]
 
 

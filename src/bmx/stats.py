@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParameters, NestingViolation, TooFewTailSamples)
+from .errors import (BadParameters, MaxStepsExceeded, NestingViolation,
+                     TooFewTailSamples)
 from .geometry import (BoundaryLabel, Domain, StarlikeVerdict,
                        check_delta_starlike, sample_interior)
 from .hyperbolic import CircleTarget, QhConfig, quasi_hyperbolic_profile
@@ -234,18 +235,28 @@ def estimate_moment(domain: Domain, start: complex, p: float, n: int,
                     top_fraction: float = 0.05) -> MomentEstimate:
     """Sample mean of tau^p (batch-means stderr) plus the Hill tail index of
     tau and the finiteness verdict.  Nothing is truncated or winsorized:
-    heavy tails show up in the index, not in a doctored mean."""
+    heavy tails show up in the index, not in a doctored mean.  When
+    step-capped paths leave too few exits for the index, that raises
+    MaxStepsExceeded."""
     if p <= 0:
         raise BadParameters("moment order must be positive")
     if isinstance(cfg, WosConfig) and not cfg.with_time:
         raise BadParameters("moment estimation needs a time-tracking kernel")
     batch = run_exits(domain, start, n, cfg, rng, workers)
     tau = batch.exit_time[batch.ok]
+    try:
+        alpha = hill_tail_index(tau, top_fraction,
+                                min_tail=min(500, max(25, len(tau) // 20)))
+    except TooFewTailSamples as err:
+        if not batch.n_excluded:
+            raise
+        raise MaxStepsExceeded(
+            f"{batch.n_excluded} of {len(batch)} paths hit the step cap "
+            f"max_steps={cfg.max_steps}; the {len(tau)} exits left give "
+            f"{err}") from err
     powered = tau ** p
     est = Estimate(value=float(np.mean(powered)),
                    stderr=_batch_means_stderr(powered), n=len(powered))
-    alpha = hill_tail_index(tau, top_fraction,
-                            min_tail=min(500, max(25, len(tau) // 20)))
     return MomentEstimate(p=p, estimate=est, tail_index=alpha,
                           verdict=classify_moment(p, alpha),
                           excluded=batch.n_excluded)
@@ -289,7 +300,7 @@ class HardyEstimate:
 def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
                           qh_cfg: QhConfig | None = None) -> HardyEstimate:
     """Fit the growth of delta(a, F_R) in ln R over the last half of the
-    schedule.
+    schedule, and over at least its last two radii.
 
     One union graph sized to the largest radius serves the whole schedule in
     a single shortest-path solve.  Values along the refinement history are
@@ -315,7 +326,7 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
     if ratio > INFINITE_GROWTH_THRESHOLD and growing:
         slope, bounds, cls = math.inf, (math.inf, math.inf), CLASS_INFINITE
     else:
-        half = len(r) // 2
+        half = min(len(r) // 2, len(r) - 2)   # at least two points
         slope = float(np.polyfit(np.log(r[half:]), deltas[half:], 1)[0])
         bounds, cls = (slope / 2.0, 2.0 * slope), CLASS_FINITE
     return HardyEstimate(a=complex(a), r_schedule=tuple(r),

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from bmx.geometry import (Annulus, Disk, HalfPlane, KoebeSlit, Rectangle,
 from bmx.hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                             quasi_hyperbolic_profile)
 from bmx.stats import estimate_hardy_number
+
+BATTERY = Path(__file__).resolve().parents[1] / "scenarios" / "battery.cfg"
 
 
 def test_disk_radial_integral():
@@ -78,6 +85,38 @@ def test_unreachable_circle_target():
     with pytest.raises(TargetUnreachable):
         quasi_hyperbolic_distance(Rectangle(1, 1), 0j, CircleTarget(10.0),
                                   QhConfig(max_rounds=1))
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+def test_circle_radius_must_be_positive(radius):
+    with pytest.raises(BadParameters, match=f"got {radius!r}"):
+        CircleTarget(radius)
+
+
+def test_two_radius_hardy_fit_is_the_two_point_slope():
+    # Fitting the last half of a two-radius schedule would fit one point.
+    he = estimate_hardy_number(Wedge(math.pi / 2), 1 + 0j, [10, 100])
+    d10, d100 = he.delta_values
+    assert he.slope == pytest.approx((d100 - d10) / math.log(10), rel=1e-12)
+
+
+def test_scipy_loads_with_the_first_graph():
+    # import bmx needs numpy only; scipy.sparse comes with the first solve,
+    # and the module attribute is then scipy's dijkstra itself.
+    code = textwrap.dedent(f"""
+        import sys
+        import bmx, bmx.cli
+        bmx.get_sampler()
+        bmx.cli.parse_config({str(BATTERY)!r})
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        bmx.quasi_hyperbolic_distance(bmx.Disk(0j, 1.0), 0j, 0.5 + 0j)
+        import scipy.sparse.csgraph
+        assert bmx.hyperbolic.dijkstra is scipy.sparse.csgraph.dijkstra
+    """)
+    src = str(Path(hyperbolic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_node_budget_in_first_round_names_max_nodes():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from bmx.errors import BadParameters, NestingViolation, TooFewTailSamples
+from bmx.errors import (BadParameters, MaxStepsExceeded, NestingViolation,
+                        TooFewTailSamples)
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.rng import CHUNK_SIZE, GROUP_CHUNKS, RngStream, chunk_ranges
@@ -104,6 +105,16 @@ def test_wedge_moment_verdicts():
     assert fine.verdict == "finite"
     assert coarse.verdict == "infinite"
     assert abs(fine.tail_index.value - 1.0) < 0.15
+
+
+def test_step_capped_paths_are_named_as_the_cause():
+    # With a cap of 3 steps, 1991 of 2000 paths are capped and the 9 exits
+    # left cannot give a tail index: the cap is the cause, not the sample.
+    with pytest.raises(MaxStepsExceeded,
+                       match=r"1991 of 2000 paths .* max_steps=3") as err:
+        estimate_moment(Wedge(math.pi / 2), 1 + 0j, 1.0, 2000, RngStream(0),
+                        cfg=EmConfig(max_steps=3))
+    assert isinstance(err.value.__cause__, TooFewTailSamples)
 
 
 def test_koebe_moment_verdicts():
