@@ -4,10 +4,10 @@ Subsystems:
 
 * :mod:`bmx.geometry`, :mod:`bmx.combs` -- plane domains, predicates,
   boundary labels, and the iterated half-strip construction;
-* :mod:`bmx.maps` -- closed-form analytic maps, derivatives, Hardy norms;
+* :mod:`bmx.maps` -- closed-form analytic maps and Hardy norms;
 * :mod:`bmx.rng`, :mod:`bmx.disk_time`, :mod:`bmx.sim` -- reproducible
   streams and the exit-sampling kernels (exact, walk-on-spheres,
-  Euler-Maruyama, pushforward);
+  Euler-Maruyama);
 * :mod:`bmx.hyperbolic`, :mod:`bmx.stats` -- quasi-hyperbolic distance,
   estimators, and the identity/inequality verifiers;
 * :mod:`bmx.cli` -- the ``bmx`` scenario runner.
@@ -25,9 +25,9 @@ from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,
                    KoebeParabola, Linear, Mobius, PowerBranch, PowerInt,
                    WedgePower, default_r_grid, hardy_norm_profile)
 from .rng import RngStream
-from .sim import (EmConfig, ExitBatch, PathSample, WosConfig, em_exit_batch,
-                  em_path, pushforward, sample_disk_exit_batch,
-                  sample_halfplane_exit_batch, wos_exit_batch)
+from .sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch,
+                  sample_disk_exit_batch, sample_halfplane_exit_batch,
+                  wos_exit_batch)
 from .stats import (Estimate, HardyEstimate, IdentityCheck, IncreasingReport,
                     KarafylliaReport, MomentEstimate, ProportionEstimate,
                     estimate_hardy_number, estimate_moment, exit_proportion,

@@ -5,10 +5,10 @@ Every domain is an immutable dataclass exposing vectorized primitives:
 * ``contains(z)``           membership in the open set,
 * ``boundary_distance(z)``  unsigned Euclidean distance to the boundary set
                             (defined everywhere, not just inside),
-* ``project(z)``            nearest boundary point,
-* ``label_codes(z)``        integer code of the nearest boundary region,
-* ``exit_points(z)``        (nearest boundary point, its label code), the
-                            kernels' one query per exit,
+* ``exit_points(z)``        (nearest boundary point, integer code of its
+                            boundary region), the kernels' one query per
+                            exit; ``project(z)`` and ``label_codes(z)`` are
+                            the base class's views of its two halves,
 * ``first_boundary_crossing(z0, z1)``
                             fraction of the first boundary point along each
                             segment z0 -> z1, the exit rule of the
@@ -70,6 +70,11 @@ def _ray_distance(z, phi):
     return np.where(w.real >= 0.0, np.abs(w.imag), np.abs(w))
 
 
+def _generic_codes(z):
+    """The GENERIC label code for every point of z."""
+    return np.full(np.shape(z), int(BoundaryLabel.GENERIC), dtype=np.int64)
+
+
 def _ray_project(z, phi):
     w = _asarr(z) * np.exp(-1j * phi)
     t = np.maximum(w.real, 0.0)
@@ -85,18 +90,19 @@ class Domain:
     def boundary_distance(self, z):
         raise NotImplementedError
 
-    def project(self, z):
+    def exit_points(self, z):
+        """(nearest boundary point, label code of its boundary region):
+        where a path that ends near z leaves the domain, and the region it
+        leaves by; labelling that point again gives the same code."""
         raise NotImplementedError
 
-    def label_codes(self, z):
-        z = _asarr(z)
-        return np.full(z.shape, int(BoundaryLabel.GENERIC), dtype=np.int64)
+    def project(self, z):
+        """Nearest boundary point: ``exit_points(z)[0]``."""
+        return self.exit_points(z)[0]
 
-    def exit_points(self, z):
-        """(project(z), label code of that boundary point): where a path
-        that ends near z leaves the domain, and the region it leaves by."""
-        p = self.project(z)
-        return p, self.label_codes(p)
+    def label_codes(self, z):
+        """Label code of the nearest boundary region: ``exit_points(z)[1]``."""
+        return self.exit_points(z)[1]
 
     def first_boundary_crossing(self, z0, z1):
         """Fraction s in [0, 1] of the first boundary point on each segment
@@ -235,12 +241,6 @@ class _Rectilinear(Domain):
         p = np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
         return p, label
 
-    def project(self, z):
-        return self.exit_points(z)[0]
-
-    def label_codes(self, z):
-        return self._table[4][np.argmin(self._feet(z)[0], axis=-1)]
-
     def first_boundary_crossing(self, z0, z1):
         """The first s at which the across coordinate of z0 -> z1 reaches a
         piece's level with the along coordinate in [lo, hi]."""
@@ -322,19 +322,14 @@ class Annulus(Domain):
         rho = np.abs(_asarr(z))
         return np.minimum(np.abs(rho - self.r), np.abs(rho - self.R))
 
-    def label_codes(self, z):
-        rho = np.abs(_asarr(z))
-        inner = np.abs(rho - self.r) <= np.abs(rho - self.R)
-        return np.where(inner, int(BoundaryLabel.ANNULUS_INNER),
-                        int(BoundaryLabel.ANNULUS_OUTER)).astype(np.int64)
-
-    def project(self, z):
+    def exit_points(self, z):
         z = _asarr(z)
         rho = np.abs(z)
+        inner = np.abs(rho - self.r) <= np.abs(rho - self.R)
         direction = np.where(rho > 0, z / np.where(rho == 0, 1.0, rho), 1.0)
-        target = np.where(self.label_codes(z) == int(BoundaryLabel.ANNULUS_INNER),
-                          self.r, self.R)
-        return direction * target
+        label = np.where(inner, int(BoundaryLabel.ANNULUS_INNER),
+                         int(BoundaryLabel.ANNULUS_OUTER)).astype(np.int64)
+        return direction * np.where(inner, self.r, self.R), label
 
     def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
@@ -367,15 +362,13 @@ class Wedge(Domain):
             d = np.minimum(d, _ray_distance(z, -half))
         return d
 
-    def project(self, z):
+    def exit_points(self, z):
         half = self.theta / 2
-        d_up = _ray_distance(z, half)
-        d_dn = _ray_distance(z, -half)
-        up = _ray_project(z, half)
-        dn = _ray_project(z, -half)
-        if self.theta == 2 * math.pi:
-            return up
-        return np.where(d_up <= d_dn, up, dn)
+        p = _ray_project(z, half)
+        if self.theta < 2 * math.pi:
+            p = np.where(_ray_distance(z, half) <= _ray_distance(z, -half),
+                         p, _ray_project(z, -half))
+        return p, _generic_codes(p)
 
     def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
@@ -556,10 +549,10 @@ class ParabolaComplement(Domain):
         s = self._nearest_parameter(z).reshape(z.shape)
         return np.hypot(z.real - (1.0 - s**2 / 4.0), z.imag - s)
 
-    def project(self, z):
+    def exit_points(self, z):
         z = _asarr(z)
         s = self._nearest_parameter(z).reshape(z.shape)
-        return (1.0 - s**2 / 4.0) + 1j * s
+        return (1.0 - s**2 / 4.0) + 1j * s, _generic_codes(z)
 
     def probe_box(self):
         return (-4.0, 8.0, -8.0, 8.0)
@@ -610,12 +603,12 @@ class Disk(Domain):
     def boundary_distance(self, z):
         return np.abs(np.abs(_asarr(z) - self.center) - self.radius)
 
-    def project(self, z):
+    def exit_points(self, z):
         z = _asarr(z)
         w = z - self.center
         rho = np.abs(w)
         direction = np.where(rho > 0, w / np.where(rho == 0, 1.0, rho), 1.0)
-        return self.center + self.radius * direction
+        return self.center + self.radius * direction, _generic_codes(z)
 
     def first_boundary_crossing(self, z0, z1):
         return _circle_crossing_fraction(_asarr(z0) - self.center,
@@ -725,11 +718,8 @@ class SpiralPair(Domain):
     def boundary_distance(self, z):
         return self._nearest(z)[0]
 
-    def project(self, z):
-        return self._nearest(z)[1]
-
-    def label_codes(self, z):
-        return self._nearest(z)[2]
+    def exit_points(self, z):
+        return self._nearest(z)[1:]
 
     def probe_box(self):
         return (-20.0, 20.0, -20.0, 20.0)

@@ -1,10 +1,10 @@
-"""Closed-form analytic maps, their derivatives, and Hardy-norm profiles.
+"""Closed-form analytic maps and Hardy-norm profiles.
 
-All maps evaluate vectorized over complex ndarrays and carry exact
-derivatives.  Branch conventions: powers and logarithms use the principal
-branch with Arg in (-pi, pi].  Evaluation requests on a branch cut raise
-:class:`~bmx.errors.OnBranchCut` rather than silently choosing a side, and
-poles raise :class:`~bmx.errors.AtPole`.
+All maps evaluate vectorized over complex ndarrays.  Branch conventions:
+powers and logarithms use the principal branch with Arg in (-pi, pi].
+Evaluation requests on a branch cut raise :class:`~bmx.errors.OnBranchCut`
+rather than silently choosing a side, and poles raise
+:class:`~bmx.errors.AtPole`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ def _asarr(z):
 
 
 class AnalyticMap:
-    """Base class: ``evaluate`` and ``derivative`` over complex arrays."""
+    """Base class: ``evaluate`` over complex arrays."""
 
     def evaluate(self, z):
-        raise NotImplementedError
-
-    def derivative(self, z):
         raise NotImplementedError
 
 
@@ -44,10 +41,6 @@ class Linear(AnalyticMap):
     def evaluate(self, z):
         return self.c * _asarr(z)
 
-    def derivative(self, z):
-        z = _asarr(z)
-        return np.full(z.shape, self.c, dtype=complex)
-
 
 @dataclass(frozen=True)
 class PowerInt(AnalyticMap):
@@ -63,19 +56,11 @@ class PowerInt(AnalyticMap):
         if self.xi == 0:
             raise BadParameters("power coefficient must be nonzero")
 
-    def _check_pole(self, z):
-        if self.n < 0 and np.any(z == 0):
-            raise AtPole("negative power evaluated at 0")
-
     def evaluate(self, z):
         z = _asarr(z)
-        self._check_pole(z)
+        if self.n < 0 and np.any(z == 0):
+            raise AtPole("negative power evaluated at 0")
         return self.xi * z ** self.n
-
-    def derivative(self, z):
-        z = _asarr(z)
-        self._check_pole(z)
-        return self.n * self.xi * z ** (self.n - 1)
 
 
 def _principal_power(z, alpha):
@@ -106,10 +91,6 @@ class PowerBranch(AnalyticMap):
         _check_principal_cut(z, "z**alpha")
         return _principal_power(z, self.alpha)
 
-    def derivative(self, z):
-        _check_principal_cut(z, "z**alpha")
-        return self.alpha * _principal_power(z, self.alpha - 1.0)
-
 
 @dataclass(frozen=True)
 class Mobius(AnalyticMap):
@@ -129,13 +110,6 @@ class Mobius(AnalyticMap):
             raise AtPole("Mobius map evaluated at its pole")
         return (z - self.alpha) / (z - pole)
 
-    def derivative(self, z):
-        z = _asarr(z)
-        pole = np.conj(self.alpha)
-        if np.any(z == pole):
-            raise AtPole("Mobius map evaluated at its pole")
-        return (self.alpha - pole) / (z - pole) ** 2
-
 
 @dataclass(frozen=True)
 class KoebeParabola(AnalyticMap):
@@ -147,12 +121,6 @@ class KoebeParabola(AnalyticMap):
         if np.any(z == -1):
             raise AtPole("4/(1+z)^2 evaluated at -1")
         return 4.0 / (1.0 + z) ** 2
-
-    def derivative(self, z):
-        z = _asarr(z)
-        if np.any(z == -1):
-            raise AtPole("4/(1+z)^2 evaluated at -1")
-        return -8.0 / (1.0 + z) ** 3
 
 
 @dataclass(frozen=True)
@@ -166,7 +134,7 @@ class WedgePower(AnalyticMap):
         if not (0 < self.theta <= 2 * math.pi):
             raise BadParameters("wedge aperture must lie in (0, 2*pi]")
 
-    def _inner(self, z):
+    def evaluate(self, z):
         z = _asarr(z)
         if np.any(z == -1):
             raise AtPole("((1-z)/(1+z))^a evaluated at -1")
@@ -176,16 +144,7 @@ class WedgePower(AnalyticMap):
         on_cut = (w.imag == 0.0) & (w.real < 0.0)
         if np.any(on_cut):
             raise OnBranchCut("wedge power hit its inherited cut |z|>=1 on R")
-        return w
-
-    def evaluate(self, z):
-        return _principal_power(self._inner(z), self.theta / math.pi)
-
-    def derivative(self, z):
-        z = _asarr(z)
-        w = self._inner(z)
-        beta = self.theta / math.pi
-        return beta * _principal_power(w, beta - 1.0) * (-2.0) / (1.0 + z) ** 2
+        return _principal_power(w, self.theta / math.pi)
 
 
 @dataclass(frozen=True)
@@ -193,9 +152,6 @@ class Exp(AnalyticMap):
     """z -> e^z."""
 
     def evaluate(self, z):
-        return np.exp(_asarr(z))
-
-    def derivative(self, z):
         return np.exp(_asarr(z))
 
 
@@ -215,14 +171,6 @@ class Compose(AnalyticMap):
         for stage in self.stages:
             w = stage.evaluate(w)
         return w
-
-    def derivative(self, z):
-        w = _asarr(z)
-        total = np.ones(w.shape, dtype=complex)
-        for stage in self.stages:
-            total = total * stage.derivative(w)
-            w = stage.evaluate(w)
-        return total
 
 
 # ---------------------------------------------------------------------------

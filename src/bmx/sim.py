@@ -1,5 +1,5 @@
-"""Stochastic kernels: exact exit samplers, walk-on-spheres, adaptive
-Euler-Maruyama, and analytic-map pushforward.
+"""Stochastic kernels: exact exit samplers, walk-on-spheres and adaptive
+Euler-Maruyama.
 
 Every kernel is a vectorized ``*_batch`` function that advances a whole
 block of paths per numpy sweep and returns one :class:`ExitBatch`.  The
@@ -14,8 +14,6 @@ exactly, so it also serves the CLI's pushforward check, which maps exit
 points only.  Walk-on-spheres can also mark each path's arrival at a
 vertical line without stopping it, which the doubling-inequality check
 reads.
-:func:`em_path` runs the Euler-Maruyama kernel on one start and also keeps
-its trajectory as a :class:`PathSample`, which :func:`pushforward` maps.
 Randomness always comes from a generator derived from an
 :class:`~bmx.rng.RngStream`, so identical ``(seed, stream_id, config)``
 reproduce identical exits bit for bit.
@@ -29,13 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk_time import sample_unit_disk_time
-from .errors import (BadParameters, BadStart, MaxStepsExceeded,
-                     PointOutsideDomain)
+from .errors import BadParameters, BadStart, PointOutsideDomain
 from .geometry import BoundaryLabel, Domain, HalfPlane, _asarr
-from .maps import AnalyticMap
-from .rng import RngStream, chunk_ranges
+from .rng import chunk_ranges
 
 _LABEL_NONE = -1
+
+
+def _check_max_steps(cfg):
+    if not cfg.max_steps >= 1:
+        raise BadParameters(f"{type(cfg).__name__}.max_steps must be at "
+                            f"least 1, got {cfg.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -51,26 +53,32 @@ class WosConfig:
     max_steps: int = 1_000_000
     with_time: bool = False
 
+    def __post_init__(self):
+        _check_max_steps(self)
+
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Adaptive Euler-Maruyama controls: dt = min(dt_max, c * dist^2).
-
-    The quadratic rule makes the step count logarithmic in the exit scale;
-    cap dt_max only when a time-resolved path is needed.  Each step's exit
-    is located by :meth:`Domain.first_boundary_crossing` on the straight
-    step, so a step from clearance d0 to clearance d1 hides a crossing with
-    probability about exp(-2 d0 d1 / dt).  That is the e^{-2/c} level only
-    when d1 is about d0; a step that ends close to the boundary hides far
-    more.  Hidden crossings lengthen paths, and exit-time moments come out
-    high: against the exact wedge values, E[tau^p] at p = alpha/4 was
-    0.07% to 0.11% above (z-scores 2.3 to 3.8) on the pi/2 wedge, the
-    half-plane and the Koebe slit, at c = 0.1 with 4 seeds of 4e5 paths.
+    """Adaptive Euler-Maruyama controls: dt = c * dist^2, so the step count
+    is logarithmic in the exit scale.  Each step's exit is located by
+    :meth:`Domain.first_boundary_crossing` on the straight step, so a step
+    from clearance d0 to clearance d1 hides a crossing with probability
+    about exp(-2 d0 d1 / dt).  That is the e^{-2/c} level only when d1 is
+    about d0; a step that ends close to the boundary hides far more.
+    Hidden crossings lengthen paths, and exit-time moments come out high:
+    against the exact wedge values, E[tau^p] at p = alpha/4 was 0.07% to
+    0.11% above (z-scores 2.3 to 3.8) on the pi/2 wedge, the half-plane and
+    the Koebe slit, at c = 0.1 with 4 seeds of 4e5 paths.
     """
 
-    dt_max: float = math.inf
     c: float = 0.1
     max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise BadParameters(f"EmConfig.c must be finite and positive, "
+                                f"got {self.c!r}")
+        _check_max_steps(self)
 
 
 @dataclass
@@ -97,16 +105,6 @@ class ExitBatch:
     @property
     def n_excluded(self) -> int:
         return int(np.sum(~self.ok))
-
-
-@dataclass
-class PathSample:
-    """A discretely sampled trajectory; its last entries are the exit time
-    and exit point, and ``label`` is the label of that exit."""
-
-    times: np.ndarray
-    points: np.ndarray
-    label: BoundaryLabel
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +278,18 @@ def wos_exit_batch(domain: Domain, starts,
 
 def em_exit_batch(domain: Domain, starts,
                   gen: np.random.Generator | list[np.random.Generator],
-                  cfg: EmConfig = EmConfig(),
-                  path: list | None = None) -> ExitBatch:
+                  cfg: EmConfig = EmConfig()) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
-    Gaussian increments with dt = min(dt_max, c * dist^2).  Each step
+    Gaussian increments with dt = c * dist^2.  Each step
     segment is handed to :meth:`Domain.first_boundary_crossing`, which
     locates the first boundary point on it exactly for line, ray, segment
     and circle boundaries (bisection only for curved ones), so excursions
     that leave and re-enter within one step still end the path; the exit
     time is interpolated linearly along the step.  Paths still inside after
     ``max_steps`` steps have ``ok`` False, NaN exit point and time, and
-    label -1.  When ``path`` is a list, the ``(t, z)`` of path 0 after each
-    step it survives is appended to it.  ``gen`` is one generator, or one
-    per chunk of the starts (see :class:`_ChunkDraws`).
+    label -1.  ``gen`` is one generator, or one per chunk of the starts
+    (see :class:`_ChunkDraws`).
     """
     starts = np.atleast_1d(_asarr(starts))
     n = starts.size
@@ -318,7 +314,7 @@ def em_exit_batch(domain: Domain, starts,
         d = domain.boundary_distance(z)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
-        dt = np.clip(cfg.c * d * d, 1e-18, cfg.dt_max)
+        dt = np.maximum(cfg.c * d * d, 1e-18)
         dt = np.maximum(dt, 4e-16 * t)
         draws.split(idx)
         g = draws.standard_normal((2, idx.size))
@@ -337,50 +333,9 @@ def em_exit_batch(domain: Domain, starts,
             keep = ~finished
             idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
         z, t = z1, t + dt
-        if path is not None and idx.size and idx[0] == 0:
-            path.append((t[0], z[0]))
         if step >= cfg.max_steps:
             steps[idx] = step
             break
 
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
                      steps=steps, ok=ok)
-
-
-def em_path(domain: Domain, start: complex, cfg: EmConfig,
-            rng: RngStream) -> PathSample:
-    """One Euler-Maruyama path from ``start`` with every step it took, ending
-    at its exit; the same draws as :func:`em_exit_batch` on that one start.
-    Raises MaxStepsExceeded if capped."""
-    start = complex(start)
-    path = [(0.0, start)]
-    batch = em_exit_batch(domain, [start], rng.generator(), cfg, path=path)
-    if not batch.ok[0]:
-        raise MaxStepsExceeded(f"no exit within {cfg.max_steps} steps")
-    path.append((batch.exit_time[0], batch.exit_point[0]))
-    times, points = zip(*path)
-    return PathSample(times=np.array(times), points=np.array(points),
-                      label=BoundaryLabel(int(batch.label[0])))
-
-
-# ---------------------------------------------------------------------------
-# Pushforward under an analytic map
-# ---------------------------------------------------------------------------
-
-def pushforward(m: AnalyticMap, path: PathSample,
-                image: Domain | None = None) -> PathSample:
-    """Image of a sampled path under an analytic map, with the exit clock
-    rescaled by the accumulated squared derivative (trapezoid rule).
-
-    The exit is relabeled in ``image`` when it is given (GENERIC
-    otherwise); evaluation errors surface if the path touches a cut or pole.
-    """
-    pts = m.evaluate(path.points)
-    speed = np.abs(m.derivative(path.points)) ** 2
-    dt = np.diff(path.times)
-    sigma = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (speed[:-1] + speed[1:]))])
-    if image is not None:
-        label = BoundaryLabel(int(image.label_codes(np.complex128(pts[-1]))))
-    else:
-        label = BoundaryLabel.GENERIC
-    return PathSample(times=sigma, points=pts, label=label)

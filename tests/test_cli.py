@@ -476,6 +476,33 @@ seed = 7
     assert reports[2]["passed"]
 
 
+@pytest.mark.parametrize("kernel,key,value,error", [
+    ("em", "c", "nan", "BadParameters: EmConfig.c must be finite and "
+     "positive, got nan"),
+    ("em", "max_steps", "0", "BadParameters: EmConfig.max_steps must be at "
+     "least 1, got 0"),
+    ("wos", "max_steps", "0", "BadParameters: WosConfig.max_steps must be "
+     "at least 1, got 0"),
+])
+def test_degenerate_kernel_config_recorded_not_fatal(tmp_path, kernel, key,
+                                                      value, error):
+    cfg = f"""
+[scenario.degenerate]
+experiment = moment
+domain = wedge(1.5707963267948966)
+start = 1
+p = 0.5
+n = 5
+kernel = {kernel}
+{key} = {value}
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["degenerate", "square"]
+    assert not reports[0]["passed"]
+    assert reports[0]["error"] == error
+    assert reports[1]["passed"]
+
+
 def test_interior_sampling_failure_recorded_not_fatal(tmp_path, capsys):
     # No probe point lands in so thin a wedge, so its starlike check cannot
     # sample the interior.

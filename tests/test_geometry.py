@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bmx.combs import build_comb
+from bmx.combs import CombDomain, build_comb
 from bmx.errors import BadParameters
-from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
+from bmx.geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
                           Rectangle, SpiralPair, Strip, Wedge, _Rectilinear,
                           check_delta_starlike, sample_interior)
@@ -191,7 +191,9 @@ def _points_near_piece_ends(domain, gen):
 
 
 @pytest.mark.parametrize("domain", PIECE_TABLES + [
-    Annulus(1, math.e), Wedge(math.pi / 2), Wedge(2 * math.pi)], ids=repr)
+    Annulus(1, math.e), Wedge(math.pi / 2), Wedge(2 * math.pi),
+    Annulus(1, math.e ** 2), Disk(), ParabolaComplement(), SpiralPair("U"),
+    SpiralPair("complement")], ids=repr)
 def test_exit_points_equal_project_then_label_codes(domain):
     z = _points_near_piece_ends(domain, RngStream(22).generator())
     points, labels = domain.exit_points(z)
@@ -202,6 +204,19 @@ def test_exit_points_equal_project_then_label_codes(domain):
     point, label = domain.exit_points(z[0])
     assert np.shape(point) == np.shape(label) == ()
     assert point == projected[0] and label == labels[0]
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in [sub, *_subclasses(sub)]]
+
+
+def test_domains_answer_nearest_point_only_in_exit_points():
+    # project and label_codes are Domain's views of exit_points; a domain
+    # that defined its own could drift from the kernels' one query.
+    classes = _subclasses(Domain)
+    assert CombDomain in classes and SpiralPair in classes
+    for cls in classes:
+        assert not {"project", "label_codes"} & set(vars(cls)), cls
 
 
 def test_classify_deterministic_near_boundary():

@@ -4,24 +4,9 @@ import numpy as np
 import pytest
 
 from bmx.errors import AtPole, BadParameters, OnBranchCut, QuadratureFailure
-from bmx.maps import (Compose, Exp, KoebeParabola, Linear, Mobius,
-                      PowerBranch, PowerInt, WedgePower, adaptive_quadrature,
+from bmx.maps import (Exp, KoebeParabola, Linear, Mobius, PowerBranch,
+                      PowerInt, WedgePower, adaptive_quadrature,
                       circular_mean_norm, default_r_grid, hardy_norm_profile)
-
-VARIANTS = [
-    Linear(2 - 1j),
-    PowerInt(2),
-    PowerInt(3, 0.5j),
-    PowerInt(-1, 3.0),
-    PowerBranch(0.5),
-    PowerBranch(0.3),
-    Mobius(1j),
-    Mobius(0.5 + 2j),
-    KoebeParabola(),
-    WedgePower(math.pi / 2),
-    Exp(),
-    Compose((Linear(0.3), Exp(), Linear(2))),
-]
 
 
 def _sample_points(rng, n=100):
@@ -30,35 +15,16 @@ def _sample_points(rng, n=100):
     return rng.uniform(0.1, 0.8, n) * np.exp(1j * rng.uniform(-2.4, 2.4, n))
 
 
-@pytest.mark.parametrize("m", VARIANTS, ids=lambda m: type(m).__name__)
-def test_derivative_matches_central_differences(m):
-    rng = np.random.default_rng(hash(type(m).__name__) % 2**32)
-    z = _sample_points(rng)
-    h = 1e-5 * np.maximum(1.0, np.abs(z))
-    fd = (m.evaluate(z + h) - m.evaluate(z - h)) / (2 * h)
-    exact = m.derivative(z)
-    rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-12)
-    assert np.max(rel) < 1e-6
-
-
 def test_eval_examples():
     assert Mobius(1j).evaluate(1j) == 0
     assert KoebeParabola().evaluate(0j) == 4
     assert np.isclose(PowerBranch(0.5).evaluate(1j),
                       np.exp(1j * math.pi / 4))
-    assert np.isclose(PowerInt(2).derivative(3 + 0j), 6.0)
-    # Finite-difference oracle pins the value before trusting the formula.
+    # A central difference pins the slope of 4/(1+z)^2 at 0 to -8.
     h = 1e-6
     fd = (KoebeParabola().evaluate(h + 0j)
           - KoebeParabola().evaluate(-h + 0j)) / (2 * h)
     assert abs(fd - (-8.0)) < 1e-4
-    assert KoebeParabola().derivative(0j) == -8.0
-
-
-def test_linear_derivative_constant():
-    c = 1.5 - 2j
-    z = np.array([0j, 1 + 1j, -3j])
-    assert np.all(Linear(c).derivative(z) == c)
 
 
 def test_branch_coherence():

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
-from bmx.errors import (BadParameters, BadStart, MaxStepsExceeded,
-                        PointOutsideDomain)
+from bmx.errors import BadParameters, BadStart, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
-                          ParabolaComplement, Rectangle, Strip, Wedge)
-from bmx.maps import Exp, Linear, PowerInt
+                          Rectangle, Strip)
+from bmx.maps import PowerInt
 from bmx.rng import CHUNK_SIZE, RngStream
 from bmx.sim import (EmConfig, ExitBatch, WosConfig, _ChunkDraws,
-                     em_exit_batch, em_path, pushforward,
-                     sample_disk_exit_batch, sample_halfplane_exit_batch,
-                     wos_exit_batch)
+                     em_exit_batch, sample_disk_exit_batch,
+                     sample_halfplane_exit_batch, wos_exit_batch)
 
 
 def cauchy_cdf(x, a, b):
@@ -187,38 +185,16 @@ def test_em_crossing_detection_on_slits():
     assert np.all(np.abs(exits.imag) < 1e-9)
 
 
-def test_em_path_sample():
-    path = em_path(Disk(0j, 1.0), 0j, EmConfig(dt_max=0.01), RngStream(21))
-    assert path.times[0] == 0.0
-    assert np.all(np.diff(path.times) > 0)
-    assert path.points[0] == 0j
-    assert math.isclose(abs(path.points[-1]), 1.0, rel_tol=1e-6)
-    assert path.label == BoundaryLabel.GENERIC
-    # Increment variance tracks the step sizes: |inc|^2/(2 dt) averages 1.
-    dt = np.diff(path.times)[:-1]
-    inc = np.diff(path.points)[:-1]
-    norm = np.abs(inc) ** 2 / (2 * dt)
-    assert abs(np.mean(norm) - 1.0) < 4.0 / math.sqrt(len(norm))
-
-
-@pytest.mark.parametrize("domain,start", [
-    (Disk(0j, 1.0), 0.3j), (Strip(-1, 1), 0j), (Rectangle(2, 1), 0.5 + 0j),
-    (Wedge(math.pi / 3), 1 + 0.2j), (KoebeSlit(), 1 + 0j),
-    (ParabolaComplement(), 2 + 0j)])
-def test_em_path_is_the_batch_path(domain, start):
-    # em_path runs em_exit_batch on its one start: same draws, same exit,
-    # and one recorded point per step.
-    cfg = EmConfig(max_steps=200_000)
-    for seed in (5, 6):
-        path = em_path(domain, start, cfg, RngStream(seed))
-        b = em_exit_batch(domain, [start], RngStream(seed).generator(), cfg)
-        assert b.ok[0]
-        assert path.points[-1] == b.exit_point[0]
-        assert path.times[-1] == b.exit_time[0]
-        assert path.label == b.label[0]
-        assert len(path.points) - 1 == len(path.times) - 1 == b.steps[0]
-    with pytest.raises(MaxStepsExceeded):
-        em_path(domain, start, EmConfig(max_steps=1), RngStream(5))
+@pytest.mark.parametrize("make", [
+    lambda: EmConfig(c=math.nan), lambda: EmConfig(c=math.inf),
+    lambda: EmConfig(c=0.0), lambda: EmConfig(c=-0.1),
+    lambda: EmConfig(max_steps=0), lambda: WosConfig(max_steps=0),
+    lambda: WosConfig(max_steps=-1, with_time=True)])
+def test_degenerate_kernel_config_rejected(make):
+    # A NaN clock gave ok paths with NaN exits, and a step cap below 1
+    # gave walks with no jump at all.
+    with pytest.raises(BadParameters):
+        make()
 
 
 def test_em_reproducible():
@@ -361,20 +337,10 @@ def test_batch_step_cap_records(kernel):
 
 
 # ---------------------------------------------------------------------------
-# Pushforward
+# Exit points under an analytic map
 # ---------------------------------------------------------------------------
 
-def test_pushforward_linear_rescales_time_exactly():
-    path = em_path(Disk(0j, 1.0), 0j, EmConfig(dt_max=0.02), RngStream(22))
-    c = 3 - 4j
-    mapped = pushforward(Linear(c), path, image=Disk(0j, 5.0))
-    assert np.allclose(mapped.times, abs(c) ** 2 * path.times, rtol=1e-12)
-    assert np.allclose(mapped.points, c * path.points)
-    assert math.isclose(abs(mapped.points[-1]), 5.0, rel_tol=1e-6)
-    assert mapped.label == BoundaryLabel.GENERIC
-
-
-def test_pushforward_square_map_poisson_kernel():
+def test_square_map_sends_disk_exits_to_poisson_kernel():
     # z -> z^2 sends exits of the unit disk from 0.5 to exits from 0.25;
     # the mapped angle law must match the Poisson kernel at 0.25.
     n = 50_000
@@ -391,12 +357,3 @@ def test_pushforward_square_map_poisson_kernel():
     expected = dens * (bins[1] - bins[0]) * n
     expected *= counts.sum() / expected.sum()
     assert chisquare(counts, expected).pvalue > 0.001
-
-
-def test_pushforward_exp_maps_strip_boundary_to_rays():
-    s = Strip(-1.0, 1.0)
-    path = em_path(s, 0j, EmConfig(dt_max=0.05), RngStream(23))
-    mapped = pushforward(Exp(), path)
-    w = mapped.points[-1]
-    assert math.isclose(abs(abs(np.angle(w)) - 1.0), 0.0, abs_tol=1e-6)
-    assert np.all(np.diff(mapped.times) >= 0)
