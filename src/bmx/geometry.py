@@ -21,7 +21,9 @@ A boundary made of horizontal and vertical segments, rays and lines
 (rectangle, half-plane, strip, Koebe slit, half-strip complement, comb) is
 stated once, as a table of pieces with infinite ends allowed; the
 ``_Rectilinear`` base class reads all but ``contains`` from it, and answers
-``exit_points`` with one nearest-piece search.
+``exit_points`` with one nearest-piece search, which on a table of many
+pieces a grid of cells over their finite ends narrows to the few pieces
+that can be nearest.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ from .rng import RngStream
 
 # check_delta_starlike probes each leftward ray down to Re z = -FAR_CLIP.
 FAR_CLIP = 1e6
+
+# Cells per axis of the nearest-piece index of a piece table.  On the comb
+# scenarios 64 leaves about 7 candidates per point on V_5 and 128 about 6,
+# while 256 costs more to build than it saves.
+_CELLS = 128
+
+# Fewest pieces a table needs for an index.  A cell lookup costs about as
+# much as measuring a rectangle's four sides, and on a table of one or two
+# pieces it triples the cost of a small call.
+_INDEXED_PIECES = 5
 
 # Length along the segment to which the containment bisection of
 # Domain.first_boundary_crossing resolves a curved boundary.
@@ -212,40 +224,130 @@ class _Rectilinear(Domain):
         return (horiz, np.where(horiz, p.imag, p.real), ends.min(axis=0),
                 ends.max(axis=0), label.astype(np.int64))
 
-    def _coords(self, z):
-        """(across - level, along) of z against every piece, on a last axis."""
-        horiz, level = self._table[:2]
-        z = _asarr(z)[..., None]
+    def _coords(self, z, k=slice(None)):
+        """(across - level, along) of z against pieces k, every piece by
+        default, broadcast together."""
+        horiz, level = (c[k] for c in self._table[:2])
         return (np.where(horiz, z.imag, z.real) - level,
                 np.where(horiz, z.real, z.imag))
 
-    def _feet(self, z):
-        """(distance, foot's along coordinate) for every piece."""
-        across, along = self._coords(z)
-        foot = np.minimum(np.maximum(along, self._table[2]), self._table[3])
+    @cached_property
+    def _cells(self):
+        """Nearest-piece index: (x0, x scale, y0, y scale, count, cand), or
+        None for a table of fewer than _INDEXED_PIECES pieces or without
+        finite end coordinates on both axes.
+
+        A grid of _CELLS x _CELLS cells spans the finite end coordinates,
+        each axis widened by half its extent on both sides (an axis without
+        extent takes the other's, or 1).  Cell c keeps in cand[c] the
+        count[c] pieces that may hold the nearest point of one of its
+        points, in piece order, padded with its last.  A piece is left out
+        only if its distance from the cell exceeds the smallest
+        farthest-corner distance of any piece (distance to a segment is
+        convex, so its largest value on a cell is at a corner), by a margin
+        far above rounding; so each point's first nearest piece is kept.
+        """
+        horiz, level, lo, hi = self._table[:4]
+        box = (np.where(horiz, lo, level), np.where(horiz, hi, level),
+               np.where(horiz, level, lo), np.where(horiz, level, hi))
+        ends = [c[np.isfinite(c)] for c in (np.concatenate(box[:2]),
+                                            np.concatenate(box[2:]))]
+        if not (len(horiz) >= _INDEXED_PIECES and ends[0].size
+                and ends[1].size):
+            return None
+        spans = [np.ptp(c) for c in ends]
+        near, far, grid = [], [], []
+        for c, span, b0, b1 in zip(ends, spans, box[::2], box[1::2]):
+            span = span or max(spans) or 1.0
+            a, b = c.min() - span / 2, c.max() + span / 2
+            grid += [a, _CELLS / (b - a)]
+            # A point's cell, found with rounding, may miss the point by a
+            # few ulps: the bounds are taken over cells widened by more.
+            edges = np.linspace(a, b, _CELLS + 1)
+            slack = 1e-9 * (abs(a) + abs(b))
+            c0, c1 = edges[:-1] - slack, edges[1:] + slack
+            b0, b1 = b0[:, None], b1[:, None]
+            # Per piece and cell, on this axis: the squared gap to the
+            # piece, and the larger squared distance to it from the cell's
+            # two edges.
+            near.append(np.maximum(np.maximum(b0 - c1, c0 - b1), 0.0) ** 2)
+            far.append(np.maximum(np.abs(c0 - np.clip(c0, b0, b1)),
+                                  np.abs(c1 - np.clip(c1, b0, b1))) ** 2)
+        lower = near[0][:, :, None] + near[1][:, None, :]
+        upper = (far[0][:, :, None] + far[1][:, None, :]).min(axis=0)
+        keep = (lower <= upper * (1 + 1e-9)).reshape(len(horiz), -1)
+        count = keep.sum(axis=0)
+        cell, piece = np.nonzero(keep.T)
+        end = np.cumsum(count)
+        cand = np.empty((count.size, count.max()), dtype=np.intp)
+        cand[:] = piece[end - 1, None]
+        cand[cell, np.arange(piece.size) - (end - count)[cell]] = piece
+        return (*grid, count, cand)
+
+    def _feet(self, z, k=slice(None)):
+        """(distance, foot's along coordinate) of z against pieces k."""
+        across, along = self._coords(z, k)
+        lo, hi = (c[k] for c in self._table[2:4])
+        foot = np.minimum(np.maximum(along, lo), hi)
         return np.hypot(along - foot, across), foot
 
+    def _measure(self, z, k, first):
+        """(distance,) from each point of z to the nearest of the pieces k,
+        a row per point, or of every piece when k is None; with ``first``
+        also the first nearest of them and its foot's along coordinate."""
+        d, foot = self._feet(z[:, None], slice(None) if k is None else k)
+        if not first:
+            return (d.min(axis=-1),)
+        j = np.argmin(d, axis=-1)
+        # Gathered flat: cheaper per call than 2-D indexing.
+        at = np.arange(j.size) * d.shape[1] + j
+        return (d.reshape(-1)[at], j if k is None else k.reshape(-1)[at],
+                foot.reshape(-1)[at])
+
+    def _nearest(self, z, first=True):
+        """``_measure`` over the whole table for each point of z, flattened.
+        A point of the index's grid is measured against its cell's pieces
+        only; any other point, or a point that is not finite, against every
+        piece."""
+        z = _asarr(z).reshape(-1)
+        if self._cells is None:
+            return self._measure(z, None, first)
+        x0, sx, y0, sy, count, cand = self._cells
+        fx, fy = (z.real - x0) * sx, (z.imag - y0) * sy
+        grid = (fx >= 0) & (fx < _CELLS) & (fy >= 0) & (fy < _CELLS)
+        inside = grid.all()
+        if not inside:
+            fx, fy = fx[grid], fy[grid]
+        cell = fx.astype(np.intp) * _CELLS + fy.astype(np.intp)
+        # Each cell's row is padded with its last piece, so the call's widest
+        # cell sets the width.
+        rows = cand[cell, :count[cell].max(initial=1)]
+        if inside:
+            return self._measure(z, rows, first)
+        out = [np.empty(z.size, dtype=t) for t in (float, np.intp, float)]
+        for part, k in ((grid, rows), (~grid, None)):
+            for o, v in zip(out, self._measure(z[part], k, first)):
+                o[part] = v
+        return out
+
     def boundary_distance(self, z):
-        return np.min(self._feet(z)[0], axis=-1)
+        return self._nearest(z, first=False)[0].reshape(np.shape(z))[()]
 
     def exit_points(self, z):
         # The point's own nearest piece is z's: an earlier piece through it
         # would be at least as near z, and win the tie.  So one search
         # gives both the point and its label.
-        dist, foot = self._feet(z)
-        k = np.argmin(dist, axis=-1)
-        # foot[..., k], gathered flat: cheaper per call than take_along_axis.
-        rows = np.arange(k.size).reshape(k.shape)
-        foot = foot.reshape(-1)[rows * foot.shape[-1] + k]
+        _, k, foot = self._nearest(z)
         horiz, level, label = (self._table[i][k] for i in (0, 1, 4))
         p = np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
-        return p, label
+        shape = np.shape(z)
+        return p.reshape(shape)[()], label.reshape(shape)[()]
 
     def first_boundary_crossing(self, z0, z1):
         """The first s at which the across coordinate of z0 -> z1 reaches a
         piece's level with the along coordinate in [lo, hi]."""
-        a0, b0 = self._coords(z0)
-        a1, b1 = self._coords(z1)
+        a0, b0 = self._coords(_asarr(z0)[..., None])
+        a1, b1 = self._coords(_asarr(z1)[..., None])
         s = _line_crossing_fraction(a0, a1)
         along = b0 + np.where(np.isfinite(s), s, 0.0) * (b1 - b0)
         lo, hi = self._table[2:4]

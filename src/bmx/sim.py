@@ -6,14 +6,16 @@ block of paths per numpy sweep and returns one :class:`ExitBatch`.  The
 walk-on-spheres and Euler-Maruyama kernels take one generator, or one per
 chunk of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
 sharing every geometry call of a sweep, while each draws from its own
-generator exactly what a call on that chunk alone would draw.  Each sweep
-with exits answers them with one :meth:`Domain.exit_points` query, the
-nearest boundary point and its label, which a piece-table domain reads
-from a single nearest-piece search.  Walk-on-spheres draws the exit law
-exactly, so it also serves the CLI's pushforward check, which maps exit
-points only.  Walk-on-spheres can also mark each path's arrival at a
-vertical line without stopping it, which the doubling-inequality check
-reads.
+generator exactly what a call on that chunk alone would draw.  A path that
+exits records where it left (the shell point, or the crossing point of its
+last step), and after the loop one :meth:`Domain.exit_points` query per
+call turns every record into its nearest boundary point and label; a
+piece-table domain reads both from one nearest-piece search.  The query is
+pointwise, so its result does not depend on which sweep an exit came from.
+Walk-on-spheres draws the exit law exactly, so it also serves the CLI's
+pushforward check, which maps exit points only.  Walk-on-spheres can also
+mark each path's arrival at a vertical line without stopping it, which the
+doubling-inequality check reads.
 Randomness always comes from a generator derived from an
 :class:`~bmx.rng.RngStream`, so identical ``(seed, stream_id, config)``
 reproduce identical exits bit for bit.
@@ -245,7 +247,7 @@ def wos_exit_batch(domain: Domain, starts,
         shell = d < eps
         if np.any(shell):
             done = idx[shell]
-            exit_pt[done], labels[done] = domain.exit_points(z[shell])
+            exit_pt[done] = z[shell]
             ok[done] = True
             steps[done] = step
             if t is not None:
@@ -268,6 +270,7 @@ def wos_exit_batch(domain: Domain, starts,
             t = t + r ** 2 * sample_unit_disk_time(draws, idx.size)
         step += 1
 
+    exit_pt[ok], labels[ok] = domain.exit_points(exit_pt[ok])
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
                      steps=steps, ok=ok, line_hit=line_hit)
 
@@ -325,8 +328,7 @@ def em_exit_batch(domain: Domain, starts,
         if np.any(finished):
             done = idx[finished]
             z0, sf = z[finished], s[finished]
-            exit_pt[done], labels[done] = domain.exit_points(
-                z0 + (z1[finished] - z0) * sf)
+            exit_pt[done] = z0 + (z1[finished] - z0) * sf
             exit_t[done] = t[finished] + sf * dt[finished]
             ok[done] = True
             steps[done] = step
@@ -337,5 +339,6 @@ def em_exit_batch(domain: Domain, starts,
             steps[idx] = step
             break
 
+    exit_pt[ok], labels[ok] = domain.exit_points(exit_pt[ok])
     return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
                      steps=steps, ok=ok)

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from bmx.combs import build_comb
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
@@ -19,9 +18,8 @@ from bmx.rng import RngStream
 from bmx.sim import (EmConfig, WosConfig, em_exit_batch,
                      sample_disk_exit_batch, wos_exit_batch)
 from bmx.stats import (classify_moment, estimate_hardy_number,
-                       estimate_moment, hill_tail_index, run_exits,
-                       verify_cauchy_identities, verify_increasing_domains,
-                       verify_karafyllia)
+                       hill_tail_index, run_exits, verify_cauchy_identities,
+                       verify_increasing_domains, verify_karafyllia)
 
 N_BIG = 100_000
 E = math.e

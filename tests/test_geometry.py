@@ -10,8 +10,9 @@ from bmx.combs import CombDomain, build_comb
 from bmx.errors import BadParameters
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
-                          Rectangle, SpiralPair, Strip, Wedge, _Rectilinear,
-                          check_delta_starlike, sample_interior)
+                          Rectangle, SpiralPair, Strip, Wedge, _CELLS,
+                          _INDEXED_PIECES, _Rectilinear, check_delta_starlike,
+                          sample_interior)
 from bmx.rng import RngStream
 
 ALL_DOMAINS = [
@@ -204,6 +205,77 @@ def test_exit_points_equal_project_then_label_codes(domain):
     point, label = domain.exit_points(z[0])
     assert np.shape(point) == np.shape(label) == ()
     assert point == projected[0] and label == labels[0]
+
+
+V1, W1 = build_comb(1, [1, 40], [-50])
+V3, W3 = build_comb(3, [1, 40, 41, 100], [-50, 5, -51])
+
+
+def _full_table_exits(domain, z):
+    """Distance, nearest point and label of each point of z, measured
+    against every piece of the table."""
+    horiz, level, lo, hi, _ = domain._table
+    z = z[:, None]
+    along = np.where(horiz, z.real, z.imag)
+    foot = np.minimum(np.maximum(along, lo), hi)
+    dist = np.hypot(along - foot, np.where(horiz, z.imag, z.real) - level)
+    k = np.argmin(dist, axis=-1)
+    foot = np.take_along_axis(foot, k[:, None], axis=-1)[:, 0]
+    horiz, level, label = (domain._table[i][k] for i in (0, 1, 4))
+    point = np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
+    return dist.min(axis=-1), point, label
+
+
+def _cell_edge_points(domain, gen, n=5000):
+    """Points on the cell edges of the domain's index, one float step either
+    side of them, and on the grid's outer edges; none without an index."""
+    if domain._cells is None:
+        return np.zeros(0, dtype=complex)
+    x0, sx, y0, sy = domain._cells[:4]
+    xs, ys = (np.concatenate([e, np.nextafter(e, -np.inf),
+                              np.nextafter(e, np.inf)])
+              for e in (x0 + np.arange(_CELLS + 1) / sx,
+                        y0 + np.arange(_CELLS + 1) / sy))
+    x = gen.uniform(xs.min(), xs.max(), n)
+    y = gen.uniform(ys.min(), ys.max(), n)
+    return np.concatenate([gen.choice(xs, n) + 1j * gen.choice(ys, n),
+                           gen.choice(xs, n) + 1j * y,
+                           x + 1j * gen.choice(ys, n)])
+
+
+@pytest.mark.parametrize("domain", PIECE_TABLES + [V1, W1, V3, W3], ids=repr)
+def test_cell_index_equals_the_full_table(domain):
+    # The index measures a point against its cell's pieces only; distance,
+    # nearest point and label must still be those of the whole table, bit
+    # for bit, ties to the earlier piece included.
+    gen = RngStream(23).generator()
+    far = 10.0 ** gen.uniform(0, 6, 5000) * np.exp(2j * math.pi
+                                                   * gen.random(5000))
+    nan, inf = math.nan, math.inf
+    z = np.concatenate([
+        _points_near_piece_ends(domain, gen), _cell_edge_points(domain, gen),
+        far, [1e6, -1e6j, complex(nan, 0), complex(0, nan), complex(inf, 1),
+              complex(-inf, -1), complex(1, inf), complex(inf, -inf)]])
+    with np.errstate(invalid="ignore"):     # inf - inf at infinite ends
+        want = _full_table_exits(domain, z)
+        got = (_Rectilinear.boundary_distance(domain, z),
+               *_Rectilinear.exit_points(domain, z))
+    finite = np.isfinite(z)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a[finite].tobytes() == b[finite].tobytes()
+        assert np.array_equal(a, b, equal_nan=True)     # NaN signs may vary
+    # Only the combs have enough pieces for an index.
+    assert (domain._cells is None) == (len(domain.pieces()) < _INDEXED_PIECES)
+    if domain._cells is None:
+        return
+    # Each cell lists its candidates in piece order, so argmin keeps the
+    # earlier piece on a tie, and most cells list one or two.
+    count, cand = domain._cells[4:]
+    assert np.all(np.diff(cand, axis=1) >= 0)
+    assert np.all(np.diff(cand, axis=1)[np.arange(cand.shape[1] - 1)
+                                        < count[:, None] - 1] > 0)
+    assert count.mean() < 2
 
 
 def _subclasses(cls):

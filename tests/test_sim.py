@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
+from bmx.combs import build_comb
+from bmx.disk_time import sample_unit_disk_time
 from bmx.errors import BadParameters, BadStart, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip)
@@ -334,6 +336,132 @@ def test_batch_step_cap_records(kernel):
     for name in ("exit_point", "exit_time", "label", "steps"):
         assert np.array_equal(getattr(capped, name)[within],
                               getattr(full, name)[within])
+
+
+def _wos_per_sweep(domain, starts, gen, cfg, mark_line_re=None):
+    """Walk on spheres asking for exit points on every sweep with exits."""
+    n = starts.size
+    draws = _ChunkDraws(gen, n)
+    line = mark_line_re
+    eps = 1e-6 * (1.0 + np.abs(starts))
+    steps = np.zeros(n, dtype=np.int64)
+    exit_t = np.full(n, np.nan) if cfg.with_time else None
+    exit_pt = np.full(n, np.nan, dtype=complex)
+    labels = np.full(n, -1, dtype=np.int64)
+    ok = np.zeros(n, dtype=bool)
+    line_hit = None if line is None else np.zeros(n, dtype=bool)
+    idx, z, step = np.arange(n), starts.astype(complex), 0
+    t = np.zeros(n) if cfg.with_time else None
+    while idx.size:
+        d = r = domain.boundary_distance(z)
+        if line is not None:
+            gap = np.abs(z.real - line)
+            line_hit[idx[gap < eps]] = True
+            r = np.where(line_hit[idx], d, np.minimum(d, gap))
+        shell = d < eps
+        if np.any(shell):
+            done = idx[shell]
+            exit_pt[done], labels[done] = domain.exit_points(z[shell])
+            ok[done], steps[done] = True, step
+            if t is not None:
+                exit_t[done] = t[shell]
+            keep = ~shell
+            idx, z, r, eps = idx[keep], z[keep], r[keep], eps[keep]
+            if t is not None:
+                t = t[keep]
+            if idx.size == 0:
+                break
+        if step >= cfg.max_steps:
+            steps[idx] = step
+            break
+        draws.split(idx)
+        theta = draws.uniform(0.0, 2 * math.pi, idx.size)
+        z = z + r * np.exp(1j * theta)
+        if t is not None:
+            t = t + r ** 2 * sample_unit_disk_time(draws, idx.size)
+        step += 1
+    return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
+                     steps=steps, ok=ok, line_hit=line_hit)
+
+
+def _em_per_sweep(domain, starts, gen, cfg):
+    """Euler-Maruyama asking for exit points on every sweep with exits."""
+    n = starts.size
+    draws = _ChunkDraws(gen, n)
+    steps = np.zeros(n, dtype=np.int64)
+    exit_pt = np.full(n, np.nan, dtype=complex)
+    exit_t = np.full(n, np.nan)
+    labels = np.full(n, -1, dtype=np.int64)
+    ok = np.zeros(n, dtype=bool)
+    idx, z, t, step = np.arange(n), starts.astype(complex), np.zeros(n), 0
+    while idx.size:
+        step += 1
+        d = domain.boundary_distance(z)
+        dt = np.maximum(np.maximum(cfg.c * d * d, 1e-18), 4e-16 * t)
+        draws.split(idx)
+        g = draws.standard_normal((2, idx.size))
+        z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
+        s = domain.first_boundary_crossing(z, z1)
+        finished = np.isfinite(s)
+        if np.any(finished):
+            done = idx[finished]
+            z0, sf = z[finished], s[finished]
+            exit_pt[done], labels[done] = domain.exit_points(
+                z0 + (z1[finished] - z0) * sf)
+            exit_t[done] = t[finished] + sf * dt[finished]
+            ok[done], steps[done] = True, step
+            keep = ~finished
+            idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
+        z, t = z1, t + dt
+        if step >= cfg.max_steps:
+            steps[idx] = step
+            break
+    return ExitBatch(exit_point=exit_pt, exit_time=exit_t, label=labels,
+                     steps=steps, ok=ok)
+
+
+V3 = build_comb(3, [1, 40, 41, 100], [-50, 5, -51])[0]
+
+
+@pytest.mark.parametrize("kernel, domain, start, cfg, line, capped", [
+    ("wos", Rectangle(2, 1), 0.3j, WosConfig(), None, "none"),
+    ("wos", V3, 1.0, WosConfig(with_time=True), 3.0, "none"),
+    ("wos", Annulus(1, 4), 2.0, WosConfig(max_steps=8), None, "some"),
+    ("wos", KoebeSlit(), 1.0, WosConfig(max_steps=1, with_time=True), 30.0,
+     "all"),
+    ("em", KoebeSlit(), 1.0, EmConfig(), None, "none"),
+    ("em", Rectangle(2, 1), 0.3j, EmConfig(max_steps=40), None, "some"),
+    ("em", Rectangle(2, 1), 0j, EmConfig(c=1e-3, max_steps=1), None, "all"),
+], ids=lambda v: v if isinstance(v, str) else None)
+@pytest.mark.parametrize("per_chunk", [False, True])
+def test_one_exit_query_per_call_equals_per_sweep_queries(
+        kernel, domain, start, cfg, line, capped, per_chunk):
+    # A kernel projects its exits once, after the loop; that must give the
+    # exits of a loop that projects them on every sweep, bit for bit.  An
+    # all-capped run makes the one query on an empty array.
+    n = CHUNK_SIZE + 300 if per_chunk else 1500
+    starts = np.full(n, complex(start))
+
+    def gen():
+        stream = RngStream(118)
+        if per_chunk:
+            return [stream.substream(ci) for ci in range(2)]
+        return stream.generator()
+
+    if kernel == "wos":
+        got = wos_exit_batch(domain, starts, gen(), cfg, mark_line_re=line)
+        want = _wos_per_sweep(domain, starts, gen(), cfg, mark_line_re=line)
+    else:
+        got = em_exit_batch(domain, starts, gen(), cfg)
+        want = _em_per_sweep(domain, starts, gen(), cfg)
+    assert {"none": got.ok.all(), "some": got.ok.any() and not got.ok.all(),
+            "all": not got.ok.any()}[capped]
+    for name in ("exit_point", "exit_time", "label", "steps", "ok",
+                 "line_hit"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
