@@ -12,7 +12,7 @@ Every domain is an immutable dataclass exposing vectorized primitives:
 * ``first_boundary_crossing(z0, z1)``
                             fraction of the first boundary point along each
                             segment z0 -> z1, the exit rule of the
-                            Euler-Maruyama kernels.
+                            Euler-Maruyama kernel.
 
 ``z`` may be a python complex or any complex ndarray; results have matching
 shape.  Domains are open: points exactly on the boundary are not contained.
@@ -23,7 +23,9 @@ stated once, as a table of pieces with infinite ends allowed; the
 ``_Rectilinear`` base class reads all but ``contains`` from it, and answers
 ``exit_points`` with one nearest-piece search, which on a table of many
 pieces a grid of cells over their finite ends narrows to the few pieces
-that can be nearest.
+that can be nearest.  Crossings follow one rule per kind of boundary (the
+table, the wedge's rays, circles, bisection for curved ones), exact for any
+segment; the Euler-Maruyama kernel decides which steps can cross.
 """
 
 from __future__ import annotations
@@ -120,12 +122,13 @@ class Domain:
         """Fraction s in [0, 1] of the first boundary point on each segment
         z0 -> z1 (z0 inside), inf where the segment stays inside.
 
-        Concrete domains with line, ray, segment or circle boundaries
-        override this with the exact crossing.  This default serves curved
-        boundaries: where the far endpoint has left the domain it bisects on
-        containment to within CROSSING_TOL along the segment, returning the
-        fraction just past the flip; a segment that leaves and re-enters
-        between its endpoints goes unseen.
+        Valid for any segment; the Euler-Maruyama kernel asks only for the
+        steps that can cross.  Domains with line, ray, segment or circle
+        boundaries override this with the exact crossing.  This default
+        serves curved boundaries: where the far endpoint has left the domain
+        it bisects on containment to within CROSSING_TOL along the segment,
+        returning the fraction just past the flip; a segment that leaves and
+        re-enters between its endpoints goes unseen.
         """
         z0, z1 = _asarr(z0), _asarr(z1)
         s = np.full(z0.shape, np.inf)
@@ -208,8 +211,8 @@ class _Rectilinear(Domain):
     points, either of which may be infinite (``complex(-inf, y)`` ends a
     ray), and the BoundaryLabel code of the points nearest it.  Nearest
     points, labels and exit crossings are read from the table; a tie goes to
-    the earlier piece.  Subclasses keep closed forms only for methods that
-    the kernels call on every sweep.
+    the earlier piece.  Subclasses keep closed forms only for ``contains``
+    and ``boundary_distance``, which the kernels call on every sweep.
     """
 
     @cached_property
@@ -284,18 +287,25 @@ class _Rectilinear(Domain):
         cand[cell, np.arange(piece.size) - (end - count)[cell]] = piece
         return (*grid, count, cand)
 
-    def _feet(self, z, k=slice(None)):
-        """(distance, foot's along coordinate) of z against pieces k."""
+    def _feet(self, z, k=None):
+        """(distance, foot's along coordinate) of z against pieces k, every
+        piece when k is None.  Only that search meets points that are not
+        finite; at a ray's infinite end such a point has no gap along the
+        ray (not inf - inf), so its distance is the limit along its line."""
+        masked = k is None and not np.isfinite(z).all()
+        k = slice(None) if k is None else k
         across, along = self._coords(z, k)
         lo, hi = (c[k] for c in self._table[2:4])
         foot = np.minimum(np.maximum(along, lo), hi)
-        return np.hypot(along - foot, across), foot
+        gap = (np.subtract(along, foot, out=np.zeros(foot.shape),
+                           where=along != foot) if masked else along - foot)
+        return np.hypot(gap, across), foot
 
     def _measure(self, z, k, first):
         """(distance,) from each point of z to the nearest of the pieces k,
         a row per point, or of every piece when k is None; with ``first``
         also the first nearest of them and its foot's along coordinate."""
-        d, foot = self._feet(z[:, None], slice(None) if k is None else k)
+        d, foot = self._feet(z[:, None], k)
         if not first:
             return (d.min(axis=-1),)
         j = np.argmin(d, axis=-1)
@@ -339,7 +349,10 @@ class _Rectilinear(Domain):
         # gives both the point and its label.
         _, k, foot = self._nearest(z)
         horiz, level, label = (self._table[i][k] for i in (0, 1, 4))
-        p = np.where(horiz, foot, level) + 1j * np.where(horiz, level, foot)
+        y = np.where(horiz, level, foot)
+        end = np.isinf(y)       # 1j * inf would make inf * 0: set directly
+        p = np.where(horiz, foot, level) + 1j * np.where(end, 0.0, y)
+        p.imag[end] = y[end]
         shape = np.shape(z)
         return p.reshape(shape)[()], label.reshape(shape)[()]
 
@@ -384,22 +397,6 @@ class Rectangle(_Rectilinear):
         outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
         inside = np.minimum(np.maximum(qx, qy), 0.0)
         return np.abs(outside + inside)
-
-    def first_boundary_crossing(self, z0, z1):
-        # The rectangle is convex: exactly the steps that end outside leave
-        # it, each where it first leaves one of the four side half-planes.
-        z0, z1 = _asarr(z0), _asarr(z1)
-        s = np.full(z0.shape, np.inf)
-        out = ~self.contains(z1)
-        if np.any(out):
-            x0, y0 = z0[out].real, z0[out].imag
-            x1, y1 = z1[out].real, z1[out].imag
-            s[out] = np.minimum(
-                np.minimum(_line_crossing_fraction(self.a - x0, self.a - x1),
-                           _line_crossing_fraction(self.a + x0, self.a + x1)),
-                np.minimum(_line_crossing_fraction(self.b - y0, self.b - y1),
-                           _line_crossing_fraction(self.b + y0, self.b + y1)))
-        return s
 
     def probe_box(self):
         return (-self.a, self.a, -self.b, self.b)
@@ -474,26 +471,16 @@ class Wedge(Domain):
 
     def first_boundary_crossing(self, z0, z1):
         z0, z1 = _asarr(z0), _asarr(z1)
-        out = ~self.contains(z1)
-        # A convex wedge is left by exactly the steps that end outside it; a
-        # reflex one also by steps that cut through its complement.
-        near = out if self.theta <= math.pi else np.ones(out.shape, bool)
+        half = self.theta / 2
         s = np.full(z0.shape, np.inf)
-        if np.any(near):
-            u0, u1 = z0[near], z1[near]
-            half = self.theta / 2
-            phis = [half] if self.theta == 2 * math.pi else [half, -half]
-            best = np.full(u0.shape, np.inf)
-            for phi in phis:
-                w0 = u0 * np.exp(-1j * phi)
-                w1 = u1 * np.exp(-1j * phi)
-                f = _line_crossing_fraction(w0.imag, w1.imag)
-                dx = w1.real - w0.real
-                xc = w0.real + np.where(np.isfinite(f), f, 0.0) * dx
-                best = np.minimum(best, np.where(xc >= 0.0, f, np.inf))
-            s[near] = best
-        # Rotated coordinates can round past a far end on a ray: cap at 1.
-        return np.where(out, np.minimum(s, 1.0), s)
+        for phi in [half] if self.theta == 2 * math.pi else [half, -half]:
+            w0 = z0 * np.exp(-1j * phi)
+            w1 = z1 * np.exp(-1j * phi)
+            f = _line_crossing_fraction(w0.imag, w1.imag)
+            dx = w1.real - w0.real
+            xc = w0.real + np.where(np.isfinite(f), f, 0.0) * dx
+            s = np.minimum(s, np.where(xc >= 0.0, f, np.inf))
+        return _end_guard(self, z1, s)
 
     def probe_box(self):
         return (-4.0, 8.0, -8.0, 8.0)
@@ -677,12 +664,6 @@ class KoebeSlit(_Rectilinear):
         z = _asarr(z)
         return np.where(z.real <= -0.25, np.abs(z.imag),
                         np.hypot(z.real + 0.25, z.imag))
-
-    def first_boundary_crossing(self, z0, z1):
-        z0, z1 = _asarr(z0), _asarr(z1)
-        s = _line_crossing_fraction(z0.imag, z1.imag)
-        xc = z0.real + np.where(np.isfinite(s), s, 0.0) * (z1.real - z0.real)
-        return _end_guard(self, z1, np.where(xc <= -0.25, s, np.inf))
 
     def probe_box(self):
         return (-10.0, 10.0, -10.0, 10.0)

@@ -67,6 +67,16 @@ class QhConfig:
     refine_target: float = 0.01
     max_rounds: int = 4
 
+    def __post_init__(self):
+        # With cell_factor 0 no cell is a leaf, and only leaves count
+        # against max_nodes.
+        if not (math.isfinite(self.cell_factor) and self.cell_factor > 0):
+            raise BadParameters(f"QhConfig.cell_factor must be finite and "
+                                f"positive, got {self.cell_factor!r}")
+        if not self.max_rounds >= 1:
+            raise BadParameters(f"QhConfig.max_rounds must be at least 1, "
+                                f"got {self.max_rounds!r}")
+
 
 @dataclass
 class _Graph:

@@ -62,11 +62,12 @@ class WosConfig:
 @dataclass(frozen=True)
 class EmConfig:
     """Adaptive Euler-Maruyama controls: dt = c * dist^2, so the step count
-    is logarithmic in the exit scale.  Each step's exit is located by
-    :meth:`Domain.first_boundary_crossing` on the straight step, so a step
-    from clearance d0 to clearance d1 hides a crossing with probability
-    about exp(-2 d0 d1 / dt).  That is the e^{-2/c} level only when d1 is
-    about d0; a step that ends close to the boundary hides far more.
+    is logarithmic in the exit scale.  A step shorter than its start's
+    clearance cannot cross and is not checked; every other step's exit is
+    located by :meth:`Domain.first_boundary_crossing` on the straight step,
+    so a step from clearance d0 to clearance d1 hides a crossing with
+    probability about exp(-2 d0 d1 / dt).  That is the e^{-2/c} level only
+    when d1 is about d0; a step that ends close to the boundary hides more.
     Hidden crossings lengthen paths, and exit-time moments come out high:
     against the exact wedge values, E[tau^p] at p = alpha/4 was 0.07% to
     0.11% above (z-scores 2.3 to 3.8) on the pi/2 wedge, the half-plane and
@@ -284,7 +285,8 @@ def em_exit_batch(domain: Domain, starts,
                   cfg: EmConfig = EmConfig()) -> ExitBatch:
     """Adaptive Euler-Maruyama exits for a block of paths.
 
-    Gaussian increments with dt = c * dist^2.  Each step
+    Gaussian increments with dt = c * dist^2.  A step shorter than its
+    start's clearance dist cannot cross the boundary; every other step
     segment is handed to :meth:`Domain.first_boundary_crossing`, which
     locates the first boundary point on it exactly for line, ray, segment
     and circle boundaries (bisection only for curved ones), so excursions
@@ -323,7 +325,12 @@ def em_exit_batch(domain: Domain, starts,
         g = draws.standard_normal((2, idx.size))
         z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
 
-        s = domain.first_boundary_crossing(z, z1)
+        # A step shorter than the clearance d stays in the open disk of
+        # radius d about z; a NaN step still reaches the crossing rule.
+        s = np.full(idx.size, np.inf)
+        near = ~(np.abs(z1 - z) < d)
+        if np.any(near):
+            s[near] = domain.first_boundary_crossing(z[near], z1[near])
         finished = np.isfinite(s)
         if np.any(finished):
             done = idx[finished]

@@ -502,6 +502,24 @@ kernel = {kernel}
     assert reports[1]["passed"]
 
 
+def test_degenerate_graph_config_recorded_not_fatal(tmp_path):
+    # Checked when the config is built, before any cell is split.
+    cfg = """
+[scenario.degenerate]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 10 100
+cell_factor = 0
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["degenerate", "square"]
+    assert not reports[0]["passed"]
+    assert reports[0]["error"] == ("BadParameters: QhConfig.cell_factor must "
+                                   "be finite and positive, got 0.0")
+    assert reports[1]["passed"]
+
+
 def test_interior_sampling_failure_recorded_not_fatal(tmp_path, capsys):
     # No probe point lands in so thin a wedge, so its starlike check cannot
     # sample the interior.

@@ -93,6 +93,17 @@ def test_circle_radius_must_be_positive(radius):
         CircleTarget(radius)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cell_factor", 0.0), ("cell_factor", -0.2), ("cell_factor", math.nan),
+    ("cell_factor", math.inf), ("max_rounds", 0), ("max_rounds", -1)])
+def test_degenerate_qh_config_is_rejected(field, value):
+    # cell_factor = 0 would split cells forever, since the node budget
+    # counts only leaves; no round at all would blame an unreachable target.
+    with pytest.raises(BadParameters,
+                       match=rf"^QhConfig\.{field} must .*, got {value!r}$"):
+        QhConfig(**{field: value})
+
+
 def test_two_radius_hardy_fit_is_the_two_point_slope():
     # Fitting the last half of a two-radius schedule would fit one point.
     he = estimate_hardy_number(Wedge(math.pi / 2), 1 + 0j, [10, 100])

@@ -8,7 +8,7 @@ from bmx.combs import build_comb
 from bmx.disk_time import sample_unit_disk_time
 from bmx.errors import BadParameters, BadStart, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
-                          Rectangle, Strip)
+                          ParabolaComplement, Rectangle, Strip, Wedge)
 from bmx.maps import PowerInt
 from bmx.rng import CHUNK_SIZE, RngStream
 from bmx.sim import (EmConfig, ExitBatch, WosConfig, _ChunkDraws,
@@ -432,6 +432,14 @@ V3 = build_comb(3, [1, 40, 41, 100], [-50, 5, -51])[0]
     ("em", KoebeSlit(), 1.0, EmConfig(), None, "none"),
     ("em", Rectangle(2, 1), 0.3j, EmConfig(max_steps=40), None, "some"),
     ("em", Rectangle(2, 1), 0j, EmConfig(c=1e-3, max_steps=1), None, "all"),
+    # Every crossing rule, each run on the steps the clearance screen lets
+    # through, against the unscreened loop.
+    ("em", Wedge(math.pi / 2), 1.0, EmConfig(), None, "none"),
+    ("em", Wedge(3 * math.pi / 2), 1.0, EmConfig(), None, "none"),
+    ("em", Annulus(1, 4), 2.0, EmConfig(), None, "none"),
+    ("em", Strip(-1, 1), 0.3j, EmConfig(), None, "none"),
+    ("em", V3, 1.0, EmConfig(), None, "none"),
+    ("em", ParabolaComplement(), 2.0, EmConfig(), None, "none"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 @pytest.mark.parametrize("per_chunk", [False, True])
 def test_one_exit_query_per_call_equals_per_sweep_queries(
