@@ -38,10 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameters
-from .rng import RngStream
-
-# check_delta_starlike probes each leftward ray down to Re z = -FAR_CLIP.
-FAR_CLIP = 1e6
 
 # Cells per axis of the nearest-piece index of a piece table.  On the comb
 # scenarios 64 leaves about 7 candidates per point on V_5 and 128 about 6,
@@ -510,8 +506,8 @@ class HalfPlane(_Rectilinear):
         return self._NORMALS[self.direction]
 
     def _inward(self, z):
-        z = _asarr(z)
-        return (z * np.conj(self.normal)).real
+        z, n = _asarr(z), self.normal
+        return z.imag * n.imag if n.real == 0 else z.real * n.real
 
     def pieces(self):
         if self.normal.real == 0:
@@ -830,34 +826,30 @@ def sample_interior(domain: Domain, gen: np.random.Generator,
 
 @dataclass(frozen=True)
 class StarlikeVerdict:
-    """Outcome of the probabilistic leftward-ray check."""
+    """Outcome of the deterministic leftward-ray check.  On a failure,
+    ``witness`` is a point of the domain whose leftward ray meets
+    ``exit_point``, a point outside it."""
 
     passed: bool
     witness: complex | None = None
     exit_point: complex | None = None
 
 
-def check_delta_starlike(domain: Domain, probes: int,
-                         rng: RngStream) -> StarlikeVerdict:
-    """Check that each sampled interior point's leftward horizontal ray stays
-    inside the domain.
+def check_delta_starlike(domain: Domain, boundary) -> StarlikeVerdict:
+    """Check that the complement stays outside under rightward shifts at the
+    given boundary points: p + t not in the domain for each p and each
+    t = 1e-3 * 2**k, k = 0..30 (up to about 1e6).
 
-    The ray is probed at geometrically spaced abscissae (factor 2, from 1e-3
-    down to Re = -1e6) so unbounded rays terminate; pass means no
-    counterexample was found.
+    The domain has the leftward-ray property (z in D implies z - t in D for
+    every t > 0) exactly when its complement is closed under rightward
+    shifts, so a point p + t inside is a counterexample.  Nothing is drawn;
+    pass means none was found at these points and shifts.
     """
-    pts = sample_interior(domain, rng.generator(), probes)
-    offsets = [1e-3]
-    while offsets[-1] < 2 * FAR_CLIP:
-        offsets.append(offsets[-1] * 2.0)
-    offsets = np.array(offsets)
-    for z in pts:
-        xs = z.real - offsets
-        xs = xs[xs >= -FAR_CLIP]
-        ray = xs + 1j * z.imag
-        ok = domain.contains(ray)
-        if not np.all(ok):
-            bad = ray[~ok][0]
-            return StarlikeVerdict(False, witness=complex(z),
-                                   exit_point=complex(bad))
+    p = _asarr(boundary).ravel()
+    for t in 1e-3 * 2.0 ** np.arange(31):
+        inside = domain.contains(p + t)
+        if inside.any():
+            k = int(np.argmax(inside))
+            return StarlikeVerdict(False, witness=complex(p[k] + t),
+                                   exit_point=complex(p[k]))
     return StarlikeVerdict(True)

@@ -520,9 +520,10 @@ cell_factor = 0
     assert reports[1]["passed"]
 
 
-def test_interior_sampling_failure_recorded_not_fatal(tmp_path, capsys):
-    # No probe point lands in so thin a wedge, so its starlike check cannot
-    # sample the interior.
+def test_thin_wedge_fails_the_probe_and_the_bound(tmp_path, capsys):
+    # The leftward-ray probe shifts the run's own exits, so a wedge too thin
+    # to sample inside still runs: the probe fails, no path exits right of
+    # the line, and the bound fails, not the scenario.
     cfg = """
 [scenario.thin_wedge]
 experiment = karafyllia
@@ -541,12 +542,16 @@ seed = 7
 """
     path = write(tmp_path, cfg)
     reports = run(path)
-    assert reports[0]["error"].startswith(
-        "BadParameters: found 0 of 64 interior points of Wedge(theta=1e-09) "
-        "in its probe box (")
-    assert not reports[0]["passed"]
+    rep = reports[0]
+    assert "error" not in rep
+    assert rep["results"]["starlike_pass"] is False
+    assert rep["results"]["nu"]["value"] == 0
+    assert not rep["passed"]
+    assert [(e["name"], e["passed"], e["detail"]) for e in rep["expectations"]
+            ] == [("doubling_bound", False,
+                   "nu = 0: no path exited right of the line")]
     assert reports[1]["passed"]
-    assert main(["run", path]) == 1
+    assert main(["run", path]) == 2
     assert "[cauchy] identity_mobius: pass" in capsys.readouterr().out
 
 

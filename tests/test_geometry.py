@@ -285,6 +285,21 @@ def test_table_distance_at_an_infinite_point_is_the_limit(domain, z, want):
     assert domain.boundary_distance(z) == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("direction, z, inside", [
+    ("north", complex(math.inf, 1), True),
+    ("south", complex(-math.inf, -1), True),
+    ("east", complex(1, math.inf), True),
+    ("west", complex(1, math.inf), False),
+], ids=repr)
+def test_halfplane_closed_forms_at_an_infinite_point(direction, z, inside):
+    # The closed forms read the one coordinate across the boundary, so the
+    # infinite one never meets the normal's zero component as inf * 0.
+    h = HalfPlane(direction)
+    assert h.boundary_distance(z) == _Rectilinear.boundary_distance(h, z) == 1
+    assert h.contains(z) == inside
+
+
 def _subclasses(cls):
     return [c for sub in cls.__subclasses__() for c in [sub, *_subclasses(sub)]]
 
@@ -571,20 +586,36 @@ def test_crossing_seen_when_far_end_is_back_inside(domain, z0, z1):
 
 
 def test_delta_starlike_verdicts():
-    assert check_delta_starlike(Strip(-1, 1), 40, RngStream(1)).passed
-    assert check_delta_starlike(HalfPlane("north"), 40, RngStream(2)).passed
+    def verdict(domain, seed):
+        inside = sample_interior(domain, RngStream(seed).generator(), 40)
+        return check_delta_starlike(domain, domain.exit_points(inside)[0])
+
+    assert verdict(Strip(-1, 1), 1).passed
+    assert verdict(HalfPlane("north"), 2).passed
     # exp-preimages of starlike domains: the fundamental strip of the slit
     # plane and the left half-plane (preimage of the punctured disk).
-    assert check_delta_starlike(Strip(-math.pi, math.pi), 40, RngStream(3)).passed
-    assert check_delta_starlike(HalfPlane("west"), 40, RngStream(4)).passed
+    assert verdict(Strip(-math.pi, math.pi), 3).passed
+    assert verdict(HalfPlane("west"), 4).passed
 
-    v = check_delta_starlike(Wedge(math.pi / 2), 40, RngStream(5))
-    assert not v.passed
-    assert v.witness is not None and v.exit_point is not None
-    # The witness's leftward ray really does leave the wedge.
-    assert not Wedge(math.pi / 2).contains(v.exit_point)
-    assert v.exit_point.imag == v.witness.imag
-    assert v.exit_point.real < v.witness.real
+    # The slit fails only on a null set of interior points (the real axis
+    # right of -1/4), but every point of the slit shifts into the domain.
+    for domain, seed in ((Wedge(math.pi / 2), 5), (KoebeSlit(), 6)):
+        v = verdict(domain, seed)
+        assert not v.passed
+        assert v.witness is not None and v.exit_point is not None
+        # The witness's leftward ray really does leave the domain.
+        assert domain.contains(v.witness)
+        assert not domain.contains(v.exit_point)
+        assert v.exit_point.imag == v.witness.imag
+        assert v.exit_point.real < v.witness.real
+
+
+def test_sample_interior_reports_a_domain_it_cannot_fill():
+    # No candidate in the probe box lands in so thin a wedge.
+    with pytest.raises(BadParameters, match=(
+            r"^found 0 of 64 interior points of Wedge\(theta=1e-09\) "
+            r"in its probe box \(")):
+        sample_interior(Wedge(1e-9), RngStream(0).generator(), 64)
 
 
 def test_constructor_validation():

@@ -319,6 +319,19 @@ def test_karafyllia_flags_non_starlike():
     assert 0 <= rep.nu.value <= 1
 
 
+def test_karafyllia_flags_the_koebe_slit():
+    # The leftward ray of every real point right of -1/4 meets the slit.
+    # Those points are a null set, so no interior sample finds them, but
+    # each exit on the slit shifts right into the domain.
+    rep = verify_karafyllia(KoebeSlit(), -2 + 1j, -1.0, 100_000,
+                            RngStream(1005))
+    assert not rep.starlike.passed
+    w, p = rep.starlike.witness, rep.starlike.exit_point
+    assert w.imag == p.imag == 0 and p.real <= -0.25 < w.real
+    # Without the hypothesis the ratio is not bounded by 2; it is 3.3955.
+    assert abs(rep.ratio.value - 3.3955) <= 3 * rep.ratio.stderr
+
+
 def test_cauchy_identity_targets():
     checks = verify_cauchy_identities(2j, 1j, 0.5, 1.0, 400_000,
                                       RngStream(221))
