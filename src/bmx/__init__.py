@@ -18,7 +18,7 @@ from .disk_time import get_sampler, sample_unit_disk_time
 from .geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                        HalfStripComplement, KoebeSlit, ParabolaComplement,
                        Rectangle, SpiralPair, StarlikeVerdict, Strip, Wedge,
-                       check_delta_starlike, sample_interior)
+                       check_delta_starlike)
 from .hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                          quasi_hyperbolic_profile)
 from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,

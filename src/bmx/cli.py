@@ -1,6 +1,6 @@
 """Scenario-driven command line: parse a config of named experiments, run
-them over a worker pool, and persist reproducible JSON reports (plus raw
-per-path CSVs on request).
+them over a worker pool, and persist reproducible strict JSON reports (plus
+raw per-path CSVs on request).
 
 Config files are flat INI text with one ``[scenario.NAME]`` section per
 scenario.  Each experiment's schema declares every key's default and
@@ -673,6 +673,18 @@ def _report_header(scenario: Scenario) -> dict:
     }
 
 
+def _strict_json(node):
+    """``node`` with every non-finite float (an infinite ratio or slope) as
+    None, which JSON writes as null; strict parsers reject Infinity."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _strict_json(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict_json(value) for value in node]
+    return node
+
+
 def run_scenario(sc: Scenario, out_dir: str | None = None,
                  write_raw: bool = False) -> dict:
     """Execute one scenario and return its report dictionary."""
@@ -691,7 +703,8 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{sc.name}.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(_strict_json(report), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
         if write_raw and raw_batch is not None:
             _write_raw_csv(os.path.join(out_dir, f"{sc.name}.csv"),
                            sc.name, raw_batch)

@@ -114,12 +114,6 @@ class CombDomain(_Rectilinear):
     def contains(self, z):
         return _membership(z, self.n, self.a, self.b, self.side == "V")
 
-    def probe_box(self):
-        xs = [0.0] + list(self.b)
-        ys = self.a[-1]
-        pad = 2.0 + ys
-        return (min(xs) - pad, max(xs) + pad, -ys - pad, ys + pad)
-
 
 def build_comb(n: int, a, b=None) -> tuple[CombDomain, CombDomain]:
     """The complementary pair (V_n, W_n) after n restriction iterations.

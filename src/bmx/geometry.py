@@ -134,10 +134,6 @@ class Domain:
                 z0[out], z1[out], lambda p: ~self.contains(p), CROSSING_TOL)
         return s
 
-    def probe_box(self):
-        """(xmin, xmax, ymin, ymax) window overlapping the domain interior."""
-        raise NotImplementedError
-
 
 def _bisect_first_violation(z0, z1, violates, tol):
     """Vectorized bisection for the first point of [z0, z1] where
@@ -394,9 +390,6 @@ class Rectangle(_Rectilinear):
         inside = np.minimum(np.maximum(qx, qy), 0.0)
         return np.abs(outside + inside)
 
-    def probe_box(self):
-        return (-self.a, self.a, -self.b, self.b)
-
 
 @dataclass(frozen=True)
 class Annulus(Domain):
@@ -430,9 +423,6 @@ class Annulus(Domain):
         z0, z1 = _asarr(z0), _asarr(z1)
         return np.minimum(_circle_crossing_fraction(z0, z1, self.R, True),
                           _circle_crossing_fraction(z0, z1, self.r, False))
-
-    def probe_box(self):
-        return (-self.R, self.R, -self.R, self.R)
 
 
 @dataclass(frozen=True)
@@ -478,9 +468,6 @@ class Wedge(Domain):
             s = np.minimum(s, np.where(xc >= 0.0, f, np.inf))
         return _end_guard(self, z1, s)
 
-    def probe_box(self):
-        return (-4.0, 8.0, -8.0, 8.0)
-
 
 @dataclass(frozen=True)
 class HalfPlane(_Rectilinear):
@@ -523,11 +510,6 @@ class HalfPlane(_Rectilinear):
     def boundary_distance(self, z):
         return np.abs(self._inward(z))
 
-    def probe_box(self):
-        n = self.normal
-        cx, cy = 5 * n.real, 5 * n.imag
-        return (cx - 5, cx + 5, cy - 5, cy + 5)
-
 
 @dataclass(frozen=True)
 class Strip(_Rectilinear):
@@ -552,9 +534,6 @@ class Strip(_Rectilinear):
         y = _asarr(z).imag
         return np.minimum(np.abs(y - self.lo), np.abs(y - self.hi))
 
-    def probe_box(self):
-        return (-10.0, 10.0, self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class HalfStripComplement(_Rectilinear):
@@ -576,9 +555,6 @@ class HalfStripComplement(_Rectilinear):
     def contains(self, z):
         z = _asarr(z)
         return (z.real > self.x0) | (np.abs(z.imag) > self.a)
-
-    def probe_box(self):
-        return (self.x0 - 4, self.x0 + 8, -self.a - 5, self.a + 5)
 
 
 def _depressed_cubic_real_roots(p, q):
@@ -639,9 +615,6 @@ class ParabolaComplement(Domain):
         s = self._nearest_parameter(z).reshape(z.shape)
         return (1.0 - s**2 / 4.0) + 1j * s, _generic_codes(z)
 
-    def probe_box(self):
-        return (-4.0, 8.0, -8.0, 8.0)
-
 
 @dataclass(frozen=True)
 class KoebeSlit(_Rectilinear):
@@ -660,9 +633,6 @@ class KoebeSlit(_Rectilinear):
         z = _asarr(z)
         return np.where(z.real <= -0.25, np.abs(z.imag),
                         np.hypot(z.real + 0.25, z.imag))
-
-    def probe_box(self):
-        return (-10.0, 10.0, -10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -693,10 +663,6 @@ class Disk(Domain):
         return _circle_crossing_fraction(_asarr(z0) - self.center,
                                          _asarr(z1) - self.center,
                                          self.radius, True)
-
-    def probe_box(self):
-        c, r = self.center, self.radius
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
 @dataclass(frozen=True)
@@ -800,35 +766,12 @@ class SpiralPair(Domain):
     def exit_points(self, z):
         return self._nearest(z)[1:]
 
-    def probe_box(self):
-        return (-20.0, 20.0, -20.0, 20.0)
-
-
-def sample_interior(domain: Domain, gen: np.random.Generator,
-                    n: int = 1) -> np.ndarray:
-    """Uniform rejection samples from domain intersected with its probe box,
-    in at most 10 000 rounds of candidates."""
-    xmin, xmax, ymin, ymax = domain.probe_box()
-    out = np.empty(n, dtype=complex)
-    got = 0
-    for _ in range(10_000):
-        m = max(2 * (n - got), 16)
-        cand = (gen.uniform(xmin, xmax, m) + 1j * gen.uniform(ymin, ymax, m))
-        cand = cand[domain.contains(cand)]
-        take = min(len(cand), n - got)
-        out[got:got + take] = cand[:take]
-        got += take
-        if got == n:
-            return out
-    raise BadParameters(f"found {got} of {n} interior points of {domain} "
-                        f"in its probe box {(xmin, xmax, ymin, ymax)}")
-
 
 @dataclass(frozen=True)
 class StarlikeVerdict:
     """Outcome of the deterministic leftward-ray check.  On a failure,
     ``witness`` is a point of the domain whose leftward ray meets
-    ``exit_point``, a point outside it."""
+    ``exit_point``, a point of its boundary."""
 
     passed: bool
     witness: complex | None = None

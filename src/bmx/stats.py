@@ -8,6 +8,10 @@ calls, while every chunk draws from its own stream exactly what it would
 draw alone.  Results therefore depend only on (seed, stream_id, n, config),
 not on the worker count, the grouping or scheduling, and estimates merged
 from partitions equal the single-stream estimate exactly.
+
+The verifiers check their hypotheses (Karafyllia's leftward rays, the
+nesting of an increasing family) on the exits their estimates already
+simulate, so a check draws nothing and changes no number.
 """
 
 from __future__ import annotations
@@ -21,15 +25,13 @@ import numpy as np
 from .errors import (BadParameters, MaxStepsExceeded, NestingViolation,
                      TooFewTailSamples)
 from .geometry import (BoundaryLabel, Domain, StarlikeVerdict,
-                       check_delta_starlike, sample_interior)
+                       check_delta_starlike)
 from .hyperbolic import CircleTarget, QhConfig, quasi_hyperbolic_profile
 from .rng import GROUP_CHUNKS, RngStream, chunk_ranges
 from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
                   em_exit_batch, wos_exit_batch)
 
 N_BATCH_MEANS = 32
-# Interior points sampled to check nesting before an increasing-domains run.
-CONTAINMENT_SAMPLES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +229,15 @@ def classify_moment(p: float, alpha: Estimate) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-def estimate_moment(domain: Domain, start: complex, p: float, n: int,
-                    rng: RngStream = RngStream(0),
-                    cfg: WosConfig | EmConfig = EmConfig(), workers: int = 1,
-                    top_fraction: float = 0.05) -> MomentEstimate:
-    """Sample mean of tau^p (batch-means stderr) plus the Hill tail index of
-    tau and the finiteness verdict.  Nothing is truncated or winsorized:
-    heavy tails show up in the index, not in a doctored mean.  When
-    step-capped paths leave too few exits for the index, that raises
-    MaxStepsExceeded."""
+def _check_moment_args(p: float, cfg: WosConfig | EmConfig) -> None:
     if p <= 0:
         raise BadParameters("moment order must be positive")
     if isinstance(cfg, WosConfig) and not cfg.with_time:
         raise BadParameters("moment estimation needs a time-tracking kernel")
-    batch = run_exits(domain, start, n, cfg, rng, workers)
+
+
+def _moment_of_batch(batch: ExitBatch, p: float, cfg: WosConfig | EmConfig,
+                     top_fraction: float) -> MomentEstimate:
     tau = batch.exit_time[batch.ok]
     try:
         alpha = hill_tail_index(tau, top_fraction,
@@ -258,6 +255,20 @@ def estimate_moment(domain: Domain, start: complex, p: float, n: int,
     return MomentEstimate(p=p, estimate=est, tail_index=alpha,
                           verdict=classify_moment(p, alpha),
                           excluded=batch.n_excluded)
+
+
+def estimate_moment(domain: Domain, start: complex, p: float, n: int,
+                    rng: RngStream = RngStream(0),
+                    cfg: WosConfig | EmConfig = EmConfig(), workers: int = 1,
+                    top_fraction: float = 0.05) -> MomentEstimate:
+    """Sample mean of tau^p (batch-means stderr) plus the Hill tail index of
+    tau and the finiteness verdict.  Nothing is truncated or winsorized:
+    heavy tails show up in the index, not in a doctored mean.  When
+    step-capped paths leave too few exits for the index, that raises
+    MaxStepsExceeded."""
+    _check_moment_args(p, cfg)
+    batch = run_exits(domain, start, n, cfg, rng, workers)
+    return _moment_of_batch(batch, p, cfg, top_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +488,12 @@ class IncreasingReport:
     growth_ok: tuple | None = None
 
 
+def _meets(domain: Domain, boundary: np.ndarray) -> bool:
+    """Whether the domain holds one of the boundary points beyond rounding."""
+    q = boundary[domain.contains(boundary)]
+    return bool(np.any(domain.boundary_distance(q) > 1e-9 * (1 + np.abs(q))))
+
+
 def verify_increasing_domains(domains, start: complex, p: float, n: int,
                               rng: RngStream = RngStream(0),
                               cfg: WosConfig | EmConfig = WosConfig(
@@ -486,24 +503,30 @@ def verify_increasing_domains(domains, start: complex, p: float, n: int,
     """Moment estimates along a nested family, checked nondecreasing up to
     joint CIs; optional growth floors, one per domain.
 
-    Pairwise nesting is verified by containment sampling at
-    CONTAINMENT_SAMPLES points before any simulation; a violation raises
-    NestingViolation.
+    Each pair is checked for nesting on the exits of its larger domain,
+    drawing nothing.  Let D be a connected domain and E the next one, with
+    the start in both.  D is the union of its points inside E, outside the
+    closure of E, and on the boundary of E.  The first two parts are open
+    and disjoint and the first holds the start, so if the third is empty,
+    connectedness puts all of D in the first.  Hence D lies inside E
+    exactly when D meets no boundary point of E.  An exit of E that D
+    contains, farther than 1e-9 (1 + |q|) from the boundary of D, raises
+    NestingViolation as soon as E has run; the margin absorbs rounding,
+    which puts some exits of a domain equal to D inside D.  A pass means
+    no exit of E showed a violation.
     """
     domains = list(domains)
     if growth_schedule is not None and len(growth_schedule) != len(domains):
         raise BadParameters(f"growth schedule has {len(growth_schedule)} "
                             f"floors for {len(domains)} domains")
-    for k in range(len(domains) - 1):
-        pts = sample_interior(domains[k], rng.child(700 + k).generator(),
-                              CONTAINMENT_SAMPLES)
-        if not np.all(domains[k + 1].contains(pts)):
-            raise NestingViolation(f"domain {k} not inside domain {k + 1}")
+    _check_moment_args(p, cfg)
 
     moments = []
     for k, d in enumerate(domains):
-        moments.append(estimate_moment(d, start, p, n, rng.child(710 + k),
-                                       cfg=cfg, workers=workers))
+        batch = run_exits(d, start, n, cfg, rng.child(710 + k), workers)
+        if k and _meets(domains[k - 1], batch.exit_point[batch.ok]):
+            raise NestingViolation(f"domain {k - 1} not inside domain {k}")
+        moments.append(_moment_of_batch(batch, p, cfg, top_fraction=0.05))
 
     monotone = True
     for prev, nxt in zip(moments, moments[1:]):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -569,6 +570,52 @@ n = 1000
     assert reports[0]["error"] == (
         "ConfigError: bad value '1.5 3.7' for 'iterations'")
     assert reports[1]["passed"]
+
+
+@pytest.mark.parametrize("iterations, error", [
+    ("1 3 5", None),
+    ("2 3", "NestingViolation: domain 0 not inside domain 1"),
+])
+def test_comb_nesting_checked_on_the_exits(tmp_path, iterations, error):
+    # V_1, V_3 and V_5 are nested; V_2 sticks out of V_3, and the exits of
+    # V_3 show it.
+    cfg = f"""
+[scenario.comb]
+experiment = comb_sequence
+a = 1 40 41 100 101 900
+b = -50 5 -51 6 -52
+iterations = {iterations}
+n = 2000
+seed = 1015
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert reports[0].get("error") == error
+    assert reports[0]["passed"] == (error is None)
+    assert reports[1]["passed"]
+
+
+def test_reports_are_strict_json(tmp_path):
+    # nu = 0 makes the ratio infinite: the report in memory keeps the
+    # float, the file on disk says null.
+    cfg = """
+[scenario.doubling]
+experiment = karafyllia
+domain = strip(-1, 1)
+a = -2
+split_re = 4
+n = 2000
+"""
+    rep = run(write(tmp_path, cfg), out_dir=str(tmp_path / "out"))[0]
+    assert rep["results"]["ratio"]["value"] == math.inf
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "out" / "doubling.json").read_text()
+    written = json.loads(text, parse_constant=reject)
+    assert written["results"]["ratio"]["value"] is None
+    assert written["results"]["ratio"]["ci95"] == [None, None]
+    assert written["results"]["nu"] == rep["results"]["nu"]
 
 
 def test_karafyllia_reports_worker_independent(tmp_path):

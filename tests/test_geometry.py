@@ -11,9 +11,10 @@ from bmx.errors import BadParameters
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
                           Rectangle, SpiralPair, Strip, Wedge, _CELLS,
-                          _INDEXED_PIECES, _Rectilinear, check_delta_starlike,
-                          sample_interior)
+                          _INDEXED_PIECES, _Rectilinear, check_delta_starlike)
 from bmx.rng import RngStream
+from bmx.sim import WosConfig
+from bmx.stats import run_exits
 
 ALL_DOMAINS = [
     Rectangle(1, 1),
@@ -31,6 +32,47 @@ ALL_DOMAINS = [
     SpiralPair("U"),
     SpiralPair("complement"),
 ]
+
+
+def _window(domain):
+    """(xmin, xmax, ymin, ymax), a window that overlaps the domain."""
+    if isinstance(domain, Rectangle):
+        return (-domain.a, domain.a, -domain.b, domain.b)
+    if isinstance(domain, Annulus):
+        return (-domain.R, domain.R, -domain.R, domain.R)
+    if isinstance(domain, Disk):
+        c, r = domain.center, domain.radius
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
+    if isinstance(domain, HalfPlane):
+        c = 5 * domain.normal
+        return (c.real - 5, c.real + 5, c.imag - 5, c.imag + 5)
+    if isinstance(domain, Strip):
+        return (-10.0, 10.0, domain.lo, domain.hi)
+    if isinstance(domain, HalfStripComplement):
+        x0, a = domain.x0, domain.a
+        return (x0 - 4, x0 + 8, -a - 5, a + 5)
+    if isinstance(domain, (Wedge, ParabolaComplement)):
+        return (-4.0, 8.0, -8.0, 8.0)
+    if isinstance(domain, KoebeSlit):
+        return (-10.0, 10.0, -10.0, 10.0)
+    if isinstance(domain, SpiralPair):
+        return (-20.0, 20.0, -20.0, 20.0)
+    if isinstance(domain, CombDomain):
+        xs, ys = [0.0, *domain.b], domain.a[-1]
+        pad = 2.0 + ys
+        return (min(xs) - pad, max(xs) + pad, -ys - pad, ys + pad)
+    raise TypeError(f"no window for {domain}")
+
+
+def _interior(domain, gen, n):
+    """n uniform samples of the domain inside its window, by rejection."""
+    xmin, xmax, ymin, ymax = _window(domain)
+    out = np.empty(0, dtype=complex)
+    while len(out) < n:
+        m = max(2 * (n - len(out)), 16)
+        cand = gen.uniform(xmin, xmax, m) + 1j * gen.uniform(ymin, ymax, m)
+        out = np.concatenate([out, cand[domain.contains(cand)]])
+    return out[:n]
 
 
 def test_containment_examples():
@@ -66,7 +108,7 @@ def test_interior_disk_fits():
     gen = RngStream(42).generator()
     angles = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     for d in ALL_DOMAINS:
-        pts = sample_interior(d, gen, 40)
+        pts = _interior(d, gen, 40)
         r = d.boundary_distance(pts)
         assert np.all(r > 0)
         rim = pts[:, None] + 0.999 * r[:, None] * np.exp(1j * angles)[None, :]
@@ -76,7 +118,7 @@ def test_interior_disk_fits():
 def test_projection_lands_on_boundary():
     gen = RngStream(7).generator()
     for d in ALL_DOMAINS:
-        pts = sample_interior(d, gen, 25)
+        pts = _interior(d, gen, 25)
         proj = d.project(pts)
         assert np.all(d.boundary_distance(proj) < 1e-7), f"bad projection {d}"
 
@@ -152,12 +194,12 @@ PIECE_TABLES = [
 
 
 def _points_near_piece_ends(domain, gen):
-    """Uniform points over the domain's probe box, wider than the box, and
+    """Uniform points over the domain's window, wider than the window, and
     points near and on every finite end of a boundary piece: at distances
     1e-3, 1e-7 and 1e-12 in 16 directions, and on exact diagonals (offsets
     2^-10, 2^-23 and 2^-40, exact at these corners), where the distances
     to two pieces tie."""
-    xmin, xmax, ymin, ymax = domain.probe_box()
+    xmin, xmax, ymin, ymax = _window(domain)
     w, h = xmax - xmin, ymax - ymin
     z = [gen.uniform(xmin - w, xmax + w, 20_000)
          + 1j * gen.uniform(ymin - h, ymax + h, 20_000)]
@@ -325,7 +367,7 @@ def test_piece_tables_have_one_crossing_rule():
 def test_classify_deterministic_near_boundary():
     gen = RngStream(3).generator()
     r = Rectangle(2, 1)
-    pts = sample_interior(r, gen, 50)
+    pts = _interior(r, gen, 50)
     proj = r.project(pts)
     lab1 = r.label_codes(proj)
     lab2 = r.label_codes(proj)
@@ -500,7 +542,7 @@ def test_bisected_crossing_does_not_depend_on_its_batch(domain, z0, direction):
 
 # Every domain with an exact crossing rule, with the tip of its slit for
 # slit domains (the slit runs from the tip toward -inf along the real axis)
-# and the window z0 is drawn from when the probe box is mostly outside.
+# and the window z0 is drawn from where _window's lies mostly outside.
 _V2, _W2 = build_comb(2, [1, 2, 3], [-2, 1])
 EXACT_CROSSING = [
     pytest.param(Rectangle(2, 1), None, None, id="rectangle"),
@@ -553,7 +595,7 @@ def _dense_reference(domain, slit_tip, z0, z1):
        phi=st.floats(0, 2 * math.pi))
 def test_exact_crossing_matches_dense_containment(domain, slit_tip, box,
                                                   u, v, rho, phi):
-    xmin, xmax, ymin, ymax = box or domain.probe_box()
+    xmin, xmax, ymin, ymax = box or _window(domain)
     z0 = complex(xmin + u * (xmax - xmin), ymin + v * (ymax - ymin))
     assume(domain.contains(z0) and domain.boundary_distance(z0) > 1e-6)
     z1 = z0 + rho * complex(math.cos(phi), math.sin(phi))
@@ -586,36 +628,32 @@ def test_crossing_seen_when_far_end_is_back_inside(domain, z0, z1):
 
 
 def test_delta_starlike_verdicts():
-    def verdict(domain, seed):
-        inside = sample_interior(domain, RngStream(seed).generator(), 40)
-        return check_delta_starlike(domain, domain.exit_points(inside)[0])
+    # The probe gets what verify_karafyllia gives it: the ok exits of a
+    # walk-on-spheres run.
+    def verdict(domain, start, seed):
+        batch = run_exits(domain, start, 40, WosConfig(), RngStream(seed))
+        return check_delta_starlike(domain, batch.exit_point[batch.ok])
 
-    assert verdict(Strip(-1, 1), 1).passed
-    assert verdict(HalfPlane("north"), 2).passed
+    assert verdict(Strip(-1, 1), 0j, 1).passed
+    assert verdict(HalfPlane("north"), 1j, 2).passed
     # exp-preimages of starlike domains: the fundamental strip of the slit
     # plane and the left half-plane (preimage of the punctured disk).
-    assert verdict(Strip(-math.pi, math.pi), 3).passed
-    assert verdict(HalfPlane("west"), 4).passed
+    assert verdict(Strip(-math.pi, math.pi), 0j, 3).passed
+    assert verdict(HalfPlane("west"), -1 + 0j, 4).passed
 
     # The slit fails only on a null set of interior points (the real axis
     # right of -1/4), but every point of the slit shifts into the domain.
-    for domain, seed in ((Wedge(math.pi / 2), 5), (KoebeSlit(), 6)):
-        v = verdict(domain, seed)
+    for domain, start, seed in ((Wedge(math.pi / 2), 1 + 0j, 5),
+                                (KoebeSlit(), -1 + 1j, 6)):
+        v = verdict(domain, start, seed)
         assert not v.passed
         assert v.witness is not None and v.exit_point is not None
-        # The witness's leftward ray really does leave the domain.
+        # The witness's leftward ray really does meet the boundary (an
+        # exit on the wedge's rotated ray may read as inside by an ulp).
         assert domain.contains(v.witness)
-        assert not domain.contains(v.exit_point)
+        assert domain.boundary_distance(v.exit_point) < 1e-12
         assert v.exit_point.imag == v.witness.imag
         assert v.exit_point.real < v.witness.real
-
-
-def test_sample_interior_reports_a_domain_it_cannot_fill():
-    # No candidate in the probe box lands in so thin a wedge.
-    with pytest.raises(BadParameters, match=(
-            r"^found 0 of 64 interior points of Wedge\(theta=1e-09\) "
-            r"in its probe box \(")):
-        sample_interior(Wedge(1e-9), RngStream(0).generator(), 64)
 
 
 def test_constructor_validation():

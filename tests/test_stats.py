@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from bmx import stats
 from bmx.errors import (BadParameters, MaxStepsExceeded, NestingViolation,
                         TooFewTailSamples)
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
@@ -376,6 +377,22 @@ def test_increasing_domains_rejects_bad_nesting():
     with pytest.raises(NestingViolation):
         verify_increasing_domains([Disk(0j, 2.0), Disk(0j, 1.0)], 0j, 1.0,
                                   1000, RngStream(226))
+
+
+@pytest.mark.parametrize("p, cfg, match", [
+    (1.0, WosConfig(), "needs a time-tracking kernel"),
+    (0.0, WosConfig(with_time=True), "moment order must be positive"),
+    (-1.0, EmConfig(), "moment order must be positive"),
+])
+def test_increasing_domains_validates_before_any_path(monkeypatch, p, cfg,
+                                                      match):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path ran before validation")
+
+    monkeypatch.setattr(stats, "run_exits", no_paths)
+    with pytest.raises(BadParameters, match=match):
+        verify_increasing_domains([Disk(0j, 1.0), Disk(0j, 2.0)], 0j, p,
+                                  1000, RngStream(228), cfg=cfg)
 
 
 @pytest.mark.parametrize("growth", [[0.1], [0.1, 0.2, 0.3]])
