@@ -685,6 +685,15 @@ def _strict_json(node):
     return node
 
 
+def _write_report(out_dir: str, name: str, report: dict) -> None:
+    """Write ``report`` to ``out_dir/<name>.json`` as strict JSON."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, f"{name}.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(_strict_json(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+
+
 def run_scenario(sc: Scenario, out_dir: str | None = None,
                  write_raw: bool = False) -> dict:
     """Execute one scenario and return its report dictionary."""
@@ -700,11 +709,7 @@ def run_scenario(sc: Scenario, out_dir: str | None = None,
         "passed": all(e["passed"] for e in expectations),
     }
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{sc.name}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(_strict_json(report), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
+        _write_report(out_dir, sc.name, report)
         if write_raw and raw_batch is not None:
             _write_raw_csv(os.path.join(out_dir, f"{sc.name}.csv"),
                            sc.name, raw_batch)
@@ -724,12 +729,15 @@ def run(config_path: str, overrides=None, out_dir: str | None = None,
         try:
             reports.append(run_scenario(sc, target_dir, write_raw))
         except BmxError as exc:
-            reports.append({
+            report = {
                 **_report_header(sc),
                 "error": f"{type(exc).__name__}: {exc}",
                 "expectations": [],
                 "passed": False,
-            })
+            }
+            if target_dir:
+                _write_report(target_dir, sc.name, report)
+            reports.append(report)
     return reports
 
 

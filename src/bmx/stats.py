@@ -16,6 +16,7 @@ simulate, so a check draws nothing and changes no number.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
                   em_exit_batch, wos_exit_batch)
 
 N_BATCH_MEANS = 32
+# Draws per block of the Cauchy identities; bounds their working memory,
+# never changes a result.
+_CAUCHY_BLOCK = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -444,34 +448,50 @@ def verify_cauchy_identities(gamma: complex, alpha_mobius: complex,
       * E[C^alpha] = gamma^alpha for alpha in (0, 1), powers by the principal
         branch with Arg in (-pi, pi] (so negative reals carry Arg = pi);
       * E[exp(i lambda (2/pi) ln |C1|)] = 1/cosh(lambda) for standard C1.
+
+    Identity k draws from ``rng.substream(k)`` in blocks of _CAUCHY_BLOCK
+    and writes each block's integrand into one n-long complex buffer that
+    the three identities share; ``standard_cauchy`` fills its output one
+    value at a time, so the blocks are the draws of a single call.  Working
+    memory is about 24 bytes per draw: the buffer, then the real temporary
+    of ``np.std``.  The mean and the stderrs still reduce the whole buffer,
+    because summing per block would change numpy's pairwise-summation tree
+    and so the last digits of every result.
     """
     gamma = complex(gamma)
+    am = complex(alpha_mobius)
+    for name, value in (("gamma", gamma), ("alpha_mobius", am), ("lam", lam)):
+        if not cmath.isfinite(value):
+            raise BadParameters(f"{name} must be finite, got {value}")
     if not gamma.imag > 0:
         raise BadParameters("gamma must lie in the upper half-plane")
-    if not complex(alpha_mobius).imag > 0:
+    if not am.imag > 0:
         raise BadParameters("Mobius parameter needs Im > 0")
     if not 0 < alpha_power < 1:
         raise BadParameters("power exponent must lie in (0, 1)")
     if n < 2:
         raise BadParameters(f"need at least two draws for a stderr, got n = {n}")
 
+    identities = (
+        ("mobius", gamma, lambda c: (c - am) / (c - np.conj(am)),
+         (gamma - am) / (gamma - np.conj(am))),
+        ("power", gamma,
+         lambda c: np.exp(alpha_power * (np.log(np.abs(c))
+                                         + 1j * math.pi * (c < 0))),
+         np.exp(alpha_power * (math.log(abs(gamma))
+                               + 1j * np.angle(gamma)))),
+        ("cosh", 1j,
+         lambda c: np.exp(1j * lam * (2.0 / math.pi) * np.log(np.abs(c))),
+         1.0 / math.cosh(lam)),
+    )
+    values = np.empty(n, dtype=complex)
     checks = []
-    c = _halfplane_exit_reals(gamma, rng.substream(0), n)
-    am = complex(alpha_mobius)
-    mobius_vals = (c - am) / (c - np.conj(am))
-    checks.append(_complex_mean_check(
-        "mobius", mobius_vals, (gamma - am) / (gamma - np.conj(am)), n))
-
-    c = _halfplane_exit_reals(gamma, rng.substream(1), n)
-    powers = np.exp(alpha_power * (np.log(np.abs(c))
-                                   + 1j * math.pi * (c < 0)))
-    target = np.exp(alpha_power * (math.log(abs(gamma))
-                                   + 1j * np.angle(gamma)))
-    checks.append(_complex_mean_check("power", powers, target, n))
-
-    c1 = _halfplane_exit_reals(1j, rng.substream(2), n)
-    cf_vals = np.exp(1j * lam * (2.0 / math.pi) * np.log(np.abs(c1)))
-    checks.append(_complex_mean_check("cosh", cf_vals, 1.0 / math.cosh(lam), n))
+    for k, (name, start, integrand, target) in enumerate(identities):
+        gen = rng.substream(k)
+        for lo in range(0, n, _CAUCHY_BLOCK):
+            hi = min(lo + _CAUCHY_BLOCK, n)
+            values[lo:hi] = integrand(_halfplane_exit_reals(start, gen, hi - lo))
+        checks.append(_complex_mean_check(name, values, target, n))
     return checks
 
 

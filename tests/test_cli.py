@@ -618,6 +618,33 @@ n = 2000
     assert written["results"]["nu"] == rep["results"]["nu"]
 
 
+def test_error_reports_are_written(tmp_path):
+    # An errored scenario's report reaches the output directory, as
+    # strict JSON, beside the passing one's.
+    cfg = BASIC + """
+[scenario.broken]
+experiment = harmonic_measure
+domain = rectangle(1, 1)
+start = 5
+region = s1
+n = 1000
+seed = 1
+"""
+    out = tmp_path / "out"
+    reports = run(write(tmp_path, cfg), out_dir=str(out))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    written = {rep["scenario"]["name"]: json.loads(
+        (out / f"{rep['scenario']['name']}.json").read_text(),
+        parse_constant=reject) for rep in reports}
+    assert sorted(written) == ["broken", "square"]
+    assert "error" not in written["square"] and written["square"]["passed"]
+    assert "PointOutsideDomain" in written["broken"]["error"]
+    assert written["broken"] == reports[1]
+
+
 def test_karafyllia_reports_worker_independent(tmp_path):
     cfg = """
 [scenario.doubling]

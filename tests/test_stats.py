@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from bmx.errors import (BadParameters, MaxStepsExceeded, NestingViolation,
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           Rectangle, Strip, Wedge)
 from bmx.rng import CHUNK_SIZE, GROUP_CHUNKS, RngStream, chunk_ranges
-from bmx.sim import EmConfig, WosConfig, em_exit_batch, wos_exit_batch
+from bmx.sim import (EmConfig, WosConfig, _halfplane_exit_reals,
+                     em_exit_batch, wos_exit_batch)
 from bmx.stats import (Estimate, _chunk_groups, classify_moment,
                        doubling_ratio, estimate_moment, exit_proportion,
                        hill_tail_index, proportion_estimate, run_exits,
@@ -359,6 +361,58 @@ def test_cauchy_power_target_from_gamma_i():
     power = [c for c in checks if c.name == "power"][0]
     assert np.isclose(power.target, np.exp(1j * math.pi / 4))
     assert power.sigmas_off <= 4
+
+
+def test_cauchy_blocks_equal_one_shot_draws():
+    # A partial last block: the blocked draws and whole-array reductions
+    # give every field of the one-shot formulas exactly.
+    gamma, am, ap, lam = 0.3 + 1.7j, -2 + 0.5j, 0.25, 2.5
+    n = stats._CAUCHY_BLOCK + 3
+    rng = RngStream(229)
+    c0, c1, c2 = (_halfplane_exit_reals(start, rng.substream(k), n)
+                  for k, start in enumerate((gamma, gamma, 1j)))
+    expected = [
+        ("mobius", (c0 - am) / (c0 - np.conj(am)),
+         (gamma - am) / (gamma - np.conj(am))),
+        ("power", np.exp(ap * (np.log(np.abs(c1)) + 1j * math.pi * (c1 < 0))),
+         np.exp(ap * (math.log(abs(gamma)) + 1j * np.angle(gamma)))),
+        ("cosh", np.exp(1j * lam * (2.0 / math.pi) * np.log(np.abs(c2))),
+         1.0 / math.cosh(lam)),
+    ]
+    checks = verify_cauchy_identities(gamma, am, ap, lam, n, rng)
+    assert [c.name for c in checks] == [name for name, _, _ in expected]
+    for c, (name, values, target) in zip(checks, expected):
+        assert c.target == complex(target)
+        assert c.mean == complex(np.mean(values))
+        assert c.stderr_re == float(np.std(values.real, ddof=1) / math.sqrt(n))
+        assert c.stderr_im == float(np.std(values.imag, ddof=1) / math.sqrt(n))
+        assert c.n == n
+
+
+def test_cauchy_memory_is_bounded_per_draw():
+    # The shared complex buffer (16 B) and np.std's real temporary (8 B);
+    # five full-length complex temporaries per identity took 80 B.
+    n = 400_000
+    tracemalloc.start()
+    try:
+        verify_cauchy_identities(2j, 1j, 0.5, 1.0, n, RngStream(230))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n
+
+
+@pytest.mark.parametrize("gamma, am, lam, name", [
+    (complex(math.inf, 1), 1j, 1.0, "gamma"),
+    (complex(math.nan, 1), 1j, 1.0, "gamma"),
+    (1j, complex(math.nan, 1), 1.0, "alpha_mobius"),
+    (1j, complex(1, math.inf), 1.0, "alpha_mobius"),
+    (1j, 1j, math.nan, "lam"),
+    (1j, 1j, math.inf, "lam"),
+])
+def test_cauchy_non_finite_parameters_named(gamma, am, lam, name):
+    with pytest.raises(BadParameters, match=f"{name} must be finite"):
+        verify_cauchy_identities(gamma, am, 0.5, lam, 1000, RngStream(231))
 
 
 def test_increasing_domains_disks():
