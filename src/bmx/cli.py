@@ -301,8 +301,10 @@ def parse_config(path: str, overrides=None) -> list[Scenario]:
 
         seed = _convert("seed", raw.pop("seed", _COMMON_KEYS["seed"]),
                         _parse_seed)
-        workers = _convert(
-            "workers", raw.pop("workers", _COMMON_KEYS["workers"]), int)
+        text = raw.pop("workers", _COMMON_KEYS["workers"])
+        workers = _convert("workers", text, int)
+        if workers < 1:
+            raise ConfigError(f"bad value {text!r} for 'workers'")
         out = raw.pop("out", None)
 
         params = {}
@@ -720,6 +722,8 @@ def run(config_path: str, overrides=None, out_dir: str | None = None,
         write_raw: bool = False, workers: int | None = None) -> list[dict]:
     """Run every scenario in a config file; per-scenario failures are
     recorded in the reports, not raised."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"bad value {workers!r} for 'workers'")
     scenarios = parse_config(config_path, overrides)
     reports = []
     for sc in scenarios:

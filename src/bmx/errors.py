@@ -21,10 +21,6 @@ class AtPole(BmxError):
     """Analytic map evaluated at a pole or other non-removable singularity."""
 
 
-class BadStart(BmxError):
-    """Simulation started from an invalid point (e.g. outside the half-plane)."""
-
-
 class MaxStepsExceeded(BmxError):
     """A simulated path did not terminate within the configured step budget."""
 

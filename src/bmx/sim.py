@@ -1,10 +1,11 @@
 """Stochastic kernels: exact exit samplers, walk-on-spheres and adaptive
 Euler-Maruyama.
 
-Every kernel is a vectorized ``*_batch`` function that advances a whole
-block of paths per numpy sweep and returns one :class:`ExitBatch`.  The
-walk-on-spheres and Euler-Maruyama kernels take one generator, or one per
-chunk of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
+Every kernel is a vectorized ``*_batch`` function that advances ``n``
+paths from one start, ``(start, gen, n)``, per numpy sweep and returns one
+:class:`ExitBatch`.  The walk-on-spheres and Euler-Maruyama kernels read
+every option from their config, and take one generator, or one per chunk
+of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
 sharing every geometry call of a sweep, while each draws from its own
 generator exactly what a call on that chunk alone would draw.  A path that
 exits records where it left (the shell point, or the crossing point of its
@@ -14,8 +15,8 @@ piece-table domain reads both from one nearest-piece search.  The query is
 pointwise, so its result does not depend on which sweep an exit came from.
 Walk-on-spheres draws the exit law exactly, so it also serves the CLI's
 pushforward check, which maps exit points only.  Walk-on-spheres can also
-mark each path's arrival at a vertical line without stopping it, which the
-doubling-inequality check reads.
+mark each path's arrival at the vertical line ``WosConfig.mark_line_re``
+without stopping it, which the doubling-inequality check reads.
 Randomness always comes from a generator derived from an
 :class:`~bmx.rng.RngStream`, so identical ``(seed, stream_id, config)``
 reproduce identical exits bit for bit.
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk_time import sample_unit_disk_time
-from .errors import BadParameters, BadStart, PointOutsideDomain
-from .geometry import BoundaryLabel, Domain, HalfPlane, _asarr
+from .errors import BadParameters, PointOutsideDomain
+from .geometry import BoundaryLabel, Domain, HalfPlane
 from .rng import chunk_ranges
 
 _LABEL_NONE = -1
@@ -46,17 +47,23 @@ def _check_max_steps(cfg):
 class WosConfig:
     """Walk-on-spheres controls.
 
-    The shell width is 1e-6*(1+|start|) per path, and each jump takes the
-    whole inscribed disk, with no cap on its radius.  Planar Brownian
-    motion exits almost surely, but a path may still meet the step cap;
-    that is reported, never dropped.
+    The shell width is 1e-6*(1+|start|), and each jump takes the whole
+    inscribed disk, with no cap on its radius.  Planar Brownian motion
+    exits almost surely, but a path may still meet the step cap; that is
+    reported, never dropped.  ``mark_line_re`` = r, when set, marks each
+    path's arrival at the vertical line {Re z = r}, which must lie right
+    of the start (see :func:`wos_exit_batch`).
     """
 
     max_steps: int = 1_000_000
     with_time: bool = False
+    mark_line_re: float | None = None
 
     def __post_init__(self):
         _check_max_steps(self)
+        if not (self.mark_line_re is None or math.isfinite(self.mark_line_re)):
+            raise BadParameters(f"WosConfig.mark_line_re must be finite or "
+                                f"None, got {self.mark_line_re!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class ExitBatch:
     ``ok`` is False where the path hit the step cap; such paths carry NaN
     exit data and must be excluded (and counted) by consumers.
     ``line_hit`` is set where the path came within the eps shell of the
-    marked vertical line of :func:`wos_exit_batch` before its exit, and is
-    None when no line was marked.
+    vertical line ``WosConfig.mark_line_re`` before its exit, and is None
+    when the config marks no line.
     """
 
     exit_point: np.ndarray
@@ -117,7 +124,8 @@ class ExitBatch:
 def _halfplane_exit_reals(start, gen, n):
     """Real exit points of the upper half-plane from ``start``."""
     if not start.imag > 0:
-        raise BadStart("half-plane sampler needs Im(start) > 0")
+        raise PointOutsideDomain(f"half-plane sampler needs Im(start) > 0, "
+                                 f"got start {start!r}")
     return start.real + start.imag * gen.standard_cauchy(n)
 
 
@@ -195,34 +203,33 @@ class _ChunkDraws:
 # Walk on spheres
 # ---------------------------------------------------------------------------
 
-def wos_exit_batch(domain: Domain, starts,
+def wos_exit_batch(domain: Domain, start: complex,
                    gen: np.random.Generator | list[np.random.Generator],
-                   cfg: WosConfig = WosConfig(),
-                   mark_line_re: float | None = None) -> ExitBatch:
-    """Walk-on-spheres exits for a block of paths.
+                   n: int, cfg: WosConfig = WosConfig()) -> ExitBatch:
+    """Walk-on-spheres exits of ``n`` paths from ``start``.
 
     Jumps to a uniform point of the largest inscribed disk, exact in law
     however long the jump, until the path enters the eps shell, then
     projects onto the boundary.  With ``with_time`` each jump adds radius^2
     times an exact unit-disk exit time, so the accumulated exit time is
-    exact in law up to the final shell.  With ``mark_line_re`` = r (every
-    start left of {Re z = r}) an unmarked path jumps at most to the line
-    and is marked within eps of it; the line never stops a path, and every
-    exit right of it is marked.  Paths still inside after ``max_steps``
-    jumps have ``ok`` False, NaN exit point and time, and label -1.
-    ``gen`` is one generator, or one per chunk of the starts (see
-    :class:`_ChunkDraws`).
+    exact in law up to the final shell.  With ``cfg.mark_line_re`` = r
+    (right of the start) an unmarked path jumps at most to the line
+    {Re z = r} and is marked within eps of it; the line never stops a path,
+    and every exit right of it is marked.  Paths still inside after
+    ``max_steps`` jumps have ``ok`` False, NaN exit point and time, and
+    label -1.  ``gen`` is one generator, or one per chunk of the n paths
+    (see :class:`_ChunkDraws`).
     """
-    starts = np.atleast_1d(_asarr(starts))
-    n = starts.size
+    start = complex(start)
     draws = _ChunkDraws(gen, n)
-    if not np.all(domain.contains(starts)):
+    if not domain.contains(start):
         raise PointOutsideDomain("walk-on-spheres start outside the domain")
-    line = mark_line_re
-    if line is not None and not np.all(starts.real < line):
-        raise BadStart("marked line must lie right of every start")
+    line = cfg.mark_line_re
+    if line is not None and not start.real < line:
+        raise BadParameters(f"marked line mark_line_re = {line!r} must lie "
+                            f"right of the start {start!r}")
 
-    eps = 1e-6 * (1.0 + np.abs(starts))
+    eps = 1e-6 * (1.0 + abs(start))
 
     steps = np.zeros(n, dtype=np.int64)
     exit_t = np.full(n, np.nan) if cfg.with_time else None
@@ -234,7 +241,7 @@ def wos_exit_batch(domain: Domain, starts,
     # State of the paths still walking, compacted in path order so that
     # every sweep draws exactly as the full-width loop would.
     idx = np.arange(n)
-    z = starts.astype(complex)
+    z = np.full(n, start)
     t = np.zeros(n) if cfg.with_time else None
     step = 0
     while idx.size:
@@ -254,7 +261,7 @@ def wos_exit_batch(domain: Domain, starts,
             if t is not None:
                 exit_t[done] = t[shell]
             keep = ~shell
-            idx, z, r, eps = idx[keep], z[keep], r[keep], eps[keep]
+            idx, z, r = idx[keep], z[keep], r[keep]
             if t is not None:
                 t = t[keep]
             if idx.size == 0:
@@ -280,10 +287,10 @@ def wos_exit_batch(domain: Domain, starts,
 # Euler-Maruyama
 # ---------------------------------------------------------------------------
 
-def em_exit_batch(domain: Domain, starts,
+def em_exit_batch(domain: Domain, start: complex,
                   gen: np.random.Generator | list[np.random.Generator],
-                  cfg: EmConfig = EmConfig()) -> ExitBatch:
-    """Adaptive Euler-Maruyama exits for a block of paths.
+                  n: int, cfg: EmConfig = EmConfig()) -> ExitBatch:
+    """Adaptive Euler-Maruyama exits of ``n`` paths from ``start``.
 
     Gaussian increments with dt = c * dist^2.  A step shorter than its
     start's clearance dist cannot cross the boundary; every other step
@@ -293,13 +300,12 @@ def em_exit_batch(domain: Domain, starts,
     that leave and re-enter within one step still end the path; the exit
     time is interpolated linearly along the step.  Paths still inside after
     ``max_steps`` steps have ``ok`` False, NaN exit point and time, and
-    label -1.  ``gen`` is one generator, or one per chunk of the starts
+    label -1.  ``gen`` is one generator, or one per chunk of the n paths
     (see :class:`_ChunkDraws`).
     """
-    starts = np.atleast_1d(_asarr(starts))
-    n = starts.size
+    start = complex(start)
     draws = _ChunkDraws(gen, n)
-    if not np.all(domain.contains(starts)):
+    if not domain.contains(start):
         raise PointOutsideDomain("Euler-Maruyama start outside the domain")
 
     steps = np.zeros(n, dtype=np.int64)
@@ -311,7 +317,7 @@ def em_exit_batch(domain: Domain, starts,
     # State of the paths still inside, compacted in path order so that
     # every sweep draws exactly as the full-width loop would.
     idx = np.arange(n)
-    z = starts.astype(complex)
+    z = np.full(n, start)
     t = np.zeros(n)
     step = 0
     while idx.size:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,14 +93,12 @@ def proportion_estimate(k: int, n: int, excluded: int = 0) -> ProportionEstimate
 # ---------------------------------------------------------------------------
 
 def _group_task(payload):
-    (domain, start, count, cfg, seed, stream_id, chunks, line) = payload
-    stream = RngStream(seed, stream_id)
-    gens = [stream.substream(ci) for ci in chunks]
-    starts = np.full(count, complex(start))
+    domain, start, count, cfg, rng, chunks = payload
+    gens = [rng.substream(ci) for ci in chunks]
     if isinstance(cfg, WosConfig):
-        return wos_exit_batch(domain, starts, gens, cfg, mark_line_re=line)
+        return wos_exit_batch(domain, start, gens, count, cfg)
     if isinstance(cfg, EmConfig):
-        return em_exit_batch(domain, starts, gens, cfg)
+        return em_exit_batch(domain, start, gens, count, cfg)
     raise BadParameters(f"no kernel takes a {type(cfg).__name__} config")
 
 
@@ -115,37 +113,26 @@ def _chunk_groups(n_chunks: int, workers: int) -> list[range]:
 
 
 def _concat_batches(batches):
-    def joined(name):
-        if getattr(batches[0], name) is None:
-            return None
-        return np.concatenate([getattr(b, name) for b in batches])
-
-    return ExitBatch(
-        exit_point=np.concatenate([b.exit_point for b in batches]),
-        exit_time=joined("exit_time"),
-        label=np.concatenate([b.label for b in batches]),
-        steps=np.concatenate([b.steps for b in batches]),
-        ok=np.concatenate([b.ok for b in batches]),
-        line_hit=joined("line_hit"),
-    )
+    return ExitBatch(**{
+        f.name: None if getattr(batches[0], f.name) is None
+        else np.concatenate([getattr(b, f.name) for b in batches])
+        for f in fields(ExitBatch)})
 
 
 def run_exits(domain: Domain, start: complex, n: int,
-              cfg: WosConfig | EmConfig, rng: RngStream, workers: int = 1,
-              mark_line_re: float | None = None) -> ExitBatch:
+              cfg: WosConfig | EmConfig, rng: RngStream,
+              workers: int = 1) -> ExitBatch:
     """n exit paths in deterministic chunks, advanced in lockstep groups
     (one kernel call per group) and merged in path order; identical output
     for any ``workers``.  The type of ``cfg`` picks the kernel:
-    walk-on-spheres (which alone takes ``mark_line_re``) for a WosConfig,
-    Euler-Maruyama for an EmConfig."""
+    walk-on-spheres for a WosConfig, Euler-Maruyama for an EmConfig."""
     if n < 1:
         raise BadParameters(f"need at least one path, got n = {n}")
-    if isinstance(cfg, EmConfig) and mark_line_re is not None:
-        raise BadParameters("only walk-on-spheres marks a line")
+    if not workers >= 1:
+        raise BadParameters(f"workers must be at least 1, got {workers!r}")
     ranges = chunk_ranges(n)
     payloads = [(domain, start, ranges[g[-1]][1] - ranges[g[0]][0], cfg,
-                 rng.seed, rng.stream_id, g, mark_line_re)
-                for g in _chunk_groups(len(ranges), max(workers, 1))]
+                 rng, g) for g in _chunk_groups(len(ranges), workers)]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(payloads))) as pool:
@@ -394,10 +381,12 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
     the report, not raised (the inequality then has no guarantee).
     """
     a = complex(a)
+    if not math.isfinite(split_re):
+        raise BadParameters(f"split_re must be finite, got {split_re!r}")
     if not a.real < split_re:
         raise BadParameters("basepoint must lie left of the split line")
-    batch = run_exits(domain, a, n, WosConfig(), rng.child(902), workers,
-                      mark_line_re=split_re)
+    batch = run_exits(domain, a, n, WosConfig(mark_line_re=split_re),
+                      rng.child(902), workers)
     verdict = check_delta_starlike(domain, batch.exit_point[batch.ok])
     nu = exit_proportion(lambda z, lab: z.real > split_re, batch)
     nu_hat = proportion_estimate(int(np.sum(batch.line_hit & batch.ok)), nu.n,

@@ -38,7 +38,7 @@ def test_criterion_01_annulus_log_hitting_law():
     oks = []
     details = []
     for start, target in [(E, 0.5), (E ** 1.5, 0.25)]:
-        b = wos_exit_batch(ann, np.full(N_BIG, start, dtype=complex), gen)
+        b = wos_exit_batch(ann, start, gen, N_BIG)
         p = float(np.mean(b.label == int(BoundaryLabel.ANNULUS_INNER)))
         se = math.sqrt(target * (1 - target) / N_BIG)
         oks.append(abs(p - target) <= 3 * se)
@@ -52,16 +52,14 @@ def test_criterion_01_annulus_log_hitting_law():
 def test_criterion_02_conformal_modulus_invariance():
     rect = Rectangle(2, 1)
     rng = RngStream(9002)
-    em = em_exit_batch(rect, np.zeros(N_BIG, dtype=complex),
-                       rng.generator())
+    em = em_exit_batch(rect, 0j, rng.generator(), N_BIG)
     ok_em = em.ok
     c = 3.0
     image = Rectangle(c * rect.a, c * rect.b)
     mapped = Linear(c).evaluate(em.exit_point[ok_em])
     identical = np.array_equal(image.label_codes(mapped), em.label[ok_em])
 
-    wos = wos_exit_batch(rect, np.zeros(N_BIG, dtype=complex),
-                         rng.child(1).generator())
+    wos = wos_exit_batch(rect, 0j, rng.child(1).generator(), N_BIG)
     agree = True
     freqs = []
     for side in range(4):
@@ -227,9 +225,8 @@ def test_criterion_09_kernel_cross_validation():
     for radius, target in [(1.0, 0.5), (2.0, 2.0)]:
         exact = sample_disk_exit_batch(0j, radius, rng.child(50).generator(),
                                        N_BIG, with_time=True)
-        em = em_exit_batch(Disk(0j, radius),
-                           np.zeros(N_BIG // 2, dtype=complex),
-                           rng.child(51).generator())
+        em = em_exit_batch(Disk(0j, radius), 0j, rng.child(51).generator(),
+                           N_BIG // 2)
         m_exact = float(np.mean(exact.exit_time))
         m_em = float(np.nanmean(em.exit_time))
         means_ok &= abs(m_exact / target - 1) < 0.02

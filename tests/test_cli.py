@@ -287,6 +287,31 @@ seed = {seed}
         parse_config(good)
 
 
+def test_workers_key_below_one_is_config_error(tmp_path):
+    # workers = -3 ran serially and echoed -3 in every report.
+    path = write(tmp_path, BASIC + "workers = -3\n")
+    with pytest.raises(ConfigError, match="bad value '-3' for 'workers'"):
+        parse_config(path)
+
+
+def test_workers_override_below_one_is_config_error(tmp_path, capsys):
+    path = write(tmp_path, BASIC)
+    with pytest.raises(ConfigError, match="bad value '0' for 'workers'"):
+        parse_config(path, {"workers": "0"})
+    assert main(["run", path, "--set", "workers=0"]) == 1
+    assert "bad value '0' for 'workers'" in capsys.readouterr().err
+
+
+def test_workers_argument_below_one_is_config_error(tmp_path, capsys):
+    # The --workers flag overrides every scenario's key, so it is checked
+    # before any scenario runs.
+    path = write(tmp_path, BASIC)
+    with pytest.raises(ConfigError, match="bad value 0 for 'workers'"):
+        run(path, workers=0)
+    assert main(["run", path, "--workers", "-1"]) == 1
+    assert "bad value -1 for 'workers'" in capsys.readouterr().err
+
+
 def test_override_changes_echo(tmp_path):
     path = write(tmp_path, BASIC)
     sc = parse_config(path, {"n": "4000"})[0]
@@ -796,6 +821,24 @@ n = 2000
     assert len(bound) == 1 and not bound[0]["passed"]
     assert "nu = 0" in bound[0]["detail"]
     assert "NaN" not in json.dumps(rep["results"]["ratio"])
+    assert reports[1]["passed"]
+
+
+def test_infinite_split_line_recorded_not_fatal(tmp_path):
+    # split_re = inf ran every path and failed the bound on nu = 0; it is
+    # an error naming the key, and the next scenario still runs.
+    cfg = """
+[scenario.doubling]
+experiment = karafyllia
+domain = strip(-1, 1)
+a = -2
+split_re = inf
+n = 2000
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert reports[0]["error"] == (
+        "BadParameters: split_re must be finite, got inf")
+    assert not reports[0]["passed"]
     assert reports[1]["passed"]
 
 

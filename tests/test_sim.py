@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.stats import chisquare, ks_2samp
 
 from bmx.combs import build_comb
 from bmx.disk_time import sample_unit_disk_time
-from bmx.errors import BadParameters, BadStart, PointOutsideDomain
+from bmx.errors import BadParameters, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           ParabolaComplement, Rectangle, Strip, Wedge)
 from bmx.maps import PowerInt
@@ -48,7 +49,7 @@ def test_halfplane_labels_and_badstart():
     assert b.label[0] in (BoundaryLabel.HALFLINE_LEFT,
                           BoundaryLabel.HALFLINE_RIGHT)
     assert b.exit_time is None
-    with pytest.raises(BadStart):
+    with pytest.raises(PointOutsideDomain):
         sample_halfplane_exit_batch(1 - 1j, RngStream(4).generator(), 1)
 
 
@@ -92,7 +93,7 @@ def test_wos_annulus_log_hitting_law():
     ann = Annulus(1.0, math.e ** 2)
     gen = RngStream(106).generator()
     for start, target in [(math.e, 0.5), (math.e ** 1.5, 0.25)]:
-        b = wos_exit_batch(ann, np.full(100_000, start, dtype=complex), gen)
+        b = wos_exit_batch(ann, start, gen, 100_000)
         p = np.mean(b.label == int(BoundaryLabel.ANNULUS_INNER))
         se = math.sqrt(target * (1 - target) / len(b))
         assert abs(p - target) < 3 * se
@@ -100,7 +101,7 @@ def test_wos_annulus_log_hitting_law():
 
 def test_wos_square_symmetry():
     gen = RngStream(107).generator()
-    b = wos_exit_batch(Rectangle(1, 1), np.zeros(100_000, dtype=complex), gen)
+    b = wos_exit_batch(Rectangle(1, 1), 0j, gen, 100_000)
     for side in range(4):
         p = np.mean(b.label == side)
         assert abs(p - 0.25) < 3 * math.sqrt(0.25 * 0.75 / len(b))
@@ -110,31 +111,29 @@ def test_wos_exit_time_matches_disk_formula():
     # E[tau] from z in a disk of radius R is (R^2 - |z|^2)/2.
     gen = RngStream(108).generator()
     d = Disk(0j, 1.0)
-    b = wos_exit_batch(d, np.zeros(50_000, dtype=complex), gen,
-                       WosConfig(with_time=True))
+    b = wos_exit_batch(d, 0j, gen, 50_000, WosConfig(with_time=True))
     assert abs(np.mean(b.exit_time) - 0.5) < 0.01
-    b = wos_exit_batch(d, np.full(50_000, 0.5 + 0j), gen,
-                       WosConfig(with_time=True))
+    b = wos_exit_batch(d, 0.5 + 0j, gen, 50_000, WosConfig(with_time=True))
     assert abs(np.mean(b.exit_time) - (1 - 0.25) / 2) < 0.01
 
 
 def test_wos_exit_point_on_boundary():
     gen = RngStream(109).generator()
     d = Rectangle(2, 1)
-    b = wos_exit_batch(d, np.zeros(2000, dtype=complex), gen)
+    b = wos_exit_batch(d, 0j, gen, 2000)
     assert np.all(d.boundary_distance(b.exit_point) < 1e-9)
 
 
 def test_wos_start_outside_domain():
     with pytest.raises(PointOutsideDomain):
-        wos_exit_batch(Disk(0j, 1.0), [2 + 0j], RngStream(10).generator())
+        wos_exit_batch(Disk(0j, 1.0), 2 + 0j, RngStream(10).generator(), 1)
 
 
 def test_wos_reproducible():
-    a = wos_exit_batch(Annulus(1, 4), np.full(500, 2 + 0j),
-                       RngStream(55, 3).generator(), WosConfig(with_time=True))
-    b = wos_exit_batch(Annulus(1, 4), np.full(500, 2 + 0j),
-                       RngStream(55, 3).generator(), WosConfig(with_time=True))
+    a = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).generator(),
+                       500, WosConfig(with_time=True))
+    b = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).generator(),
+                       500, WosConfig(with_time=True))
     assert np.array_equal(a.exit_point, b.exit_point)
     assert np.array_equal(a.exit_time, b.exit_time)
     assert np.array_equal(a.steps, b.steps)
@@ -146,7 +145,7 @@ def test_wos_reproducible():
 
 def test_em_disk_mean_exit_time():
     gen = RngStream(110).generator()
-    b = em_exit_batch(Disk(0j, 1.0), np.zeros(50_000, dtype=complex), gen)
+    b = em_exit_batch(Disk(0j, 1.0), 0j, gen, 50_000)
     assert b.n_excluded == 0
     assert abs(np.mean(b.exit_time) - 0.5) < 0.01
 
@@ -155,7 +154,7 @@ def test_em_halfplane_exits_match_exact_sampler():
     # Two-sample KS against the exact Cauchy sampler at the 1e-3 level.
     n = 10_000
     gen = RngStream(111).generator()
-    em = em_exit_batch(HalfPlane("north"), np.full(n, 1j), gen)
+    em = em_exit_batch(HalfPlane("north"), 1j, gen, n)
     exact = sample_halfplane_exit_batch(1j, gen, n)
     d = ks_2samp(em.exit_point.real, exact.exit_point.real).statistic
     crit = 1.9495 * math.sqrt(2.0 / n)
@@ -166,8 +165,8 @@ def test_em_rectangle_sides_match_wos():
     n = 50_000
     gen = RngStream(112).generator()
     r = Rectangle(2, 1)
-    em = em_exit_batch(r, np.zeros(n, dtype=complex), gen)
-    wos = wos_exit_batch(r, np.zeros(n, dtype=complex), gen)
+    em = em_exit_batch(r, 0j, gen, n)
+    wos = wos_exit_batch(r, 0j, gen, n)
     for side in range(4):
         pe = np.mean(em.label == side)
         pw = np.mean(wos.label == side)
@@ -179,8 +178,7 @@ def test_em_crossing_detection_on_slits():
     # The slit boundaries have measure zero; exits must still register.
     gen = RngStream(113).generator()
     k = KoebeSlit()
-    b = em_exit_batch(k, np.full(3000, 1 + 0j), gen,
-                      EmConfig(max_steps=200_000))
+    b = em_exit_batch(k, 1 + 0j, gen, 3000, EmConfig(max_steps=200_000))
     assert b.n_excluded == 0
     exits = b.exit_point
     assert np.all(exits.real <= -0.25 + 1e-9)
@@ -191,32 +189,36 @@ def test_em_crossing_detection_on_slits():
     lambda: EmConfig(c=math.nan), lambda: EmConfig(c=math.inf),
     lambda: EmConfig(c=0.0), lambda: EmConfig(c=-0.1),
     lambda: EmConfig(max_steps=0), lambda: WosConfig(max_steps=0),
-    lambda: WosConfig(max_steps=-1, with_time=True)])
+    lambda: WosConfig(max_steps=-1, with_time=True),
+    lambda: WosConfig(mark_line_re=math.nan),
+    lambda: WosConfig(mark_line_re=math.inf),
+    lambda: WosConfig(mark_line_re=-math.inf)])
 def test_degenerate_kernel_config_rejected(make):
-    # A NaN clock gave ok paths with NaN exits, and a step cap below 1
-    # gave walks with no jump at all.
+    # A NaN clock gave ok paths with NaN exits, a step cap below 1 gave
+    # walks with no jump at all, and a non-finite marked line either
+    # refused every start (NaN) or marked nothing.
     with pytest.raises(BadParameters):
         make()
 
 
 def test_em_reproducible():
     cfg = EmConfig()
-    a = em_exit_batch(Rectangle(1, 1), np.zeros(400, dtype=complex),
-                      RngStream(66, 1).generator(), cfg)
-    b = em_exit_batch(Rectangle(1, 1), np.zeros(400, dtype=complex),
-                      RngStream(66, 1).generator(), cfg)
+    a = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).generator(), 400,
+                      cfg)
+    b = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).generator(), 400,
+                      cfg)
     assert np.array_equal(a.exit_point, b.exit_point)
     assert np.array_equal(a.exit_time, b.exit_time)
 
 
 @pytest.mark.parametrize("kernel", [em_exit_batch, wos_exit_batch])
 def test_one_generator_per_chunk(kernel):
-    # A list of generators must hold one per chunk of the starts.
-    starts = np.zeros(CHUNK_SIZE + 1, dtype=complex)
+    # A list of generators must hold one per chunk of the n paths.
+    n = CHUNK_SIZE + 1
     gens = [RngStream(67).substream(ci) for ci in range(2)]
-    assert len(kernel(Rectangle(1, 1), starts, gens)) == CHUNK_SIZE + 1
+    assert len(kernel(Rectangle(1, 1), 0j, gens, n)) == n
     with pytest.raises(BadParameters, match="2 chunks, but 1 generators"):
-        kernel(Rectangle(1, 1), starts, gens[:1])
+        kernel(Rectangle(1, 1), 0j, gens[:1], n)
 
 
 def _split_idx_cases(n):
@@ -262,9 +264,8 @@ def test_chunk_draw_shares_are_the_chunk_counts():
 def test_wos_marked_line():
     # The marked line {Re = 0} never stops a path: every exit is a domain
     # exit, and every path that exits right of the line has hit it.
-    starts = np.full(5000, -2.0 + 0j)
-    batch = wos_exit_batch(Strip(-1, 1), starts, RngStream(114).generator(),
-                           mark_line_re=0.0)
+    batch = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+                           5000, WosConfig(mark_line_re=0.0))
     assert isinstance(batch, ExitBatch)
     assert batch.line_hit.dtype == bool and len(batch.line_hit) == 5000
     assert batch.ok.all()
@@ -276,12 +277,13 @@ def test_wos_marked_line():
     assert hit_left.any() and not batch.line_hit.all()
     assert np.array_equal(batch.label,
                           Strip(-1, 1).label_codes(batch.exit_point))
-    plain = wos_exit_batch(Strip(-1, 1), starts[:100],
-                           RngStream(114).generator())
+    plain = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+                           100)
     assert plain.line_hit is None
-    with pytest.raises(BadStart):
-        wos_exit_batch(Strip(-1, 1), starts[:10], RngStream(114).generator(),
-                       mark_line_re=-3.0)
+    with pytest.raises(BadParameters,
+                       match=r"mark_line_re = -3\.0 .* start \(-2\+0j\)"):
+        wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+                       10, WosConfig(mark_line_re=-3.0))
 
 
 def test_wos_marked_line_halfplane_laws():
@@ -289,8 +291,9 @@ def test_wos_marked_line_halfplane_laws():
     # before its exit with probability 1/2 and exits right of it with
     # probability 1/4 (the Cauchy(-1, 1) exit law).
     n = 50_000
-    batch = wos_exit_batch(HalfPlane("north"), np.full(n, -1 + 1j),
-                           RngStream(117).generator(), mark_line_re=0.0)
+    batch = wos_exit_batch(HalfPlane("north"), -1 + 1j,
+                           RngStream(117).generator(), n,
+                           WosConfig(mark_line_re=0.0))
     assert batch.ok.all()
     right = batch.exit_point.real > 0
     for hits, p in ((batch.line_hit, 0.5), (right, 0.25)):
@@ -301,8 +304,8 @@ def test_wos_marked_line_halfplane_laws():
 def test_wos_jumps_are_uncapped():
     # On the Koebe slit domain paths wander far out; a jump takes the whole
     # inscribed disk, so 2000 jumps end every path.
-    b = wos_exit_batch(KoebeSlit(), np.full(4096, 1 + 0j),
-                       RngStream(117).generator(), WosConfig(max_steps=2000))
+    b = wos_exit_batch(KoebeSlit(), 1 + 0j, RngStream(117).generator(), 4096,
+                       WosConfig(max_steps=2000))
     assert b.n_excluded == 0
     assert np.all(b.exit_point.real <= -0.25 + 1e-6)
 
@@ -313,11 +316,10 @@ def test_batch_step_cap_records(kernel):
     # path that exits before the cap exactly as in an uncapped run.
     def run(max_steps):
         gen = RngStream(116).generator()
-        starts = np.zeros(3000, dtype=complex)
         if kernel == "em":
-            return em_exit_batch(Rectangle(2, 1), starts, gen,
+            return em_exit_batch(Rectangle(2, 1), 0j, gen, 3000,
                                  EmConfig(max_steps=max_steps))
-        return wos_exit_batch(Rectangle(2, 1), starts, gen,
+        return wos_exit_batch(Rectangle(2, 1), 0j, gen, 3000,
                               WosConfig(max_steps=max_steps, with_time=True))
 
     k = 12
@@ -457,10 +459,11 @@ def test_one_exit_query_per_call_equals_per_sweep_queries(
         return stream.generator()
 
     if kernel == "wos":
-        got = wos_exit_batch(domain, starts, gen(), cfg, mark_line_re=line)
+        got = wos_exit_batch(domain, start, gen(), n,
+                             replace(cfg, mark_line_re=line))
         want = _wos_per_sweep(domain, starts, gen(), cfg, mark_line_re=line)
     else:
-        got = em_exit_batch(domain, starts, gen(), cfg)
+        got = em_exit_batch(domain, start, gen(), n, cfg)
         want = _em_per_sweep(domain, starts, gen(), cfg)
     assert {"none": got.ok.all(), "some": got.ok.any() and not got.ok.all(),
             "all": not got.ok.any()}[capped]
@@ -481,7 +484,7 @@ def test_square_map_sends_disk_exits_to_poisson_kernel():
     # the mapped angle law must match the Poisson kernel at 0.25.
     n = 50_000
     gen = RngStream(115).generator()
-    b = wos_exit_batch(Disk(0j, 1.0), np.full(n, 0.5 + 0j), gen)
+    b = wos_exit_batch(Disk(0j, 1.0), 0.5 + 0j, gen, n)
     mapped = PowerInt(2).evaluate(b.exit_point)
     theta = np.angle(mapped)
     bins = np.linspace(-math.pi, math.pi, 25)

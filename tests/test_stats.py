@@ -216,32 +216,27 @@ def test_chunk_groups_cover_every_chunk_once(n_chunks, workers):
 
 
 _LOCKSTEP_CASES = [
-    pytest.param(Rectangle(2, 1), -1 + 0j, WosConfig(with_time=True), 0.0,
+    pytest.param(Rectangle(2, 1), -1 + 0j,
+                 WosConfig(with_time=True, mark_line_re=0.0),
                  id="wos_time_marked"),
-    pytest.param(Rectangle(1, 1), 0j, WosConfig(), None, id="wos"),
-    pytest.param(Wedge(math.pi / 2), 1 + 0j, EmConfig(), None, id="em"),
+    pytest.param(Rectangle(1, 1), 0j, WosConfig(), id="wos"),
+    pytest.param(Wedge(math.pi / 2), 1 + 0j, EmConfig(), id="em"),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("domain, start, cfg, line", _LOCKSTEP_CASES)
+@pytest.mark.parametrize("domain, start, cfg", _LOCKSTEP_CASES)
 def test_lockstep_groups_match_one_call_per_chunk(inline_pool, domain, start,
-                                                  cfg, line, workers):
+                                                  cfg, workers):
     # Chunks advanced together in one kernel call draw exactly what each
     # draws alone on its own substream, so every per-path array matches
     # the concatenation of one-chunk calls bit for bit.
     rng = RngStream(216)
     n = 2 * CHUNK_SIZE + 17
-    batch = run_exits(domain, start, n, cfg, rng, workers, mark_line_re=line)
-    parts = []
-    for ci, (lo, hi) in enumerate(chunk_ranges(n)):
-        starts = np.full(hi - lo, start)
-        gen = rng.substream(ci)
-        if isinstance(cfg, WosConfig):
-            parts.append(wos_exit_batch(domain, starts, gen, cfg,
-                                        mark_line_re=line))
-        else:
-            parts.append(em_exit_batch(domain, starts, gen, cfg))
+    batch = run_exits(domain, start, n, cfg, rng, workers)
+    kernel = wos_exit_batch if isinstance(cfg, WosConfig) else em_exit_batch
+    parts = [kernel(domain, start, rng.substream(ci), hi - lo, cfg)
+             for ci, (lo, hi) in enumerate(chunk_ranges(n))]
     for name in ("exit_point", "exit_time", "label", "steps", "ok",
                  "line_hit"):
         got = getattr(batch, name)
@@ -254,13 +249,20 @@ def test_lockstep_groups_match_one_call_per_chunk(inline_pool, domain, start,
 
 
 def test_only_walk_on_spheres_marks_a_line():
-    rng = RngStream(214)
-    with pytest.raises(BadParameters, match="walk-on-spheres"):
-        run_exits(Strip(-1, 1), -2 + 0j, 100, EmConfig(), rng,
-                  mark_line_re=0.0)
-    marked = run_exits(Strip(-1, 1), -2 + 0j, 100, WosConfig(), rng,
-                       mark_line_re=0.0)
+    # The marked line is a walk-on-spheres option, so an EmConfig has no
+    # field for it.
+    with pytest.raises(TypeError):
+        EmConfig(mark_line_re=0.0)
+    marked = run_exits(Strip(-1, 1), -2 + 0j, 100,
+                       WosConfig(mark_line_re=0.0), RngStream(214))
     assert marked.line_hit.shape == (100,)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_exits_rejects_workers_below_one(workers):
+    with pytest.raises(BadParameters, match="workers"):
+        run_exits(Rectangle(1, 1), 0j, 100, WosConfig(), RngStream(215),
+                  workers)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,19 @@ def test_doubling_ratio_stderr_from_counts():
     none = doubling_ratio(proportion_estimate(0, 1000),
                           proportion_estimate(10, 1000))
     assert math.isinf(none.value) and math.isinf(none.stderr)
+
+
+@pytest.mark.parametrize("split_re", [math.nan, math.inf, -math.inf])
+def test_karafyllia_rejects_non_finite_split_line(monkeypatch, split_re):
+    # A NaN line was reported as "basepoint must lie left of the split
+    # line", and an infinite one ran every path for a ratio of inf.
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path ran before validation")
+
+    monkeypatch.setattr(stats, "run_exits", no_paths)
+    with pytest.raises(BadParameters, match="split_re must be finite"):
+        verify_karafyllia(HalfPlane("north"), -1 + 1j, split_re, 1000,
+                          RngStream(232))
 
 
 def test_karafyllia_strip_ratio_two():
