@@ -4,29 +4,33 @@ The quasi-hyperbolic length of a path is arclength weighted by reciprocal
 distance to the boundary.  We overestimate the infimum by a shortest path in
 a graph whose nodes are quadtree cell centers, refined so that a cell's size
 is at most ``cell_factor`` times its center clearance, with 8-neighbor edges
-weighted |edge| / clearance(midpoint).  Refinement halves the factor and
-unions the new graph with the previous ones (node sets are disjoint, source
-and targets shared), so the estimate decreases monotonically and converges
-from above; rounds stop once successive values agree to ``refine_target``.
+weighted |edge| / clearance(midpoint).  Each refinement round halves the
+factor and solves its own graph, the source plus that round's leaves; a
+target's value after round r is the least over rounds 0..r, so the estimate
+decreases monotonically and converges from above; rounds stop once
+successive values agree to ``refine_target``.
 Neighbors come from one sort of the leaves in Morton (Z-curve) order and
 one ``searchsorted`` per probe direction; the int64 codes hold 31 levels,
 and a deeper tree (a source very near the boundary) raises BadParameters.
 
-Circle targets |z - source| = R enter as virtual nodes wired to every leaf
-whose cell meets the circle, so one Dijkstra run prices a whole radius
-schedule at once.
+Targets are not graph nodes.  A point target is wired to the leaves near
+it, and a circle target |z - source| = R to every leaf whose cell meets the
+circle, by the radial segment to the circle; its value is the least leaf
+distance plus wire.  One Dijkstra run per round thus prices a whole radius
+schedule, and every value is the length of a real path in the domain.
 
 scipy.sparse, which holds the Dijkstra solver, is imported when the first
 graph is solved, not with this module.  The module attribute ``dijkstra``
-resolves to scipy's function on first access, and ``_solve`` calls
+resolves to scipy's function on first access, and ``_round_values`` calls
 whatever that attribute holds, so a profiler may rebind it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,28 +77,20 @@ class QhConfig:
         if not (math.isfinite(self.cell_factor) and self.cell_factor > 0):
             raise BadParameters(f"QhConfig.cell_factor must be finite and "
                                 f"positive, got {self.cell_factor!r}")
+        # A zero or NaN floor splits boundary cells until the budget runs
+        # out, and the error would then blame max_nodes.
+        if not (self.min_cell is None or (math.isfinite(self.min_cell)
+                                          and self.min_cell > 0)):
+            raise BadParameters(f"QhConfig.min_cell must be None or finite "
+                                f"and positive, got {self.min_cell!r}")
+        for name in ("rel_floor", "prune_clearance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise BadParameters(f"QhConfig.{name} must be finite and "
+                                    f"non-negative, got {value!r}")
         if not self.max_rounds >= 1:
             raise BadParameters(f"QhConfig.max_rounds must be at least 1, "
                                 f"got {self.max_rounds!r}")
-
-
-@dataclass
-class _Graph:
-    """Accumulated union graph: node 0 the source, 1..T virtual targets,
-    leaves appended after.  Edges are kept as one array per batch, in the
-    order the batches were added."""
-
-    n_targets: int
-    n_leaves: int = 0
-    rows: list = field(default_factory=list)
-    cols: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-
-    def add_edges(self, rows, cols, weights):
-        ok = np.isfinite(weights)
-        self.rows.append(np.asarray(rows, dtype=np.int64)[ok])
-        self.cols.append(np.asarray(cols, dtype=np.int64)[ok])
-        self.weights.append(np.asarray(weights)[ok])
 
 
 _MAX_DEPTH = 31   # two 31-bit cell indices interleave into 62 bits of int64
@@ -217,55 +213,50 @@ def _segment_weight(domain, p, q):
     return np.where(good, np.abs(p - q) / np.where(good, clear, 1.0), np.inf)
 
 
-def _connect_point(domain, graph, node, point, centers, halves, offset):
+def _connect_point(domain, point, centers, halves):
+    """(leaf indices, wire weights) joining ``point`` to the leaves near it."""
     d = np.abs(centers - point)
     near = d <= 3.0 * halves
     if not np.any(near):
         near = d <= np.min(d) * 1.5 + 1e-12
     idx = np.where(near)[0]
-    w = _segment_weight(domain, np.full(idx.size, point), centers[idx])
-    graph.add_edges(np.full(idx.size, node), offset + idx, w)
+    return idx, _segment_weight(domain, np.full(idx.size, point), centers[idx])
 
 
-def _add_round(domain, graph: _Graph, a, targets, factor, min_cell,
-               rel_floor, prune, box_center, box_half, budget):
-    centers, halves = _build_leaves(domain, a, box_center, box_half, factor,
-                                    min_cell, rel_floor, prune, budget)
-    offset = 1 + graph.n_targets + graph.n_leaves
-    rows, cols = _neighbor_pairs(centers, halves, box_center, box_half)
-    graph.add_edges(offset + rows, offset + cols,
-                    _segment_weight(domain, centers[rows], centers[cols]))
-
-    _connect_point(domain, graph, 0, a, centers, halves, offset)
-    for t_idx, target in enumerate(targets):
-        node = 1 + t_idx
-        if isinstance(target, CircleTarget):
-            rad = np.abs(centers - a)
-            gap = np.abs(rad - target.radius)
-            idx = np.where((gap <= 2.0 * halves * math.sqrt(2.0))
-                           & (rad > 0))[0]
-            if idx.size:
-                on_circle = a + (centers[idx] - a) / rad[idx] * target.radius
-                graph.add_edges(np.full(idx.size, node), offset + idx,
-                                _segment_weight(domain, centers[idx],
-                                                on_circle))
-        else:
-            _connect_point(domain, graph, node, complex(target),
-                           centers, halves, offset)
-    graph.n_leaves += centers.size
-
-
-def _solve(graph: _Graph):
+def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
+                  box_half, budget):
+    """One refinement round: shortest paths from ``a`` (node 0) over this
+    round's leaves (nodes 1..n) alone, and each target's value read off as
+    the least leaf distance plus the wire from that leaf to the target.
+    Targets are not graph nodes, so no path passes through one.  Returns
+    (values, leaf count)."""
     from scipy.sparse import coo_matrix
-    n = 1 + graph.n_targets + graph.n_leaves
-    weights = np.concatenate(graph.weights)
-    if not weights.size:
-        raise TargetUnreachable("empty metric graph")
-    m = coo_matrix((weights, (np.concatenate(graph.rows),
-                              np.concatenate(graph.cols))), shape=(n, n))
+    centers, halves = _build_leaves(domain, a, a, box_half, factor, min_cell,
+                                    rel_floor, prune, budget)
+    pairs = _neighbor_pairs(centers, halves, a, box_half)
+    src, src_w = _connect_point(domain, a, centers, halves)
+    rows = np.concatenate([1 + pairs[0], np.zeros(src.size, dtype=np.int64)])
+    cols = np.concatenate([1 + pairs[1], 1 + src])
+    weights = np.concatenate([
+        _segment_weight(domain, centers[pairs[0]], centers[pairs[1]]), src_w])
+    ok = np.isfinite(weights)
+    n = 1 + centers.size
+    graph = coo_matrix((weights[ok], (rows[ok], cols[ok])), shape=(n, n))
     solver = sys.modules[__name__].dijkstra   # through __getattr__ at first
-    dist = solver(m.tocsr(), directed=False, indices=0)
-    return dist[1:1 + graph.n_targets]
+    dist = solver(graph.tocsr(), directed=False, indices=0)[1:]
+
+    rad = np.abs(centers - a)
+    values = np.empty(len(targets))
+    for k, target in enumerate(targets):
+        if isinstance(target, CircleTarget):
+            idx = np.where((np.abs(rad - target.radius)
+                            <= 2.0 * halves * math.sqrt(2.0)) & (rad > 0))[0]
+            on_circle = a + (centers[idx] - a) / rad[idx] * target.radius
+            w = _segment_weight(domain, centers[idx], on_circle)
+        else:
+            idx, w = _connect_point(domain, complex(target), centers, halves)
+        values[k] = np.min(dist[idx] + w, initial=np.inf)
+    return values, centers.size
 
 
 def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
@@ -274,11 +265,15 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     target, with the refinement history.
 
     Returns (values, history, budget_hit); history[r] holds the per-target
-    values after refinement round r, nonincreasing in r by the union
-    construction, and budget_hit is True when ``max_nodes`` stopped the
-    refinement before ``max_rounds`` rounds or convergence.
+    values after refinement round r, the running minimum over rounds 0..r
+    (so nonincreasing in r), and budget_hit is True when ``max_nodes``
+    stopped the refinement before ``max_rounds`` rounds or convergence.
+    Every value is the quasi-hyperbolic length (by the midpoint rule) of a
+    real path in the domain from ``a`` to its target.
     """
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise PointOutsideDomain(f"source {a!r} is not finite")
     if not domain.contains(np.complex128(a)):
         raise PointOutsideDomain("source must lie inside the domain")
     targets = list(targets)
@@ -289,42 +284,46 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     for t in targets:
         if isinstance(t, CircleTarget):
             reach.append(t.radius)
-        elif domain.contains(np.complex128(complex(t))):
-            reach.append(abs(complex(t) - a))
-        else:
+            continue
+        t = complex(t)
+        if not cmath.isfinite(t):
+            raise PointOutsideDomain(f"point target {t!r} is not finite")
+        if not domain.contains(np.complex128(t)):
             raise PointOutsideDomain("point target outside the domain")
+        reach.append(abs(t - a))
     min_cell = cfg.min_cell
     if min_cell is None:
         min_cell = cfg.cell_factor * d_a / 8.0
     box_half = 1.2 * max(reach) + 4.0 * d_a
 
-    graph = _Graph(n_targets=len(targets))
+    values = np.full(len(targets), np.inf)
     history = []
-    values = None
+    leaves = 0
     budget_hit = False
     for round_idx in range(cfg.max_rounds):
-        factor = cfg.cell_factor / (2 ** round_idx)
-        cell_floor = min_cell / (2 ** round_idx)
+        scale = 2 ** round_idx
         try:
-            _add_round(domain, graph, a, targets, factor, cell_floor,
-                       cfg.rel_floor / (2 ** round_idx), cfg.prune_clearance,
-                       a, box_half, cfg.max_nodes)
+            round_values, count = _round_values(
+                domain, a, targets, cfg.cell_factor / scale, min_cell / scale,
+                cfg.rel_floor / scale, cfg.prune_clearance, box_half,
+                cfg.max_nodes)
         except NodeBudgetExceeded:
-            if values is None:
+            if not history:
                 raise
             budget_hit = True
             break
-        prev, values = values, _solve(graph)
+        prev, values = values, np.minimum(values, round_values)
         history.append(values.copy())
-        if prev is not None and np.max(np.abs(values - prev) / np.maximum(
+        leaves += count
+        if round_idx and np.max(np.abs(values - prev) / np.maximum(
                 np.abs(values), 1e-30)) <= cfg.refine_target:
             break
         # The next round would have about four times as many leaves.
-        if (graph.n_leaves * 4 > cfg.max_nodes and round_idx >= 1
+        if (leaves * 4 > cfg.max_nodes and round_idx >= 1
                 and round_idx + 1 < cfg.max_rounds):
             budget_hit = True
             break
-    if values is None or np.any(~np.isfinite(values)):
+    if not np.all(np.isfinite(values)):
         raise TargetUnreachable("no grid path reached every target")
     return values, history, budget_hit
 

@@ -24,6 +24,7 @@ reproduce identical exits bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -222,6 +223,9 @@ def wos_exit_batch(domain: Domain, start: complex,
     """
     start = complex(start)
     draws = _ChunkDraws(gen, n)
+    if not cmath.isfinite(start):
+        raise PointOutsideDomain(
+            f"walk-on-spheres start {start!r} is not finite")
     if not domain.contains(start):
         raise PointOutsideDomain("walk-on-spheres start outside the domain")
     line = cfg.mark_line_re
@@ -305,6 +309,9 @@ def em_exit_batch(domain: Domain, start: complex,
     """
     start = complex(start)
     draws = _ChunkDraws(gen, n)
+    if not cmath.isfinite(start):
+        raise PointOutsideDomain(
+            f"Euler-Maruyama start {start!r} is not finite")
     if not domain.contains(start):
         raise PointOutsideDomain("Euler-Maruyama start outside the domain")
 

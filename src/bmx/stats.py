@@ -302,9 +302,9 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
     """Fit the growth of delta(a, F_R) in ln R over the last half of the
     schedule, and over at least its last two radii.
 
-    One union graph sized to the largest radius serves the whole schedule in
-    a single shortest-path solve.  Values along the refinement history are
-    Richardson-extrapolated (the discretization error of the union graph
+    One graph per refinement round, sized to the largest radius, serves the
+    whole schedule in a single shortest-path solve.  Values along the
+    refinement history are Richardson-extrapolated (the discretization error
     halves per round) before fitting, and made nondecreasing in R, which the
     true distance is.
     """
@@ -381,6 +381,8 @@ def verify_karafyllia(domain: Domain, a: complex, split_re: float, n: int,
     the report, not raised (the inequality then has no guarantee).
     """
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise BadParameters(f"basepoint a must be finite, got {a!r}")
     if not math.isfinite(split_re):
         raise BadParameters(f"split_re must be finite, got {split_re!r}")
     if not a.real < split_re:

@@ -546,6 +546,33 @@ cell_factor = 0
     assert reports[1]["passed"]
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("min_cell", "nan", "QhConfig.min_cell must be None or finite and "
+     "positive, got nan"),
+    ("min_cell", "-1", "QhConfig.min_cell must be None or finite and "
+     "positive, got -1.0"),
+    ("rel_floor", "nan", "QhConfig.rel_floor must be finite and "
+     "non-negative, got nan"),
+])
+def test_degenerate_graph_floor_recorded_not_fatal(tmp_path, key, value,
+                                                   error):
+    # A NaN floor was reported as a max_nodes overrun, and a negative
+    # min_cell ran silently.
+    cfg = f"""
+[scenario.degenerate]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 10 100
+{key} = {value}
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["degenerate", "square"]
+    assert not reports[0]["passed"]
+    assert reports[0]["error"] == f"BadParameters: {error}"
+    assert reports[1]["passed"]
+
+
 def test_thin_wedge_fails_the_probe_and_the_bound(tmp_path, capsys):
     # The leftward-ray probe shifts the run's own exits, so a wedge too thin
     # to sample inside still runs: the probe fails, no path exits right of

@@ -1,5 +1,7 @@
+import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ from bmx import hyperbolic
 from bmx.errors import (BadParameters, NodeBudgetExceeded, PointOutsideDomain,
                         TargetUnreachable)
 from bmx.geometry import (Annulus, Disk, HalfPlane, KoebeSlit, Rectangle,
-                          SpiralPair, Wedge)
+                          SpiralPair, Strip, Wedge)
 from bmx.hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                             quasi_hyperbolic_profile)
 from bmx.stats import estimate_hardy_number
@@ -80,6 +82,40 @@ def test_source_must_be_interior():
         quasi_hyperbolic_distance(Disk(0j, 1.0), 0j, 3 + 0j)
 
 
+@pytest.mark.parametrize("source, target", [
+    (complex(math.nan, 0), 0.5j), (complex(math.inf, 0), 0.5j),
+    (0j, complex(math.nan, 0)), (0j, complex(-math.inf, 0.5))])
+def test_non_finite_source_or_point_target_is_rejected(source, target):
+    # Strip.contains reads only Im z: from a NaN source the graph asked for
+    # more than max_nodes leaves, and from an infinite one it met inf - inf.
+    bad = target if cmath.isfinite(source) else source
+    with pytest.raises(PointOutsideDomain,
+                       match=re.escape(f"{bad!r} is not finite")):
+        quasi_hyperbolic_profile(Strip(-1, 1), source, [target],
+                                 QhConfig(max_rounds=1))
+
+
+@pytest.mark.parametrize("domain, a, radii, cfg", [
+    pytest.param(SpiralPair("U"), cmath.exp(2.5708j), (6.0, 12.0),
+                 QhConfig(cell_factor=0.25, rel_floor=0.0,
+                          prune_clearance=0.45, min_cell=0.5, max_rounds=1,
+                          max_nodes=500_000), id="spiral"),
+    pytest.param(KoebeSlit(), 1 + 0j, (10.0, 100.0),
+                 QhConfig(rel_floor=0.02, max_rounds=3), id="koebe"),
+])
+def test_circle_target_value_does_not_depend_on_other_targets(domain, a,
+                                                               radii, cfg):
+    # When a circle target was one graph node, a path could enter the inner
+    # circle on one arc and leave it from another for free: the spiral's
+    # F_12 read 22.03 beside F_6 and 37.56 alone, Koebe's F_100 4.43228
+    # beside F_10 and 4.43250 alone.
+    both, _, _ = quasi_hyperbolic_profile(
+        domain, a, [CircleTarget(r) for r in radii], cfg)
+    alone, _, _ = quasi_hyperbolic_profile(
+        domain, a, [CircleTarget(radii[1])], cfg)
+    assert both[1] == alone[0]
+
+
 def test_unreachable_circle_target():
     # A circle that never meets the domain has no candidate leaves.
     with pytest.raises(TargetUnreachable):
@@ -95,10 +131,16 @@ def test_circle_radius_must_be_positive(radius):
 
 @pytest.mark.parametrize("field, value", [
     ("cell_factor", 0.0), ("cell_factor", -0.2), ("cell_factor", math.nan),
-    ("cell_factor", math.inf), ("max_rounds", 0), ("max_rounds", -1)])
+    ("cell_factor", math.inf), ("max_rounds", 0), ("max_rounds", -1),
+    ("min_cell", 0.0), ("min_cell", -1.0), ("min_cell", math.nan),
+    ("min_cell", math.inf), ("rel_floor", -0.02), ("rel_floor", math.nan),
+    ("rel_floor", math.inf), ("prune_clearance", -0.1),
+    ("prune_clearance", math.nan), ("prune_clearance", math.inf)])
 def test_degenerate_qh_config_is_rejected(field, value):
     # cell_factor = 0 would split cells forever, since the node budget
-    # counts only leaves; no round at all would blame an unreachable target.
+    # counts only leaves, and a zero or NaN floor splits boundary cells
+    # forever; either was reported as a max_nodes overrun.  No round at all
+    # would blame an unreachable target.
     with pytest.raises(BadParameters,
                        match=rf"^QhConfig\.{field} must .*, got {value!r}$"):
         QhConfig(**{field: value})

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,20 @@ def test_wos_exit_point_on_boundary():
 def test_wos_start_outside_domain():
     with pytest.raises(PointOutsideDomain):
         wos_exit_batch(Disk(0j, 1.0), 2 + 0j, RngStream(10).generator(), 1)
+
+
+@pytest.mark.parametrize("kernel, cfg", [
+    pytest.param(wos_exit_batch, WosConfig(max_steps=10), id="wos"),
+    pytest.param(em_exit_batch, EmConfig(), id="em")])
+@pytest.mark.parametrize("start", [complex(math.nan, 0), complex(math.inf, 0),
+                                   complex(-math.inf, 0.5)])
+def test_non_finite_start_is_rejected(kernel, cfg, start):
+    # Strip.contains reads only Im z, so these starts pass the domain test:
+    # walk-on-spheres walked a NaN start to its step cap, and Euler-Maruyama
+    # returned ok exits at NaN from an infinite one.
+    with pytest.raises(PointOutsideDomain,
+                       match=re.escape(f"start {start!r} is not finite")):
+        kernel(Strip(-1, 1), start, RngStream(10).generator(), 10, cfg)
 
 
 def test_wos_reproducible():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,19 @@ def test_karafyllia_rejects_non_finite_split_line(monkeypatch, split_re):
     with pytest.raises(BadParameters, match="split_re must be finite"):
         verify_karafyllia(HalfPlane("north"), -1 + 1j, split_re, 1000,
                           RngStream(232))
+
+
+@pytest.mark.parametrize("a", [complex(-math.inf, 1), complex(math.nan, 1)])
+def test_karafyllia_rejects_non_finite_basepoint(monkeypatch, a):
+    # -inf + 1j ran every path for a ratio of inf, and nan + 1j was
+    # reported as "basepoint must lie left of the split line".
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path ran before validation")
+
+    monkeypatch.setattr(stats, "run_exits", no_paths)
+    with pytest.raises(BadParameters, match=re.escape(
+            f"basepoint a must be finite, got {a!r}")):
+        verify_karafyllia(HalfPlane("north"), a, 0.0, 1000, RngStream(232))
 
 
 def test_karafyllia_strip_ratio_two():
