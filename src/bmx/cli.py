@@ -4,7 +4,8 @@ raw per-path CSVs on request).
 
 Config files are flat INI text with one ``[scenario.NAME]`` section per
 scenario.  Each experiment's schema declares every key's default and
-parser; unknown keys are errors, and every default is materialized into the
+parser, reading the defaults of kernel and graph knobs from their config
+classes; unknown keys are errors, and every default is materialized into the
 report echo so a rerun of the echoed config reproduces the run bit for bit.
 Every value is converted by its key's parser before the experiment runs, so
 a bad value in any key, read by the runner or not, is a ConfigError in that
@@ -369,8 +370,7 @@ def _run_moment(sc: Scenario, v: dict):
     else:
         cfg = EmConfig(c=v["c"], max_steps=v["max_steps"])
     me = estimate_moment(v["domain"], v["start"], v["p"], v["n"],
-                         RngStream(sc.seed), cfg=cfg, workers=sc.workers,
-                         top_fraction=v["top_fraction"])
+                         RngStream(sc.seed), cfg=cfg, workers=sc.workers)
     results = {
         "moment": _estimate_dict(me.estimate),
         "tail_index": _estimate_dict(me.tail_index),
@@ -576,6 +576,15 @@ def _run_pushforward(sc: Scenario, v: dict):
     return results, expectations, batch
 
 
+def _config_keys(config, **parsers):
+    """Schema entries for fields of the dataclass ``config``, each parsed by
+    its parser in ``parsers`` and defaulting to the class's own default (as
+    text, "" for None), so the config class is the one owner of it."""
+    defaults = {key: getattr(config, key) for key in parsers}
+    return {key: ("" if defaults[key] is None else str(defaults[key]), parser)
+            for key, parser in parsers.items()}
+
+
 # name -> (key schema, runner).  A schema maps each key to (default text,
 # parser): a None default marks a required key, and a "" default an
 # optional one whose empty value is None.  A runner takes the Scenario and
@@ -590,18 +599,19 @@ EXPERIMENTS = {
     }, _run_harmonic_measure),
     "moment": ({
         "domain": (None, parse_domain), "start": (None, _complex),
-        "p": (None, float), "n": ("100000", int), "c": ("0.1", float),
-        "kernel": ("em", _one_of("wos", "em")), "max_steps": ("1000000", int),
-        "top_fraction": ("0.05", float), "expect_tail_tol": ("0.15", float),
-        "expect_tail_index": ("", float), "expect_verdict": ("", _one_of(
-            "finite", "infinite", "inconclusive")),
+        "p": (None, float), "n": ("100000", int),
+        **_config_keys(EmConfig, c=float, max_steps=int),
+        "kernel": ("em", _one_of("wos", "em")),
+        "expect_tail_tol": ("0.15", float), "expect_tail_index": ("", float),
+        "expect_verdict": ("", _one_of("finite", "infinite", "inconclusive")),
     }, _run_moment),
     "hardy": ({
         "domain": (None, parse_domain), "a": (None, _complex),
-        "r_schedule": (None, _parse_floats), "cell_factor": ("0.2", float),
-        "rel_floor": ("0.02", float), "prune_clearance": ("0", float),
-        "min_cell": ("", float), "max_rounds": ("3", int),
-        "max_nodes": ("600000", int), "expect_contains": ("", float),
+        "r_schedule": (None, _parse_floats),
+        **_config_keys(QhConfig, cell_factor=float, rel_floor=float,
+                       prune_clearance=float, min_cell=float, max_rounds=int,
+                       max_nodes=int),
+        "expect_contains": ("", float),
         "expect_classification": ("", _one_of("finite", "infinite")),
     }, _run_hardy),
     "karafyllia": ({

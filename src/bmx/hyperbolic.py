@@ -8,7 +8,8 @@ weighted |edge| / clearance(midpoint).  Each refinement round halves the
 factor and solves its own graph, the source plus that round's leaves; a
 target's value after round r is the least over rounds 0..r, so the estimate
 decreases monotonically and converges from above; rounds stop once
-successive values agree to ``refine_target``.
+successive values agree within 1% (``_REFINE_TARGET``), or after
+``max_rounds`` rounds.
 Neighbors come from one sort of the leaves in Morton (Z-curve) order and
 one ``searchsorted`` per probe direction; the int64 codes hold 31 levels,
 and a deeper tree (a source very near the boundary) raises BadParameters.
@@ -56,20 +57,20 @@ class CircleTarget:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise BadParameters(
-                f"circle target radius must be positive, got {self.radius!r}")
+        # An infinite radius would make the graph's box infinite.
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise BadParameters(f"circle target radius must be finite and "
+                                f"positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
 class QhConfig:
     cell_factor: float = 0.2
     min_cell: float | None = None      # default: cell_factor * clearance(a) / 8
-    rel_floor: float = 0.0             # extra floor rel_floor * |z - source|
+    rel_floor: float = 0.02            # extra floor rel_floor * |z - source|
     prune_clearance: float = 0.0       # drop cells entirely below this clearance
     max_nodes: int = 600_000
-    refine_target: float = 0.01
-    max_rounds: int = 4
+    max_rounds: int = 3
 
     def __post_init__(self):
         # With cell_factor 0 no cell is a leaf, and only leaves count
@@ -93,6 +94,7 @@ class QhConfig:
                                 f"got {self.max_rounds!r}")
 
 
+_REFINE_TARGET = 0.01   # relative change between rounds that ends refinement
 _MAX_DEPTH = 31   # two 31-bit cell indices interleave into 62 bits of int64
 _SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
@@ -316,7 +318,7 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
         history.append(values.copy())
         leaves += count
         if round_idx and np.max(np.abs(values - prev) / np.maximum(
-                np.abs(values), 1e-30)) <= cfg.refine_target:
+                np.abs(values), 1e-30)) <= _REFINE_TARGET:
             break
         # The next round would have about four times as many leaves.
         if (leaves * 4 > cfg.max_nodes and round_idx >= 1

@@ -35,14 +35,9 @@ class RngStream:
         if not (0 <= self.stream_id < 2**64):
             raise ValueError("stream_id must fit in 64 bits")
 
-    def generator(self) -> np.random.Generator:
-        """Generator for this stream itself."""
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=self.seed,
-                                   spawn_key=(self.stream_id,))))
-
     def substream(self, *keys: int) -> np.random.Generator:
-        """Independent child generator, keyed deterministically by ``keys``."""
+        """Independent child generator, keyed deterministically by ``keys``;
+        with no keys, the generator of this stream itself."""
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=self.seed,
                                    spawn_key=(self.stream_id, *keys))))

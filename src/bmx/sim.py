@@ -36,6 +36,7 @@ from .geometry import BoundaryLabel, Domain, HalfPlane
 from .rng import chunk_ranges
 
 _LABEL_NONE = -1
+_MAX_STEPS = 1_000_000   # both kernels' default step cap
 
 
 def _check_max_steps(cfg):
@@ -56,7 +57,7 @@ class WosConfig:
     of the start (see :func:`wos_exit_batch`).
     """
 
-    max_steps: int = 1_000_000
+    max_steps: int = _MAX_STEPS
     with_time: bool = False
     mark_line_re: float | None = None
 
@@ -83,7 +84,7 @@ class EmConfig:
     """
 
     c: float = 0.1
-    max_steps: int = 1_000_000
+    max_steps: int = _MAX_STEPS
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):

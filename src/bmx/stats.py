@@ -33,6 +33,8 @@ from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
                   em_exit_batch, wos_exit_batch)
 
 N_BATCH_MEANS = 32
+# Share of the largest exit times behind every moment's Hill tail index.
+_TAIL_FRACTION = 0.05
 # Draws per block of the Cauchy identities; bounds their working memory,
 # never changes a result.
 _CAUCHY_BLOCK = 65_536
@@ -227,11 +229,11 @@ def _check_moment_args(p: float, cfg: WosConfig | EmConfig) -> None:
         raise BadParameters("moment estimation needs a time-tracking kernel")
 
 
-def _moment_of_batch(batch: ExitBatch, p: float, cfg: WosConfig | EmConfig,
-                     top_fraction: float) -> MomentEstimate:
+def _moment_of_batch(batch: ExitBatch, p: float,
+                     cfg: WosConfig | EmConfig) -> MomentEstimate:
     tau = batch.exit_time[batch.ok]
     try:
-        alpha = hill_tail_index(tau, top_fraction,
+        alpha = hill_tail_index(tau, _TAIL_FRACTION,
                                 min_tail=min(500, max(25, len(tau) // 20)))
     except TooFewTailSamples as err:
         if not batch.n_excluded:
@@ -250,16 +252,16 @@ def _moment_of_batch(batch: ExitBatch, p: float, cfg: WosConfig | EmConfig,
 
 def estimate_moment(domain: Domain, start: complex, p: float, n: int,
                     rng: RngStream = RngStream(0),
-                    cfg: WosConfig | EmConfig = EmConfig(), workers: int = 1,
-                    top_fraction: float = 0.05) -> MomentEstimate:
+                    cfg: WosConfig | EmConfig = EmConfig(),
+                    workers: int = 1) -> MomentEstimate:
     """Sample mean of tau^p (batch-means stderr) plus the Hill tail index of
-    tau and the finiteness verdict.  Nothing is truncated or winsorized:
-    heavy tails show up in the index, not in a doctored mean.  When
-    step-capped paths leave too few exits for the index, that raises
-    MaxStepsExceeded."""
+    tau, fitted to its largest 5%, and the finiteness verdict.  Nothing is
+    truncated or winsorized: heavy tails show up in the index, not in a
+    doctored mean.  When step-capped paths leave too few exits for the
+    index, that raises MaxStepsExceeded."""
     _check_moment_args(p, cfg)
     batch = run_exits(domain, start, n, cfg, rng, workers)
-    return _moment_of_batch(batch, p, cfg, top_fraction)
+    return _moment_of_batch(batch, p, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ class HardyEstimate:
 
 
 def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
-                          qh_cfg: QhConfig | None = None) -> HardyEstimate:
+                          qh_cfg: QhConfig = QhConfig()) -> HardyEstimate:
     """Fit the growth of delta(a, F_R) in ln R over the last half of the
     schedule, and over at least its last two radii.
 
@@ -306,14 +308,20 @@ def estimate_hardy_number(domain: Domain, a: complex, r_schedule,
     whole schedule in a single shortest-path solve.  Values along the
     refinement history are Richardson-extrapolated (the discretization error
     halves per round) before fitting, and made nondecreasing in R, which the
-    true distance is.
+    true distance is.  A schedule that repeats a radius, or whose largest
+    radius is at most 1, raises BadParameters.
     """
     r = np.asarray(sorted(float(x) for x in r_schedule))
     if len(r) < 2:
         raise BadParameters("radius schedule needs at least two entries")
-    if qh_cfg is None:
-        qh_cfg = QhConfig(rel_floor=0.02)
     targets = [CircleTarget(float(R)) for R in r]
+    # The fit needs distinct abscissae ln R, and delta / ln R a positive
+    # denominator.
+    if np.any(np.diff(r) == 0):
+        raise BadParameters(f"radius schedule {r.tolist()} repeats a radius")
+    if not r[-1] > 1:
+        raise BadParameters(f"radius schedule {r.tolist()} needs a largest "
+                            f"radius above 1, where ln R > 0")
     values, history, budget_hit = quasi_hyperbolic_profile(
         domain, complex(a), targets, qh_cfg)
     if len(history) >= 2:
@@ -537,7 +545,7 @@ def verify_increasing_domains(domains, start: complex, p: float, n: int,
         batch = run_exits(d, start, n, cfg, rng.child(710 + k), workers)
         if k and _meets(domains[k - 1], batch.exit_point[batch.ok]):
             raise NestingViolation(f"domain {k - 1} not inside domain {k}")
-        moments.append(_moment_of_batch(batch, p, cfg, top_fraction=0.05))
+        moments.append(_moment_of_batch(batch, p, cfg))
 
     monotone = True
     for prev, nxt in zip(moments, moments[1:]):

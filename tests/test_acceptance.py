@@ -34,7 +34,7 @@ def _report(num, name, passed, detail=""):
 def test_criterion_01_annulus_log_hitting_law():
     t0 = time.perf_counter()
     ann = Annulus(1.0, E ** 2)
-    gen = RngStream(9001).generator()
+    gen = RngStream(9001).substream()
     oks = []
     details = []
     for start, target in [(E, 0.5), (E ** 1.5, 0.25)]:
@@ -52,14 +52,14 @@ def test_criterion_01_annulus_log_hitting_law():
 def test_criterion_02_conformal_modulus_invariance():
     rect = Rectangle(2, 1)
     rng = RngStream(9002)
-    em = em_exit_batch(rect, 0j, rng.generator(), N_BIG)
+    em = em_exit_batch(rect, 0j, rng.substream(), N_BIG)
     ok_em = em.ok
     c = 3.0
     image = Rectangle(c * rect.a, c * rect.b)
     mapped = Linear(c).evaluate(em.exit_point[ok_em])
     identical = np.array_equal(image.label_codes(mapped), em.label[ok_em])
 
-    wos = wos_exit_batch(rect, 0j, rng.child(1).generator(), N_BIG)
+    wos = wos_exit_batch(rect, 0j, rng.child(1).substream(), N_BIG)
     agree = True
     freqs = []
     for side in range(4):
@@ -132,8 +132,8 @@ def test_criterion_06_hardy_number_sandwich():
     koebe = estimate_hardy_number(KoebeSlit(), 1 + 0j, schedule)
     spiral = estimate_hardy_number(
         SpiralPair("U"), complex(np.exp(2.5708j)), [6.0, 12.0, 24.0, 48.0],
-        QhConfig(cell_factor=0.25, prune_clearance=0.45, min_cell=0.15,
-                 max_rounds=1, max_nodes=500_000))
+        QhConfig(cell_factor=0.25, rel_floor=0.0, prune_clearance=0.45,
+                 min_cell=0.15, max_rounds=1, max_nodes=500_000))
     ok_wedge = wedge.classification == "finite" and wedge.contains(2.0)
     ok_koebe = koebe.classification == "finite" and koebe.contains(0.5)
     ok_spiral = spiral.classification == "infinite"
@@ -223,9 +223,9 @@ def test_criterion_09_kernel_cross_validation():
 
     means_ok = True
     for radius, target in [(1.0, 0.5), (2.0, 2.0)]:
-        exact = sample_disk_exit_batch(0j, radius, rng.child(50).generator(),
+        exact = sample_disk_exit_batch(0j, radius, rng.child(50).substream(),
                                        N_BIG, with_time=True)
-        em = em_exit_batch(Disk(0j, radius), 0j, rng.child(51).generator(),
+        em = em_exit_batch(Disk(0j, radius), 0j, rng.child(51).substream(),
                            N_BIG // 2)
         m_exact = float(np.mean(exact.exit_time))
         m_em = float(np.nanmean(em.exit_time))

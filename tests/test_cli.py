@@ -10,11 +10,12 @@ from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
                      parse_map, parse_region, run, run_scenario)
 from bmx.errors import ConfigError
 from bmx.geometry import (Annulus, BoundaryLabel, HalfPlane,
-                          HalfStripComplement, Rectangle, SpiralPair, Wedge)
+                          HalfStripComplement, Rectangle, SpiralPair, Strip,
+                          Wedge)
 from bmx.maps import Compose, Exp, Linear, PowerBranch, PowerInt
 from bmx.rng import RngStream
 from bmx.sim import WosConfig
-from bmx.stats import exit_proportion, run_exits
+from bmx.stats import estimate_hardy_number, exit_proportion, run_exits
 
 BASIC = """
 [scenario.square]
@@ -571,6 +572,46 @@ r_schedule = 10 100
     assert not reports[0]["passed"]
     assert reports[0]["error"] == f"BadParameters: {error}"
     assert reports[1]["passed"]
+
+
+def test_infinite_hardy_radius_recorded_not_fatal(tmp_path):
+    # An infinite radius warned of inf * 0 in the graph's leaves and then
+    # blamed "no interior cells found".
+    cfg = """
+[scenario.infinite_radius]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 10 inf
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["infinite_radius",
+                                                        "square"]
+    assert reports[0]["error"] == ("BadParameters: circle target radius must "
+                                   "be finite and positive, got inf")
+    assert not reports[0]["passed"]
+    assert reports[1]["passed"]
+
+
+def test_hardy_without_graph_keys_is_the_library_default(tmp_path):
+    # The schema once restated the graph defaults as its own text, and the
+    # scenario fitted 5.7644 after 3 rounds where the bare call fitted
+    # 5.7692 after 4.
+    cfg = """
+[scenario.strip_hardy]
+experiment = hardy
+domain = strip(-1, 1)
+a = 0
+r_schedule = 2 4 8
+"""
+    res = run(write(tmp_path, cfg))[0]["results"]
+    he = estimate_hardy_number(Strip(-1, 1), 0, [2, 4, 8])
+    assert res["delta_values"] == list(he.delta_values)
+    assert res["slope"] == he.slope
+    assert res["slope_bounds"] == list(he.slope_bounds)
+    assert res["classification"] == he.classification
+    assert res["rounds"] == he.rounds
+    assert res["node_budget_hit"] == he.node_budget_hit
 
 
 def test_thin_wedge_fails_the_probe_and_the_bound(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_base_pair_is_half_strip_and_complement():
 def test_first_iteration_example():
     v1, w1 = build_comb(1, [1, 2], [-5])
     v0, w0 = build_comb(0, [1], [])
-    gen = RngStream(5).generator()
+    gen = RngStream(5).substream()
     pts_v1 = _interior(v1, gen, 400)
     assert np.all(v0.contains(pts_v1))           # V1 subset of V0
     pts_w0 = _interior(w0, gen, 400)
@@ -49,7 +49,7 @@ def test_first_iteration_example():
 
 def test_complementarity_and_shared_boundary():
     v, w = build_comb(3, A6[:4], B5[:3])
-    gen = RngStream(6).generator()
+    gen = RngStream(6).substream()
     z = gen.uniform(-120, 120, 4000) + 1j * gen.uniform(-120, 120, 4000)
     in_v = v.contains(z)
     in_w = w.contains(z)
@@ -60,7 +60,7 @@ def test_complementarity_and_shared_boundary():
 
 @pytest.mark.parametrize("side", ["V", "W"])
 def test_nesting_along_the_sequence(side):
-    gen = RngStream(7).generator()
+    gen = RngStream(7).substream()
     if side == "V":
         small = build_comb(1, A6[:2], B5[:1])[0]
         big = build_comb(3, A6[:4], B5[:3])[0]
@@ -80,7 +80,7 @@ def test_distance_and_projection():
     v1, _ = build_comb(1, [1, 2], [-5])
     assert v1.boundary_distance(0.5 + 0j) == 0.5
     assert v1.boundary_distance(-1 + 1.5j) == 0.5
-    gen = RngStream(8).generator()
+    gen = RngStream(8).substream()
     pts = _interior(v1, gen, 100)
     proj = v1.project(pts)
     assert np.all(v1.boundary_distance(proj) < 1e-9)

@@ -20,7 +20,7 @@ def test_series_mean_is_half():
 
 
 def test_sample_mean_matches_classical_value():
-    gen = RngStream(31).generator()
+    gen = RngStream(31).substream()
     t = sample_unit_disk_time(gen, 100_000)
     assert abs(t.mean() - 0.5) < 0.01
 
@@ -75,7 +75,7 @@ def test_monotone_cubic_is_scipy_pchip_bit_for_bit():
     x, y = s._u_knots, s._t_knots
     ref = PchipInterpolator(x, y, extrapolate=False)
     assert np.array_equal(s._interp.c, ref.c)
-    gen = RngStream(41).generator()
+    gen = RngStream(41).substream()
     u = np.concatenate([gen.uniform(x[0], x[-1], 1_000_000), x,
                         np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     u = u[(u >= x[0]) & (u <= x[-1])]     # the range ppf interpolates

@@ -105,7 +105,7 @@ def test_distance_examples():
 def test_interior_disk_fits():
     # The inscribed disk of radius dist(z) about any interior point stays in
     # the domain; probe its rim just inside.
-    gen = RngStream(42).generator()
+    gen = RngStream(42).substream()
     angles = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     for d in ALL_DOMAINS:
         pts = _interior(d, gen, 40)
@@ -116,7 +116,7 @@ def test_interior_disk_fits():
 
 
 def test_projection_lands_on_boundary():
-    gen = RngStream(7).generator()
+    gen = RngStream(7).substream()
     for d in ALL_DOMAINS:
         pts = _interior(d, gen, 25)
         proj = d.project(pts)
@@ -178,7 +178,7 @@ def _random_and_on_axis_points(gen, scale, n=20_000):
     HalfPlane("east"), HalfPlane("west"), Strip(-1, 1), KoebeSlit()],
     ids=repr)
 def test_closed_forms_equal_the_piece_table(domain):
-    gen = RngStream(21).generator()
+    gen = RngStream(21).substream()
     z = _random_and_on_axis_points(gen, 4.0)
     assert np.array_equal(domain.boundary_distance(z),
                           _Rectilinear.boundary_distance(domain, z))
@@ -226,7 +226,7 @@ def _points_near_piece_ends(domain, gen):
     Annulus(1, math.e ** 2), Disk(), ParabolaComplement(), SpiralPair("U"),
     SpiralPair("complement")], ids=repr)
 def test_exit_points_equal_project_then_label_codes(domain):
-    z = _points_near_piece_ends(domain, RngStream(22).generator())
+    z = _points_near_piece_ends(domain, RngStream(22).substream())
     points, labels = domain.exit_points(z)
     projected = domain.project(z)
     assert points.tobytes() == projected.tobytes()
@@ -285,7 +285,7 @@ def test_cell_index_equals_the_full_table(domain):
     # The index measures a point against its cell's pieces only; distance,
     # nearest point and label must still be those of the whole table, bit
     # for bit, ties to the earlier piece included.
-    gen = RngStream(23).generator()
+    gen = RngStream(23).substream()
     far = 10.0 ** gen.uniform(0, 6, 5000) * np.exp(2j * math.pi
                                                    * gen.random(5000))
     nan, inf = math.nan, math.inf
@@ -365,7 +365,7 @@ def test_piece_tables_have_one_crossing_rule():
 
 
 def test_classify_deterministic_near_boundary():
-    gen = RngStream(3).generator()
+    gen = RngStream(3).substream()
     r = Rectangle(2, 1)
     pts = _interior(r, gen, 50)
     proj = r.project(pts)
@@ -377,7 +377,7 @@ def test_classify_deterministic_near_boundary():
 def test_spiral_distance_bound_far_out():
     # Any point at radius >= 2*pi sits within pi of one of the arms.
     sp = SpiralPair("U")
-    gen = RngStream(11).generator()
+    gen = RngStream(11).substream()
     r = gen.uniform(2 * math.pi, 40, 200)
     th = gen.uniform(-math.pi, math.pi, 200)
     z = r * np.exp(1j * th)
@@ -417,7 +417,7 @@ def _spiral_oracle(z, step=1e-3):
 
 def test_spiral_nearest_matches_dense_oracle():
     sp = SpiralPair("U")
-    gen = RngStream(13).generator()
+    gen = RngStream(13).substream()
     for radius in (100.0, 2.0):
         r = radius * np.sqrt(gen.uniform(0, 1, 1000))
         z = r * np.exp(1j * gen.uniform(-math.pi, math.pi, 1000))
@@ -460,7 +460,7 @@ def test_spiral_nearest_matches_bisection_reference():
     # Bracketing then Newton lands on the 52-halving answer: in the probe
     # box, out to radius 60 and within 1e-3 of the origin where both arms
     # start.
-    gen = RngStream(17).generator()
+    gen = RngStream(17).substream()
     n = 10_000
     z = np.concatenate([
         gen.uniform(-20, 20, n) + 1j * gen.uniform(-20, 20, n),
@@ -477,7 +477,7 @@ def test_spiral_nearest_matches_bisection_reference():
 def test_spiral_membership_phase():
     sp_u = SpiralPair("U")
     sp_c = SpiralPair("complement")
-    gen = RngStream(12).generator()
+    gen = RngStream(12).substream()
     z = gen.uniform(-20, 20, 500) + 1j * gen.uniform(-20, 20, 500)
     in_u = sp_u.contains(z)
     in_c = sp_c.contains(z)

@@ -57,8 +57,7 @@ def test_point_and_circle_targets_are_consistent():
 
 def test_refinement_is_monotone_decreasing():
     _, history, _ = quasi_hyperbolic_profile(
-        Disk(0j, 1.0), 0j, [CircleTarget(0.5)],
-        QhConfig(refine_target=1e-9, max_rounds=4))
+        Disk(0j, 1.0), 0j, [CircleTarget(0.5)], QhConfig(max_rounds=4))
     vals = [h[0] for h in history]
     assert len(vals) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -123,10 +122,26 @@ def test_unreachable_circle_target():
                                   QhConfig(max_rounds=1))
 
 
-@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
 def test_circle_radius_must_be_positive(radius):
+    # An infinite radius made the graph's box infinite: the leaves met
+    # inf * 0, and the error blamed "no interior cells found".
     with pytest.raises(BadParameters, match=f"got {radius!r}"):
         CircleTarget(radius)
+
+
+@pytest.mark.parametrize("domain, a, radii, error", [
+    # The fit met one abscissa twice: a RankWarning and a slope of 0.736.
+    (Wedge(math.pi / 2), 1, [10, 10],
+     "radius schedule [10.0, 10.0] repeats a radius"),
+    # delta / ln 1 divided by zero and read as infinite growth.
+    (Disk(0j, 2.0), 0, [0.5, 1],
+     "radius schedule [0.5, 1.0] needs a largest radius above 1, "
+     "where ln R > 0"),
+], ids=["repeated", "largest_at_most_1"])
+def test_degenerate_hardy_schedule_is_rejected(domain, a, radii, error):
+    with pytest.raises(BadParameters, match=f"^{re.escape(error)}$"):
+        estimate_hardy_number(domain, a, radii)
 
 
 @pytest.mark.parametrize("field, value", [

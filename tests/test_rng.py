@@ -5,15 +5,15 @@ from bmx.rng import CHUNK_SIZE, RngStream, chunk_ranges
 
 
 def test_same_stream_reproduces():
-    a = RngStream(123, 5).generator().standard_normal(16)
-    b = RngStream(123, 5).generator().standard_normal(16)
+    a = RngStream(123, 5).substream().standard_normal(16)
+    b = RngStream(123, 5).substream().standard_normal(16)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = RngStream(123, 0).generator().standard_normal(16)
-    b = RngStream(123, 1).generator().standard_normal(16)
-    c = RngStream(124, 0).generator().standard_normal(16)
+    a = RngStream(123, 0).substream().standard_normal(16)
+    b = RngStream(123, 1).substream().standard_normal(16)
+    c = RngStream(124, 0).substream().standard_normal(16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -33,8 +33,8 @@ def test_child_stream():
 
 def test_stream_correlation_is_negligible():
     n = 20000
-    x = RngStream(5, 0).generator().standard_normal(n)
-    y = RngStream(5, 1).generator().standard_normal(n)
+    x = RngStream(5, 0).substream().standard_normal(n)
+    y = RngStream(5, 1).substream().standard_normal(n)
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.03
 
 

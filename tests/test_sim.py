@@ -27,7 +27,7 @@ def cauchy_cdf(x, a, b):
 # ---------------------------------------------------------------------------
 
 def test_halfplane_exit_symmetry():
-    gen = RngStream(101).generator()
+    gen = RngStream(101).substream()
     b = sample_halfplane_exit_batch(1j, gen, 100_000)
     x = b.exit_point.real
     assert abs(np.median(x)) < 0.02
@@ -39,23 +39,23 @@ def test_halfplane_exit_cauchy_tail():
     # Oracle: P(Re > 0 | start -1+i) from the Cauchy(-1, 1) CDF.
     target = 1.0 - cauchy_cdf(0.0, -1.0, 1.0)
     assert math.isclose(target, 0.25)
-    gen = RngStream(102).generator()
+    gen = RngStream(102).substream()
     b = sample_halfplane_exit_batch(-1 + 1j, gen, 100_000)
     p = np.mean(b.exit_point.real > 0)
     assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / len(b))
 
 
 def test_halfplane_labels_and_badstart():
-    b = sample_halfplane_exit_batch(2 + 1j, RngStream(4).generator(), 1)
+    b = sample_halfplane_exit_batch(2 + 1j, RngStream(4).substream(), 1)
     assert b.label[0] in (BoundaryLabel.HALFLINE_LEFT,
                           BoundaryLabel.HALFLINE_RIGHT)
     assert b.exit_time is None
     with pytest.raises(PointOutsideDomain):
-        sample_halfplane_exit_batch(1 - 1j, RngStream(4).generator(), 1)
+        sample_halfplane_exit_batch(1 - 1j, RngStream(4).substream(), 1)
 
 
 def test_disk_exit_angle_uniform():
-    gen = RngStream(103).generator()
+    gen = RngStream(103).substream()
     b = sample_disk_exit_batch(0j, 1.0, gen, 100_000)
     theta = np.mod(np.angle(b.exit_point), 2 * math.pi)
     counts, _ = np.histogram(theta, bins=36, range=(0, 2 * math.pi))
@@ -63,7 +63,7 @@ def test_disk_exit_angle_uniform():
 
 
 def test_disk_exit_times_mean_and_scaling():
-    gen = RngStream(104).generator()
+    gen = RngStream(104).substream()
     b1 = sample_disk_exit_batch(0j, 1.0, gen, 100_000, with_time=True)
     assert abs(b1.exit_time.mean() - 0.5) < 0.01
     b2 = sample_disk_exit_batch(0j, 2.0, gen, 100_000, with_time=True)
@@ -71,14 +71,14 @@ def test_disk_exit_times_mean_and_scaling():
 
 
 def test_brownian_scaling_in_distribution():
-    gen = RngStream(105).generator()
+    gen = RngStream(105).substream()
     t1 = sample_disk_exit_batch(0j, 1.0, gen, 50_000, with_time=True).exit_time
     t2 = sample_disk_exit_batch(0j, 2.0, gen, 50_000, with_time=True).exit_time
     assert ks_2samp(t1, t2 / 4.0).pvalue > 0.01
 
 
 def test_scalar_record_shape():
-    b = sample_disk_exit_batch(1 + 1j, 0.5, RngStream(9).generator(), 1,
+    b = sample_disk_exit_batch(1 + 1j, 0.5, RngStream(9).substream(), 1,
                                with_time=True)
     assert len(b) == 1 and b.ok[0] and b.steps[0] == 1
     assert math.isclose(abs(b.exit_point[0] - (1 + 1j)), 0.5)
@@ -92,7 +92,7 @@ def test_scalar_record_shape():
 def test_wos_annulus_log_hitting_law():
     # P(inner) = ln(R/|z|)/ln(R/r); the two circles of the annulus.
     ann = Annulus(1.0, math.e ** 2)
-    gen = RngStream(106).generator()
+    gen = RngStream(106).substream()
     for start, target in [(math.e, 0.5), (math.e ** 1.5, 0.25)]:
         b = wos_exit_batch(ann, start, gen, 100_000)
         p = np.mean(b.label == int(BoundaryLabel.ANNULUS_INNER))
@@ -101,7 +101,7 @@ def test_wos_annulus_log_hitting_law():
 
 
 def test_wos_square_symmetry():
-    gen = RngStream(107).generator()
+    gen = RngStream(107).substream()
     b = wos_exit_batch(Rectangle(1, 1), 0j, gen, 100_000)
     for side in range(4):
         p = np.mean(b.label == side)
@@ -110,7 +110,7 @@ def test_wos_square_symmetry():
 
 def test_wos_exit_time_matches_disk_formula():
     # E[tau] from z in a disk of radius R is (R^2 - |z|^2)/2.
-    gen = RngStream(108).generator()
+    gen = RngStream(108).substream()
     d = Disk(0j, 1.0)
     b = wos_exit_batch(d, 0j, gen, 50_000, WosConfig(with_time=True))
     assert abs(np.mean(b.exit_time) - 0.5) < 0.01
@@ -119,7 +119,7 @@ def test_wos_exit_time_matches_disk_formula():
 
 
 def test_wos_exit_point_on_boundary():
-    gen = RngStream(109).generator()
+    gen = RngStream(109).substream()
     d = Rectangle(2, 1)
     b = wos_exit_batch(d, 0j, gen, 2000)
     assert np.all(d.boundary_distance(b.exit_point) < 1e-9)
@@ -127,7 +127,7 @@ def test_wos_exit_point_on_boundary():
 
 def test_wos_start_outside_domain():
     with pytest.raises(PointOutsideDomain):
-        wos_exit_batch(Disk(0j, 1.0), 2 + 0j, RngStream(10).generator(), 1)
+        wos_exit_batch(Disk(0j, 1.0), 2 + 0j, RngStream(10).substream(), 1)
 
 
 @pytest.mark.parametrize("kernel, cfg", [
@@ -141,13 +141,13 @@ def test_non_finite_start_is_rejected(kernel, cfg, start):
     # returned ok exits at NaN from an infinite one.
     with pytest.raises(PointOutsideDomain,
                        match=re.escape(f"start {start!r} is not finite")):
-        kernel(Strip(-1, 1), start, RngStream(10).generator(), 10, cfg)
+        kernel(Strip(-1, 1), start, RngStream(10).substream(), 10, cfg)
 
 
 def test_wos_reproducible():
-    a = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).generator(),
+    a = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).substream(),
                        500, WosConfig(with_time=True))
-    b = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).generator(),
+    b = wos_exit_batch(Annulus(1, 4), 2 + 0j, RngStream(55, 3).substream(),
                        500, WosConfig(with_time=True))
     assert np.array_equal(a.exit_point, b.exit_point)
     assert np.array_equal(a.exit_time, b.exit_time)
@@ -159,7 +159,7 @@ def test_wos_reproducible():
 # ---------------------------------------------------------------------------
 
 def test_em_disk_mean_exit_time():
-    gen = RngStream(110).generator()
+    gen = RngStream(110).substream()
     b = em_exit_batch(Disk(0j, 1.0), 0j, gen, 50_000)
     assert b.n_excluded == 0
     assert abs(np.mean(b.exit_time) - 0.5) < 0.01
@@ -168,7 +168,7 @@ def test_em_disk_mean_exit_time():
 def test_em_halfplane_exits_match_exact_sampler():
     # Two-sample KS against the exact Cauchy sampler at the 1e-3 level.
     n = 10_000
-    gen = RngStream(111).generator()
+    gen = RngStream(111).substream()
     em = em_exit_batch(HalfPlane("north"), 1j, gen, n)
     exact = sample_halfplane_exit_batch(1j, gen, n)
     d = ks_2samp(em.exit_point.real, exact.exit_point.real).statistic
@@ -178,7 +178,7 @@ def test_em_halfplane_exits_match_exact_sampler():
 
 def test_em_rectangle_sides_match_wos():
     n = 50_000
-    gen = RngStream(112).generator()
+    gen = RngStream(112).substream()
     r = Rectangle(2, 1)
     em = em_exit_batch(r, 0j, gen, n)
     wos = wos_exit_batch(r, 0j, gen, n)
@@ -191,7 +191,7 @@ def test_em_rectangle_sides_match_wos():
 
 def test_em_crossing_detection_on_slits():
     # The slit boundaries have measure zero; exits must still register.
-    gen = RngStream(113).generator()
+    gen = RngStream(113).substream()
     k = KoebeSlit()
     b = em_exit_batch(k, 1 + 0j, gen, 3000, EmConfig(max_steps=200_000))
     assert b.n_excluded == 0
@@ -218,9 +218,9 @@ def test_degenerate_kernel_config_rejected(make):
 
 def test_em_reproducible():
     cfg = EmConfig()
-    a = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).generator(), 400,
+    a = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).substream(), 400,
                       cfg)
-    b = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).generator(), 400,
+    b = em_exit_batch(Rectangle(1, 1), 0j, RngStream(66, 1).substream(), 400,
                       cfg)
     assert np.array_equal(a.exit_point, b.exit_point)
     assert np.array_equal(a.exit_time, b.exit_time)
@@ -249,7 +249,7 @@ def _split_idx_cases(n):
         np.array([0, c, 2 * c, 3 * c]),             # one per chunk
         np.array([c - 1, 3 * c]),                   # chunks 1 and 2 skipped
         np.array([n - 1]),
-        np.sort(RngStream(68).generator().choice(n, 500, replace=False)),
+        np.sort(RngStream(68).substream().choice(n, 500, replace=False)),
     ]
 
 
@@ -266,7 +266,7 @@ def test_chunk_draw_shares_are_the_chunk_counts():
         assert draws._shares == [(g, int(m)) for g, m in zip(gens, counts)
                                  if m]
         assert all(type(m) is int for _, m in draws._shares)
-    gen = RngStream(68).generator()
+    gen = RngStream(68).substream()
     one = _ChunkDraws(gen, n)
     for idx in _split_idx_cases(n):
         one.split(idx)
@@ -279,7 +279,7 @@ def test_chunk_draw_shares_are_the_chunk_counts():
 def test_wos_marked_line():
     # The marked line {Re = 0} never stops a path: every exit is a domain
     # exit, and every path that exits right of the line has hit it.
-    batch = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+    batch = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).substream(),
                            5000, WosConfig(mark_line_re=0.0))
     assert isinstance(batch, ExitBatch)
     assert batch.line_hit.dtype == bool and len(batch.line_hit) == 5000
@@ -292,12 +292,12 @@ def test_wos_marked_line():
     assert hit_left.any() and not batch.line_hit.all()
     assert np.array_equal(batch.label,
                           Strip(-1, 1).label_codes(batch.exit_point))
-    plain = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+    plain = wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).substream(),
                            100)
     assert plain.line_hit is None
     with pytest.raises(BadParameters,
                        match=r"mark_line_re = -3\.0 .* start \(-2\+0j\)"):
-        wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).generator(),
+        wos_exit_batch(Strip(-1, 1), -2.0 + 0j, RngStream(114).substream(),
                        10, WosConfig(mark_line_re=-3.0))
 
 
@@ -307,7 +307,7 @@ def test_wos_marked_line_halfplane_laws():
     # probability 1/4 (the Cauchy(-1, 1) exit law).
     n = 50_000
     batch = wos_exit_batch(HalfPlane("north"), -1 + 1j,
-                           RngStream(117).generator(), n,
+                           RngStream(117).substream(), n,
                            WosConfig(mark_line_re=0.0))
     assert batch.ok.all()
     right = batch.exit_point.real > 0
@@ -319,7 +319,7 @@ def test_wos_marked_line_halfplane_laws():
 def test_wos_jumps_are_uncapped():
     # On the Koebe slit domain paths wander far out; a jump takes the whole
     # inscribed disk, so 2000 jumps end every path.
-    b = wos_exit_batch(KoebeSlit(), 1 + 0j, RngStream(117).generator(), 4096,
+    b = wos_exit_batch(KoebeSlit(), 1 + 0j, RngStream(117).substream(), 4096,
                        WosConfig(max_steps=2000))
     assert b.n_excluded == 0
     assert np.all(b.exit_point.real <= -0.25 + 1e-6)
@@ -330,7 +330,7 @@ def test_batch_step_cap_records(kernel):
     # A capped run must leave every capped path as a NaN record and every
     # path that exits before the cap exactly as in an uncapped run.
     def run(max_steps):
-        gen = RngStream(116).generator()
+        gen = RngStream(116).substream()
         if kernel == "em":
             return em_exit_batch(Rectangle(2, 1), 0j, gen, 3000,
                                  EmConfig(max_steps=max_steps))
@@ -471,7 +471,7 @@ def test_one_exit_query_per_call_equals_per_sweep_queries(
         stream = RngStream(118)
         if per_chunk:
             return [stream.substream(ci) for ci in range(2)]
-        return stream.generator()
+        return stream.substream()
 
     if kernel == "wos":
         got = wos_exit_batch(domain, start, gen(), n,
@@ -498,7 +498,7 @@ def test_square_map_sends_disk_exits_to_poisson_kernel():
     # z -> z^2 sends exits of the unit disk from 0.5 to exits from 0.25;
     # the mapped angle law must match the Poisson kernel at 0.25.
     n = 50_000
-    gen = RngStream(115).generator()
+    gen = RngStream(115).substream()
     b = wos_exit_batch(Disk(0j, 1.0), 0.5 + 0j, gen, n)
     mapped = PowerInt(2).evaluate(b.exit_point)
     theta = np.angle(mapped)

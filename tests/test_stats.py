@@ -43,7 +43,7 @@ def test_wilson_interval_basics():
 # ---------------------------------------------------------------------------
 
 def test_hill_on_synthetic_pareto():
-    gen = RngStream(201).generator()
+    gen = RngStream(201).substream()
     x = gen.pareto(1.0, 200_000) + 1.0     # P(X > t) = t^-1
     est = hill_tail_index(x, 0.05)
     assert abs(est.value - 1.0) < 0.1
@@ -51,7 +51,7 @@ def test_hill_on_synthetic_pareto():
 
 
 def test_hill_alpha_two():
-    gen = RngStream(202).generator()
+    gen = RngStream(202).substream()
     u = gen.random(200_000)
     x = u ** -0.5                           # P(X > t) = t^-2
     est = hill_tail_index(x, 0.05)
