@@ -366,6 +366,9 @@ def _run_harmonic_measure(sc: Scenario, v: dict):
 
 def _run_moment(sc: Scenario, v: dict):
     if v["kernel"] == "wos":
+        if v["c"] != EmConfig.c:
+            raise ConfigError(f"'c' sets the Euler-Maruyama step and kernel "
+                              f"= wos has none, got c = {v['c']:g}")
         cfg = WosConfig(with_time=True, max_steps=v["max_steps"])
     else:
         cfg = EmConfig(c=v["c"], max_steps=v["max_steps"])

@@ -10,9 +10,13 @@ target's value after round r is the least over rounds 0..r, so the estimate
 decreases monotonically and converges from above; rounds stop once
 successive values agree within 1% (``_REFINE_TARGET``), or after
 ``max_rounds`` rounds.
-Neighbors come from one sort of the leaves in Morton (Z-curve) order and
-one ``searchsorted`` per probe direction; the int64 codes hold 31 levels,
-and a deeper tree (a source very near the boundary) raises BadParameters.
+Edges join every two leaves whose cells touch.  The leaves are sorted
+once in Morton (Z-curve) order, which also numbers the graph's nodes; each
+leaf probes the finest cells past its edge midpoints and corners, computed
+exactly on its integer Morton code, with one ``searchsorted`` per probe
+direction, and each touching pair is kept by exactly one probe.  The int64
+codes hold 31 levels, and a deeper tree (a source very near the boundary)
+raises BadParameters.
 
 Targets are not graph nodes.  A point target is wired to the leaves near
 it, and a circle target |z - source| = R to every leaf whose cell meets the
@@ -99,6 +103,8 @@ _MAX_DEPTH = 31   # two 31-bit cell indices interleave into 62 bits of int64
 _SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
            (1, 0x5555555555555555))   # moves bit b < 32 to bit 2b
+_X_BITS = 0x1555555555555555   # the x bits of a 62-bit Morton code
+_Y_BITS = _X_BITS << 1         # its y bits
 
 
 def _build_leaves(domain: Domain, source: complex, center: complex,
@@ -159,51 +165,72 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
 
 
 def _neighbor_pairs(centers, halves, root_center, root_half):
-    """Index pairs (rows < cols, sorted) of 8-neighbor adjacency among one
-    round's leaves.  With D the deepest leaf depth, a leaf k levels above
-    it covers the finest-level Morton codes [start, start + 4**k), start
-    being its center's code with the low 2k bits cleared.  Leaves are
-    disjoint, so after one sort by start the only leaf that can hold a
-    probe is the last start at or below the probe's code: one
-    ``searchsorted`` per direction.  Codes fit an int64 while D <= 31.
+    """(order, rows, cols): the Morton order of one round's leaves, and
+    their 8-neighbor adjacency as positions in that order, each touching
+    pair once.
+
+    With D the deepest leaf depth, a leaf k levels above it is s = 2**k
+    finest cells wide; its lower-left finest cell (ix, iy) has both indices
+    multiples of s, so it covers the Morton codes [start, start + 4**k),
+    start being the interleave of ix and iy.  Leaves are disjoint, so after
+    one sort by start the only leaf that can hold a finest cell is the last
+    start at or below its code: one ``searchsorted`` per probe.  A leaf
+    probes the cell just past the middle of each edge and the cell
+    diagonally past each corner, computed exactly on its integer code by
+    dilated arithmetic (Schrack 1992): add s or s/2, or subtract 1, within
+    the x bits and within the y bits.
+
+    The probes find every pair of touching leaves: across a shared edge the
+    smaller leaf's edge probe lands in the larger, and two leaves that meet
+    at a corner land in each other by corner probes.  An edge probe keeps a
+    neighbor at least as large as the prober, a corner probe one at most as
+    large, and of two leaves of one size the earlier in Morton order keeps
+    the pair, so each pair is found once.  Codes fit an int64 while D <= 31.
     """
     depths = np.round(np.log2(root_half / halves)).astype(np.int64)
-    side = 2.0 ** depths.max()
+    deepest = int(depths.max())
+    side = 1 << deepest
     finest = 2 * root_half / side
-    x0 = root_center.real - root_half
-    y0 = root_center.imag - root_half
-
-    def cell_code(z):
-        """(inside the root box, Morton code of the finest cell) per point."""
-        fx = np.floor((z.real - x0) / finest)
-        fy = np.floor((z.imag - y0) / finest)
-        inside = (fx >= 0) & (fx < side) & (fy >= 0) & (fy < side)
-        ix = np.where(inside, fx, 0).astype(np.int64)
-        iy = np.where(inside, fy, 0).astype(np.int64)
-        for step, mask in _SPREAD:
-            ix = (ix | (ix << step)) & mask
-            iy = (iy | (iy << step)) & mask
-        return inside, ix | (iy << 1)
-
-    width = 2 * (depths.max() - depths)
-    starts = cell_code(centers)[1] >> width << width
-    order = np.argsort(starts)
-    starts = starts[order]
-    ends = starts + (np.int64(1) << width[order])
-    # Probing from the leaves in Morton order hands each search nearly
-    # sorted codes; idx keeps each probing leaf's own index.
-    centers, halves, idx = centers[order], halves[order], order
-    keys = []
-    for d in (1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
-        inside, code = cell_code(centers + d * (halves + 1e-9 * root_half))
-        pos = np.searchsorted(starts, code, side="right") - 1
-        nb = order[pos]
-        hit = inside & (pos >= 0) & (code < ends[pos]) & (nb != idx)
-        keys.append(np.minimum(idx, nb)[hit] * idx.size
-                    + np.maximum(idx, nb)[hit])
-    key = np.sort(np.concatenate(keys))
-    key = key[np.diff(key, prepend=-1) != 0]
-    return key // idx.size, key % idx.size
+    size = np.int64(1) << (deepest - depths)      # s, in finest cells
+    ix = np.floor((centers.real - (root_center.real - root_half))
+                  / finest).astype(np.int64) & ~(size - 1)
+    iy = np.floor((centers.imag - (root_center.imag - root_half))
+                  / finest).astype(np.int64) & ~(size - 1)
+    xs, ys = ix, iy
+    for step, mask in _SPREAD:
+        xs = (xs | (xs << step)) & mask
+        ys = (ys | (ys << step)) & mask
+    code = xs | (ys << 1)
+    order = np.argsort(code)
+    code, ix, iy, size = (v[order] for v in (code, ix, iy, size))
+    xs, ys = code & _X_BITS, code & _Y_BITS
+    span = size * size            # s in the x bits, and the 4**k codes
+    ends = code + span
+    half_span = span >> 2         # s/2 in the x bits (0 when s = 1)
+    # x + s, x + s/2 and x - 1 in the x bits, each with where it stays in
+    # the root box; then the same moves of y in the y bits.
+    x_moves = ((((xs | _Y_BITS) + span) & _X_BITS, ix + size < side),
+               (((xs | _Y_BITS) + half_span) & _X_BITS, True),
+               ((xs - 1) & _X_BITS, ix > 0))
+    y_moves = ((((ys | _X_BITS) + (span << 1)) & _Y_BITS, iy + size < side),
+               (((ys | _X_BITS) + (half_span << 1)) & _Y_BITS, True),
+               ((ys - 2) & _Y_BITS, iy > 0))
+    own = np.arange(code.size)
+    rows, cols = [], []
+    for (x, x_in), (y, y_in), edge in (
+            (x_moves[i], y_moves[j], 1 in (i, j))
+            for i in range(3) for j in range(3) if (i, j) != (1, 1)):
+        probe = x | y
+        pos = np.searchsorted(code, probe, side="right") - 1
+        hit = x_in & y_in & (pos >= 0) & (probe < ends[pos])
+        # An edge probe (one move of s/2) keeps larger neighbors, a corner
+        # probe smaller ones, and both keep later leaves of their own size.
+        other = size[pos]
+        hit &= ((other > size) if edge else (other < size)) | (
+            (other == size) & (pos > own))
+        rows.append(own[hit])
+        cols.append(pos[hit])
+    return order, np.concatenate(rows), np.concatenate(cols)
 
 
 def _segment_weight(domain, p, q):
@@ -235,7 +262,8 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
     from scipy.sparse import coo_matrix
     centers, halves = _build_leaves(domain, a, a, box_half, factor, min_cell,
                                     rel_floor, prune, budget)
-    pairs = _neighbor_pairs(centers, halves, a, box_half)
+    order, *pairs = _neighbor_pairs(centers, halves, a, box_half)
+    centers, halves = centers[order], halves[order]
     src, src_w = _connect_point(domain, a, centers, halves)
     rows = np.concatenate([1 + pairs[0], np.zeros(src.size, dtype=np.int64)])
     cols = np.concatenate([1 + pairs[1], 1 + src])

@@ -910,6 +910,33 @@ n = 2000
     assert reports[1]["passed"]
 
 
+def test_em_step_under_walk_on_spheres_is_an_error(tmp_path, capsys):
+    # Walk-on-spheres has no step for c to scale: a moment scenario that
+    # sets c with kernel = wos ran, reported a verdict and echoed c as if
+    # it had been used.  It is an error naming c and the kernel, and the
+    # next scenario still runs.
+    cfg = """
+[scenario.wos_with_c]
+experiment = moment
+domain = wedge(1.5707963267948966)
+start = 1
+p = 0.25
+n = 2000
+kernel = wos
+c = 1e300
+""" + BASIC
+    path = write(tmp_path, cfg)
+    reports = run(path)
+    assert reports[0]["error"] == ("ConfigError: 'c' sets the Euler-Maruyama "
+                                   "step and kernel = wos has none, got "
+                                   "c = 1e+300")
+    assert "results" not in reports[0]
+    assert not reports[0]["passed"]
+    assert reports[1]["passed"]
+    assert main(["run", path]) == 1
+    assert "[square] probability: pass" in capsys.readouterr().out
+
+
 def test_hardy_reports_node_budget(tmp_path):
     # The battery's wedge_hardy with a node budget that ends refinement
     # after the first round: the report must say so.

@@ -235,12 +235,25 @@ def _oracle_neighbor_pairs(centers, halves, root_center, root_half):
     return uniq // n, uniq % n
 
 
+def _pair_keys(order, rows, cols):
+    """The pairs of ``_neighbor_pairs`` as sorted keys min * n + max over
+    the leaf numbering that ``order`` maps positions to; no leaf is paired
+    with itself and no pair appears twice."""
+    n = order.size
+    assert np.array_equal(np.sort(order), np.arange(n))
+    a, b = order[rows], order[cols]
+    key = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    assert np.all(a != b)
+    assert np.all(np.diff(key) > 0)
+    return key
+
+
 def _checked_pairs(neighbor_pairs, *leaves):
-    rows, cols = neighbor_pairs(*leaves)
+    out = neighbor_pairs(*leaves)
     want_rows, want_cols = _oracle_neighbor_pairs(*leaves)
-    assert np.array_equal(rows, want_rows)
-    assert np.array_equal(cols, want_cols)
-    return rows, cols
+    assert np.array_equal(_pair_keys(*out),
+                          want_rows * leaves[0].size + want_cols)
+    return out
 
 
 @pytest.mark.parametrize("domain, a, half, factor, min_cell, prune", [
@@ -264,8 +277,8 @@ def test_neighbor_pairs_match_per_depth_search(domain, a, half, factor,
         gap = np.maximum(np.abs(centers.real - a.real),
                          np.abs(centers.imag - a.imag)) + halves
         assert np.any(gap >= half * (1 - 1e-12))
-        rows, _ = _checked_pairs(hyperbolic._neighbor_pairs, centers,
-                                 halves, a, half)
+        _, rows, _ = _checked_pairs(hyperbolic._neighbor_pairs, centers,
+                                    halves, a, half)
         assert rows.size > centers.size
 
 
@@ -294,23 +307,69 @@ def test_neighbor_pairs_match_on_hardy_benchmark_rounds(monkeypatch):
 
 def test_neighbor_pairs_do_not_depend_on_leaf_order():
     # The second round of the wedge_hardy benchmark scenario, its leaves
-    # shuffled: mapped back through the shuffle, the pairs are the
-    # unshuffled call's.
+    # shuffled: mapped back through the shuffle, the Morton order and the
+    # pairs are the unshuffled call's.
     domain, a = Wedge(math.pi / 2), 1 + 0j
     clear = float(domain.boundary_distance(np.complex128(a)))
     half = 1.2 * 1000 + 4 * clear
     centers, halves = hyperbolic._build_leaves(
         domain, a, a, half, 0.1, 0.1 * clear / 8, 0.01, 0.0, 600_000)
-    rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
+    order, rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
     perm = np.random.default_rng(16).permutation(centers.size)
-    p_rows, p_cols = hyperbolic._neighbor_pairs(centers[perm], halves[perm],
-                                                a, half)
-    n = centers.size
-    key = np.sort(np.minimum(perm[p_rows], perm[p_cols]) * n
-                  + np.maximum(perm[p_rows], perm[p_cols]))
-    assert rows.size > n
-    assert np.array_equal(key // n, rows)
-    assert np.array_equal(key % n, cols)
+    p_order, p_rows, p_cols = hyperbolic._neighbor_pairs(
+        centers[perm], halves[perm], a, half)
+    assert rows.size > centers.size
+    assert np.array_equal(perm[p_order], order)
+    assert np.array_equal(_pair_keys(perm[p_order], p_rows, p_cols),
+                          _pair_keys(order, rows, cols))
+
+
+def test_neighbor_pairs_are_the_touching_leaves_at_depth_31():
+    # 4188 leaves down to depth 31, where a finest cell (1.1e-8) is
+    # narrower than a float probe offset of 1e-9 * root_half, so probes
+    # must be exact: checked against all leaf pairs, the pairs are exactly
+    # the leaves whose closed cells meet.
+    a, half = 0.3 + 1e-7j, 12.0
+    centers, halves = hyperbolic._build_leaves(
+        HalfPlane("north"), a, a, half, 0.8, 1e-8, 0.02, 0.0, 600_000)
+    assert np.round(np.log2(half / halves.min())) == hyperbolic._MAX_DEPTH
+    got = _pair_keys(*hyperbolic._neighbor_pairs(centers, halves, a, half))
+    n, tol = centers.size, 0.5 * halves.min()
+    want = []
+    for i in range(n - 1):
+        reach = halves[i] + halves[i + 1:]
+        meet = ((np.abs(centers.real[i] - centers.real[i + 1:]) - reach
+                 <= tol)
+                & (np.abs(centers.imag[i] - centers.imag[i + 1:]) - reach
+                   <= tol))
+        want.append(i * n + i + 1 + np.flatnonzero(meet))
+    want = np.concatenate(want)
+    assert want.size == 14077
+    assert np.array_equal(got, want)
+
+
+def test_hardy_benchmark_profiles_are_pinned():
+    # The quasi_hyperbolic_profile values of the three hardy_graph benchmark
+    # scenarios (the spiral at its min_cell 0.5), pinned so that a change to
+    # the graph's construction cannot move them.
+    r = [10, 31.6, 100, 316, 1000]
+    cases = [
+        (Wedge(math.pi / 2), 1, r, QhConfig(),
+         [3.447796141741175, 5.004874178636822, 6.629150807178748,
+          8.270412133284658, 9.918607293515313]),
+        (KoebeSlit(), 1, r, QhConfig(),
+         [2.218570251146427, 3.296688016605356, 4.428712824895048,
+          5.574114982773328, 6.729895359368491]),
+        (SpiralPair("U"), -0.8415 + 0.5403j, [6, 12, 24, 48],
+         QhConfig(cell_factor=0.25, rel_floor=0.0, prune_clearance=0.45,
+                  min_cell=0.5, max_rounds=1, max_nodes=500_000),
+         [8.004454312475975, 39.05507756049346, 182.40245616849052,
+          803.4945422684447]),
+    ]
+    for domain, a, radii, cfg, want in cases:
+        values, _, _ = quasi_hyperbolic_profile(
+            domain, a, [CircleTarget(R) for R in radii], cfg)
+        assert values == pytest.approx(want, rel=1e-12)
 
 
 def test_tree_deeper_than_morton_keys_is_rejected():
