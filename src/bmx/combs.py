@@ -16,6 +16,7 @@ V_1 c V_3 c V_5 ... and W_2 c W_4 ... by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,13 @@ def _validate(n: int, a, b) -> None:
     b = list(b)
     if len(a) != n + 1 or len(b) != n:
         raise BadParameters(f"need n+1 heights and n offsets for n={n}")
+    # NaN fails every ordering test below, so finiteness is checked first.
+    for k, v in enumerate(a):
+        if not math.isfinite(v):
+            raise BadParameters(f"height a[{k}]={v} must be finite")
+    for k, v in enumerate(b, 1):
+        if not math.isfinite(v):
+            raise BadParameters(f"offset b[{k}]={v} must be finite")
     if a[0] != 1.0:
         raise BadParameters("base half-height a[0] must be 1")
     for k in range(n):

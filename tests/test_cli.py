@@ -665,6 +665,32 @@ n = 1000
     assert reports[1]["passed"]
 
 
+@pytest.mark.parametrize("section, error", [
+    ("experiment = harmonic_measure\ndomain = disk(nan, 1)\nstart = 0\n"
+     "region = abs<2\nkernel = wos\n",
+     "ConfigError: bad value for 'domain': bad domain spec 'disk': "
+     "Disk.center must be finite, got (nan+0j)"),
+    ("experiment = harmonic_measure\ndomain = disk(0, inf)\nstart = 0\n"
+     "region = abs<2\nkernel = em\n",
+     "ConfigError: bad value for 'domain': bad domain spec 'disk': "
+     "Disk.radius must be finite and positive, got inf"),
+    ("experiment = comb_sequence\na = 1 nan\nb = -50\niterations = 1\n",
+     "BadParameters: height a[1]=nan must be finite"),
+    ("experiment = comb_sequence\na = 1 40 41\nb = -50 inf\n"
+     "iterations = 1 2\n",
+     "BadParameters: offset b[2]=inf must be finite"),
+], ids=["disk_center", "disk_radius", "comb_height", "comb_offset"])
+def test_non_finite_domain_parameters_recorded_not_fatal(tmp_path, section,
+                                                         error):
+    # Before they were rejected, the disk walked NaN positions to the step
+    # cap or blamed the start, and the comb raised IndexError or
+    # PointOutsideDomain.
+    reports = run(write(tmp_path, "[scenario.bad]\n" + section + BASIC))
+    assert reports[0]["error"] == error
+    assert not reports[0]["passed"]
+    assert reports[1]["passed"]
+
+
 @pytest.mark.parametrize("iterations, error", [
     ("1 3 5", None),
     ("2 3", "NestingViolation: domain 0 not inside domain 1"),

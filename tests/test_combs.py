@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,18 @@ def test_parameter_validation():
         build_comb(2, [1, 2, 3], [-5, -1])       # even cut must push right
     with pytest.raises(BadParameters):
         build_comb(3, [1, 2, 3, 4], [-5, 4, -3])  # must pass the previous cut
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([1, math.nan], [-50], "height a[1]=nan must be finite"),
+    ([1, math.inf], [-50], "height a[1]=inf must be finite"),
+    ([1, 2, 3], [-5, math.nan], "offset b[2]=nan must be finite"),
+    ([1, 2, 3], [-math.inf, 5], "offset b[1]=-inf must be finite"),
+])
+def test_non_finite_heights_and_offsets_rejected(a, b, message):
+    # NaN fails every ordering check, so it must be caught by name.
+    with pytest.raises(BadParameters, match=re.escape(message)):
+        build_comb(len(b), a, b)
 
 
 def test_default_offsets_alternate_and_expand():

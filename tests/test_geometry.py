@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -426,9 +427,9 @@ def test_spiral_nearest_matches_dense_oracle():
         assert np.max(np.abs(sp.project(z) - point)) <= 1e-9
 
 
-def _spiral_bisection_reference(z):
-    """(nearest point, label code) by 52 halvings of each width-pi bracket,
-    with no Newton steps."""
+def _spiral_brackets(z):
+    """(r, theta, k, t_k, lo, hi) of SpiralPair's four brackets of each
+    point: two on gamma1 measured from z, two on gamma2 from -z."""
     w = np.stack([z, -z], axis=-1)[..., None]
     r = np.abs(w)
     theta = np.mod(np.angle(w), 2 * math.pi)
@@ -436,6 +437,13 @@ def _spiral_bisection_reference(z):
     t_k = theta + 2 * math.pi * k
     lo = np.maximum(t_k - math.pi / 2, 0.0)
     hi = np.maximum(t_k + math.pi / 2, 0.0)
+    return r, theta, k, t_k, lo, hi
+
+
+def _spiral_bisection_reference(z):
+    """(nearest point, label code) by 52 halvings of each width-pi bracket,
+    with no Newton steps."""
+    r, theta, _, _, lo, hi = _spiral_brackets(z)
     for _ in range(52):
         t = (lo + hi) / 2
         cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
@@ -457,9 +465,9 @@ def _spiral_bisection_reference(z):
 
 
 def test_spiral_nearest_matches_bisection_reference():
-    # Bracketing then Newton lands on the 52-halving answer: in the probe
-    # box, out to radius 60 and within 1e-3 of the origin where both arms
-    # start.
+    # Bracketing then Newton lands on the 52-halving answer: in the square
+    # |Re z|, |Im z| < 20, out to radius 60 and within 1e-3 of the origin
+    # where both arms start.
     gen = RngStream(17).substream()
     n = 10_000
     z = np.concatenate([
@@ -472,6 +480,130 @@ def test_spiral_nearest_matches_bisection_reference():
         sp = SpiralPair(side)
         assert np.max(np.abs(sp.project(z) - point)) <= 1e-12
         assert np.array_equal(sp.label_codes(z), code)
+
+
+def _spiral_full_search(z):
+    """SpiralPair's (distance, nearest point, label code) with every one of
+    the four brackets of each point solved: the search before pruning."""
+    z = np.asarray(z, dtype=complex)
+    r, theta, _, _, lo, hi = _spiral_brackets(z)
+
+    def h_and_slope(t):
+        cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
+        return (t - r * cos_u + r * t * sin_u,
+                1 + 2 * r * sin_u + r * t * cos_u)
+
+    for _ in range(10):
+        t = (lo + hi) / 2
+        h, dh = h_and_slope(t)
+        rising = (h >= 0) & (dh > 0)
+        hi = np.where(rising, t, hi)
+        lo = np.where(rising, lo, t)
+    t = (lo + hi) / 2
+    for _ in range(3):
+        h, dh = h_and_slope(t)
+        up = dh > 0
+        t = np.clip(t - np.where(up, h, 0.0) / np.where(up, dh, 1.0),
+                    lo, hi)
+    g = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
+    t = np.where(g < r**2, t, 0.0).reshape(*z.shape, 4)
+    g = np.minimum(g, r**2).reshape(*z.shape, 4)
+    j = np.argmin(g, axis=-1)
+    t = np.take_along_axis(t, j[..., None], axis=-1)[..., 0]
+    on_gamma1 = j < 2
+    point = np.where(on_gamma1, 1.0, -1.0) * t * np.exp(1j * t)
+    code = np.where(on_gamma1, int(BoundaryLabel.GAMMA1),
+                    int(BoundaryLabel.GAMMA2)).astype(np.int64)
+    return np.abs(z - point), point, code
+
+
+def _spiral_prune_margins(z):
+    """(gap - reach - 1e-6 (1 + r), crossing index k) for the four brackets
+    of each point, as in SpiralPair's docstring: a bracket is pruned where
+    the first is positive."""
+    r, _, k, t_k, lo, hi = _spiral_brackets(z)
+    reach = np.minimum(r, np.abs(r - t_k)).min(axis=(-2, -1), keepdims=True)
+    gap = np.maximum(np.maximum(lo - r, r - hi), 0.0)
+    return ((gap - reach - 1e-6 * (1 + r)).reshape(*z.shape, 4),
+            k.reshape(*z.shape, 4))
+
+
+def _spiral_prune_thresholds(phi, radii):
+    """The points on the rays at angles phi where a bracket's pruning margin
+    changes sign: each sign change between neighbouring radii of the same
+    crossing indices (there the margin is continuous), by 60 halvings."""
+    u = np.exp(1j * phi)[:, None]
+    m, k = _spiral_prune_margins(radii * u)
+    cross = ((m[:, 1:] > 0) != (m[:, :-1] > 0)) & np.all(
+        k[:, 1:] == k[:, :-1], axis=-1, keepdims=True)
+    i, j, b = np.nonzero(cross)
+    u, lo, hi, pruned = u[i, 0], radii[j], radii[j + 1], m[i, j, b] > 0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        same = (_spiral_prune_margins(mid * u)[0][np.arange(b.size), b]
+                > 0) == pruned
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return lo * u
+
+
+def test_spiral_pruned_nearest_matches_full_search_bit_for_bit():
+    gen = RngStream(29).substream()
+    radii = np.unique(np.concatenate([np.logspace(-9, 0, 200),
+                                      np.linspace(0, 60, 600)]))
+    edge = _spiral_prune_thresholds(gen.uniform(-math.pi, math.pi, 200),
+                                    radii)
+    assert edge.size > 5000
+    # 1e-15 to 1e-3 off each threshold, along the ray, on both sides.
+    off = np.logspace(-15, -3, 13)
+    off = np.concatenate([off, -off])
+    n = 20_000
+    z = np.concatenate([
+        (edge[:, None] * (1 + off / np.abs(edge[:, None]))).ravel(),
+        np.logspace(-9, 3, n) * np.exp(1j * gen.uniform(-math.pi, math.pi,
+                                                        n)),
+        gen.uniform(0, 60, n) * np.exp(1j * gen.uniform(-math.pi, math.pi,
+                                                        n)),
+        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    assert z.size >= 100_000
+    # Finite points under the warnings filter of the caller: pruning warns
+    # on none of them.
+    want = _spiral_full_search(z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.array([complex(math.inf, 0), complex(-math.inf, 1),
+                        complex(math.nan, 0), complex(0, math.nan),
+                        complex(math.inf, math.nan), complex(1, -math.inf)])
+        want_bad = _spiral_full_search(bad)
+    for side in ("U", "complement"):
+        sp = SpiralPair(side)
+        for got, ref in zip(sp._nearest(z), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got_bad = sp._nearest(bad)
+        for got, ref in zip(got_bad, want_bad):
+            assert np.array_equal(got, ref, equal_nan=True)
+        for shaped in (np.zeros(0, dtype=complex), 3 - 4j,
+                       np.full((2, 3), 0.5 + 2j)):
+            for got, ref in zip(sp._nearest(shaped),
+                                _spiral_full_search(shaped)):
+                assert type(got) is type(ref) and got.shape == ref.shape
+                assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("side, start", [
+    ("U", np.exp(2.5708j)), ("complement", np.exp(1j * (1 + 1.5 * math.pi)))])
+def test_spiral_walk_on_spheres_exits_on_the_arms(side, start):
+    sp = SpiralPair(side)
+    assert sp.contains(start)
+    batch = run_exits(sp, start, 10_000, WosConfig(), RngStream(29))
+    assert batch.ok.all()
+    assert np.isin(batch.label, [BoundaryLabel.GAMMA1,
+                                 BoundaryLabel.GAMMA2]).all()
+    # An exit point is its own nearest boundary point.
+    point, code = sp.exit_points(batch.exit_point)
+    assert np.all(np.abs(point - batch.exit_point)
+                  <= 1e-12 * (1 + np.abs(batch.exit_point)))
+    assert np.array_equal(code, batch.label)
 
 
 def test_spiral_membership_phase():
@@ -673,3 +805,15 @@ def test_constructor_validation():
         Disk(0j, 0.0)
     with pytest.raises(BadParameters):
         SpiralPair("left")
+
+
+@pytest.mark.parametrize("center, radius, message", [
+    (0j, math.inf, "Disk.radius must be finite and positive, got inf"),
+    (0j, math.nan, "Disk.radius must be finite and positive, got nan"),
+    (complex(math.nan, 0), 1.0, "Disk.center must be finite, got (nan+0j)"),
+    (complex(0, -math.inf), 1.0, "Disk.center must be finite, got -infj"),
+])
+def test_disk_rejects_non_finite_parameters(center, radius, message):
+    # Such a disk would walk NaN positions until the step cap.
+    with pytest.raises(BadParameters, match=re.escape(message)):
+        Disk(center, radius)
