@@ -13,7 +13,7 @@ Subsystems:
 * :mod:`bmx.cli` -- the ``bmx`` scenario runner.
 """
 
-from .combs import CombDomain, build_comb, default_offsets
+from .combs import CombDomain, build_comb
 from .disk_time import get_sampler, sample_unit_disk_time
 from .geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                        HalfStripComplement, KoebeSlit, ParabolaComplement,

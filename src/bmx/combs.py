@@ -26,11 +26,6 @@ from .errors import BadParameters
 from .geometry import BoundaryLabel, _asarr, _Rectilinear
 
 
-def default_offsets(n: int) -> list[float]:
-    """Fallback cut abscissae b[k] = (-1)^k 4^k, k = 1..n."""
-    return [(-1.0) ** k * 4.0 ** k for k in range(1, n + 1)]
-
-
 def _validate(n: int, a, b) -> None:
     a = list(a)
     b = list(b)
@@ -123,16 +118,13 @@ class CombDomain(_Rectilinear):
         return _membership(z, self.n, self.a, self.b, self.side == "V")
 
 
-def build_comb(n: int, a, b=None) -> tuple[CombDomain, CombDomain]:
+def build_comb(n: int, a, b) -> tuple[CombDomain, CombDomain]:
     """The complementary pair (V_n, W_n) after n restriction iterations.
 
     ``a`` holds n+1 increasing half-heights (a[0] must be 1, steps >= 1);
     ``b`` holds the n cut abscissae, alternating left (negative, odd k) and
-    right (positive, even k) strictly beyond all previous cuts.  When ``b``
-    is omitted the default schedule (-1)^k 4^k is used.
+    right (positive, even k) strictly beyond all previous cuts.
     """
-    if b is None:
-        b = default_offsets(n)
     a = tuple(float(v) for v in a)
     b = tuple(float(v) for v in b)
     return (CombDomain(n, a, b, "V"), CombDomain(n, a, b, "W"))

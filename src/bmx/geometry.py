@@ -75,6 +75,14 @@ def _asarr(z):
     return np.asarray(z, dtype=complex)
 
 
+def _require_finite(domain, *names):
+    for name in names:
+        value = getattr(domain, name)
+        if not cmath.isfinite(value):
+            raise BadParameters(f"{type(domain).__name__}.{name} must be "
+                                f"finite, got {value!r}")
+
+
 def _ray_distance(z, phi):
     """Distance from z to the ray {t e^{i phi} : t >= 0}."""
     w = _asarr(z) * np.exp(-1j * phi)
@@ -369,6 +377,7 @@ class Rectangle(_Rectilinear):
     b: float
 
     def __post_init__(self):
+        _require_finite(self, "a", "b")
         if not (self.a > 0 and self.b > 0):
             raise BadParameters("rectangle half-sides must be positive")
 
@@ -520,6 +529,7 @@ class Strip(_Rectilinear):
     hi: float
 
     def __post_init__(self):
+        _require_finite(self, "lo", "hi")
         if not (self.lo < self.hi):
             raise BadParameters("strip needs lo < hi")
 
@@ -544,6 +554,7 @@ class HalfStripComplement(_Rectilinear):
     x0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "a", "x0")
         if not self.a > 0:
             raise BadParameters("half-strip half-height must be positive")
 
@@ -644,9 +655,7 @@ class Disk(Domain):
     radius: float = 1.0
 
     def __post_init__(self):
-        if not cmath.isfinite(self.center):
-            raise BadParameters(f"Disk.center must be finite, got "
-                                f"{self.center!r}")
+        _require_finite(self, "center")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise BadParameters(f"Disk.radius must be finite and positive, "
                                 f"got {self.radius!r}")

@@ -69,10 +69,19 @@ class CircleTarget:
 
 @dataclass(frozen=True)
 class QhConfig:
+    """A cell is a leaf once its side is at most ``cell_factor`` times its
+    clearance; a boundary cell stops at half-width max(``min_cell``,
+    ``rel_floor`` * |z - source|), ``min_cell`` None meaning ``cell_factor``
+    * clearance(source) / 8; cells entirely below ``prune_clearance`` are
+    dropped.  Round r halves the first three r times, for at most
+    ``max_rounds`` rounds.  ``max_nodes`` bounds the leaves of each round's
+    own graph: over it, the first round raises NodeBudgetExceeded and a
+    later one ends the refinement, reported as ``node_budget_hit``."""
+
     cell_factor: float = 0.2
-    min_cell: float | None = None      # default: cell_factor * clearance(a) / 8
-    rel_floor: float = 0.02            # extra floor rel_floor * |z - source|
-    prune_clearance: float = 0.0       # drop cells entirely below this clearance
+    min_cell: float | None = None
+    rel_floor: float = 0.02
+    prune_clearance: float = 0.0
     max_nodes: int = 600_000
     max_rounds: int = 3
 
@@ -107,10 +116,10 @@ _X_BITS = 0x1555555555555555   # the x bits of a 62-bit Morton code
 _Y_BITS = _X_BITS << 1         # its y bits
 
 
-def _build_leaves(domain: Domain, source: complex, center: complex,
-                  half: float, factor: float, min_cell: float,
-                  rel_floor: float, prune: float, node_budget: int):
-    """Quadtree leaves (centers, halves), level-synchronous subdivision.
+def _build_leaves(domain: Domain, source: complex, half: float,
+                  factor: float, min_cell: float, rel_floor: float,
+                  prune: float, node_budget: int):
+    """Quadtree leaves (centers, halves) of the box ``source`` +- ``half``.
 
     A cell becomes a leaf when its size is at most factor * clearance; cells
     straddling the boundary refine down to a floor and survive only if their
@@ -118,10 +127,10 @@ def _build_leaves(domain: Domain, source: complex, center: complex,
     (``rel_floor``), so far-field boundary detail costs O(log) cells per
     radius octave.  Fully exterior cells and cells entirely below the
     ``prune`` clearance are dropped.  Leaves deeper than ``_MAX_DEPTH``
-    raise BadParameters.
+    raise BadParameters, more than ``node_budget`` NodeBudgetExceeded.
     """
-    cx = np.array([center.real])
-    cy = np.array([center.imag])
+    cx = np.array([source.real])
+    cy = np.array([source.imag])
     hs = np.array([half])
     out_c, out_h = [], []
     total = 0
@@ -257,10 +266,9 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
     """One refinement round: shortest paths from ``a`` (node 0) over this
     round's leaves (nodes 1..n) alone, and each target's value read off as
     the least leaf distance plus the wire from that leaf to the target.
-    Targets are not graph nodes, so no path passes through one.  Returns
-    (values, leaf count)."""
+    Targets are not graph nodes, so no path passes through one."""
     from scipy.sparse import coo_matrix
-    centers, halves = _build_leaves(domain, a, a, box_half, factor, min_cell,
+    centers, halves = _build_leaves(domain, a, box_half, factor, min_cell,
                                     rel_floor, prune, budget)
     order, *pairs = _neighbor_pairs(centers, halves, a, box_half)
     centers, halves = centers[order], halves[order]
@@ -286,7 +294,7 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
         else:
             idx, w = _connect_point(domain, complex(target), centers, halves)
         values[k] = np.min(dist[idx] + w, initial=np.inf)
-    return values, centers.size
+    return values
 
 
 def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
@@ -328,12 +336,11 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
 
     values = np.full(len(targets), np.inf)
     history = []
-    leaves = 0
     budget_hit = False
     for round_idx in range(cfg.max_rounds):
         scale = 2 ** round_idx
         try:
-            round_values, count = _round_values(
+            round_values = _round_values(
                 domain, a, targets, cfg.cell_factor / scale, min_cell / scale,
                 cfg.rel_floor / scale, cfg.prune_clearance, box_half,
                 cfg.max_nodes)
@@ -343,15 +350,9 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
             budget_hit = True
             break
         prev, values = values, np.minimum(values, round_values)
-        history.append(values.copy())
-        leaves += count
+        history.append(values)
         if round_idx and np.max(np.abs(values - prev) / np.maximum(
                 np.abs(values), 1e-30)) <= _REFINE_TARGET:
-            break
-        # The next round would have about four times as many leaves.
-        if (leaves * 4 > cfg.max_nodes and round_idx >= 1
-                and round_idx + 1 < cfg.max_rounds):
-            budget_hit = True
             break
     if not np.all(np.isfinite(values)):
         raise TargetUnreachable("no grid path reached every target")

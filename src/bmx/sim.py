@@ -39,6 +39,13 @@ _LABEL_NONE = -1
 _MAX_STEPS = 1_000_000   # both kernels' default step cap
 
 
+def _check_start(domain, start, kernel):
+    if not cmath.isfinite(start):
+        raise PointOutsideDomain(f"{kernel} start {start!r} is not finite")
+    if not domain.contains(start):
+        raise PointOutsideDomain(f"{kernel} start outside the domain")
+
+
 def _check_max_steps(cfg):
     if not cfg.max_steps >= 1:
         raise BadParameters(f"{type(cfg).__name__}.max_steps must be at "
@@ -224,11 +231,7 @@ def wos_exit_batch(domain: Domain, start: complex,
     """
     start = complex(start)
     draws = _ChunkDraws(gen, n)
-    if not cmath.isfinite(start):
-        raise PointOutsideDomain(
-            f"walk-on-spheres start {start!r} is not finite")
-    if not domain.contains(start):
-        raise PointOutsideDomain("walk-on-spheres start outside the domain")
+    _check_start(domain, start, "walk-on-spheres")
     line = cfg.mark_line_re
     if line is not None and not start.real < line:
         raise BadParameters(f"marked line mark_line_re = {line!r} must lie "
@@ -310,11 +313,7 @@ def em_exit_batch(domain: Domain, start: complex,
     """
     start = complex(start)
     draws = _ChunkDraws(gen, n)
-    if not cmath.isfinite(start):
-        raise PointOutsideDomain(
-            f"Euler-Maruyama start {start!r} is not finite")
-    if not domain.contains(start):
-        raise PointOutsideDomain("Euler-Maruyama start outside the domain")
+    _check_start(domain, start, "Euler-Maruyama")
 
     steps = np.zeros(n, dtype=np.int64)
     exit_pt = np.full(n, np.nan, dtype=complex)

@@ -35,6 +35,7 @@ from .sim import (EmConfig, ExitBatch, WosConfig, _halfplane_exit_reals,
 N_BATCH_MEANS = 32
 # Share of the largest exit times behind every moment's Hill tail index.
 _TAIL_FRACTION = 0.05
+_MIN_TAIL = 25   # the fewest of them it is fitted to
 # Draws per block of the Cauchy identities; bounds their working memory,
 # never changes a result.
 _CAUCHY_BLOCK = 65_536
@@ -166,18 +167,16 @@ def exit_proportion(region, batch: ExitBatch) -> ProportionEstimate:
 # Tail index and exit moments
 # ---------------------------------------------------------------------------
 
-def hill_tail_index(samples: np.ndarray, top_fraction: float,
-                    min_tail: int = 500) -> Estimate:
+def hill_tail_index(samples: np.ndarray) -> Estimate:
     """Hill estimator of the tail exponent alpha in P(X > t) ~ t^-alpha,
-    from the order statistics above the (1 - top_fraction) quantile."""
-    if not 0 < top_fraction < 1:
-        raise BadParameters("top_fraction must lie in (0, 1)")
+    from the largest ``_TAIL_FRACTION`` of the positive samples, at least
+    ``_MIN_TAIL`` of them."""
     x = np.sort(np.asarray(samples, dtype=float))
     x = x[x > 0]
-    k = int(math.floor(len(x) * top_fraction))
-    if k < min_tail:
+    k = int(math.floor(len(x) * _TAIL_FRACTION))
+    if k < _MIN_TAIL:
         raise TooFewTailSamples(
-            f"{k} tail samples above the cutoff; need {min_tail}")
+            f"{k} tail samples above the cutoff; need {_MIN_TAIL}")
     tail = x[-k:]
     threshold = x[-k - 1] if len(x) > k else tail[0]
     alpha = k / float(np.sum(np.log(tail / threshold)))
@@ -233,8 +232,7 @@ def _moment_of_batch(batch: ExitBatch, p: float,
                      cfg: WosConfig | EmConfig) -> MomentEstimate:
     tau = batch.exit_time[batch.ok]
     try:
-        alpha = hill_tail_index(tau, _TAIL_FRACTION,
-                                min_tail=min(500, max(25, len(tau) // 20)))
+        alpha = hill_tail_index(tau)
     except TooFewTailSamples as err:
         if not batch.n_excluded:
             raise

@@ -101,7 +101,7 @@ def test_criterion_04_wedge_moment_thresholds():
         batch = run_exits(domain, 1 + 0j, N_BIG, EmConfig(),
                           RngStream(9004 + i))
         tau = batch.exit_time[batch.ok]
-        alpha = hill_tail_index(tau, 0.05)
+        alpha = hill_tail_index(tau)
         idx_ok = abs(alpha.value - alpha_true) <= 0.15
         v_lo = classify_moment(0.5 * alpha_true, alpha)
         v_hi = classify_moment(1.5 * alpha_true, alpha)

@@ -679,12 +679,27 @@ n = 1000
     ("experiment = comb_sequence\na = 1 40 41\nb = -50 inf\n"
      "iterations = 1 2\n",
      "BadParameters: offset b[2]=inf must be finite"),
-], ids=["disk_center", "disk_radius", "comb_height", "comb_offset"])
+    ("experiment = harmonic_measure\ndomain = rectangle(inf, inf)\n"
+     "start = 0\nregion = s1\nkernel = em\n",
+     "ConfigError: bad value for 'domain': bad domain spec 'rectangle': "
+     "Rectangle.a must be finite, got inf"),
+    ("experiment = harmonic_measure\ndomain = strip(-1, inf)\nstart = 0\n"
+     "region = abs<2\nkernel = wos\n",
+     "ConfigError: bad value for 'domain': bad domain spec 'strip': "
+     "Strip.hi must be finite, got inf"),
+    ("experiment = harmonic_measure\ndomain = halfstripcomplement(1, nan)\n"
+     "start = 2\nregion = abs<2\nkernel = wos\n",
+     "ConfigError: bad value for 'domain': bad domain spec "
+     "'halfstripcomplement': HalfStripComplement.x0 must be finite, got nan"),
+], ids=["disk_center", "disk_radius", "comb_height", "comb_offset",
+        "rectangle_sides", "strip_lines", "halfstrip_x0"])
 def test_non_finite_domain_parameters_recorded_not_fatal(tmp_path, section,
                                                          error):
-    # Before they were rejected, the disk walked NaN positions to the step
-    # cap or blamed the start, and the comb raised IndexError or
-    # PointOutsideDomain.
+    # Before they were rejected, the comb raised IndexError or
+    # PointOutsideDomain, the disk and the NaN half-strip blamed the start,
+    # and the disk, the infinite strip and the infinite rectangle walked
+    # paths to the step cap (Euler-Maruyama marked the latter two's paths
+    # ok at NaN).
     reports = run(write(tmp_path, "[scenario.bad]\n" + section + BASIC))
     assert reports[0]["error"] == error
     assert not reports[0]["passed"]
@@ -987,6 +1002,40 @@ expect_contains = 2.0
     assert "max_nodes = 20000" in gate["detail"]
     assert "after 1 round(s)" in gate["detail"]
     assert main(["run", path]) == 2
+
+
+WEDGE_HARDY = """
+[scenario.wedge_hardy]
+experiment = hardy
+domain = wedge(1.5707963267948966)
+a = 1
+r_schedule = 10 31.6 100 316 1000
+expect_contains = 2.0
+"""
+
+
+def test_hardy_node_budget_counts_each_round_alone(tmp_path):
+    # Each round solves its own graph, so max_nodes bounds that graph's
+    # leaves, not the leaves of all rounds so far: the third round of
+    # wedge_hardy has 145,344 leaves and fits 180,000.
+    default = run(write(tmp_path, WEDGE_HARDY, "default.cfg"))[0]
+    fits = run(write(tmp_path, WEDGE_HARDY + "max_nodes = 180000\n",
+                     "fits.cfg"))[0]
+    assert default["passed"] and fits["passed"]
+    for rep in (default, fits):
+        assert rep["results"]["rounds"] == 3
+        assert rep["results"]["node_budget_hit"] is False
+    assert (fits["results"]["delta_values"]
+            == default["results"]["delta_values"])
+    # 140,000 is too few for the third round's graph.
+    short = run(write(tmp_path, WEDGE_HARDY + "max_nodes = 140000\n",
+                      "short.cfg"))[0]
+    assert short["results"]["rounds"] == 2
+    assert short["results"]["node_budget_hit"] is True
+    [gate] = short["expectations"]
+    assert not gate["passed"]
+    assert "max_nodes = 140000" in gate["detail"]
+    assert "after 2 round(s)" in gate["detail"]
 
 
 @pytest.mark.parametrize("text", [

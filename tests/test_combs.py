@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bmx.combs import build_comb, default_offsets
+from bmx.combs import build_comb
 from bmx.errors import BadParameters
 from bmx.rng import RngStream
 
@@ -122,9 +122,3 @@ def test_non_finite_heights_and_offsets_rejected(a, b, message):
     # NaN fails every ordering check, so it must be caught by name.
     with pytest.raises(BadParameters, match=re.escape(message)):
         build_comb(len(b), a, b)
-
-
-def test_default_offsets_alternate_and_expand():
-    b = default_offsets(5)
-    assert b == [-4.0, 16.0, -64.0, 256.0, -1024.0]
-    build_comb(5, [1, 2, 3, 4, 5, 6], b)         # construct fine

@@ -186,7 +186,7 @@ def test_closed_forms_equal_the_piece_table(domain):
 
 
 V5, W5 = build_comb(5, [1, 40, 41, 100, 101, 900], [-50, 5, -51, 6, -52])
-V2, W2 = build_comb(2, [1, 2, 4])
+V2, W2 = build_comb(2, [1, 2, 4], [-4, 16])
 PIECE_TABLES = [
     Rectangle(2, 1), Rectangle(1, 1), HalfPlane("north"), HalfPlane("south"),
     HalfPlane("east"), HalfPlane("west"), Strip(-1, 1),
@@ -817,3 +817,26 @@ def test_disk_rejects_non_finite_parameters(center, radius, message):
     # Such a disk would walk NaN positions until the step cap.
     with pytest.raises(BadParameters, match=re.escape(message)):
         Disk(center, radius)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Rectangle(math.inf, math.inf),
+     "Rectangle.a must be finite, got inf"),
+    (lambda: Rectangle(1.0, math.nan), "Rectangle.b must be finite, got nan"),
+    (lambda: Strip(-math.inf, math.inf), "Strip.lo must be finite, got -inf"),
+    (lambda: Strip(-1.0, math.inf), "Strip.hi must be finite, got inf"),
+    (lambda: Strip(math.nan, 1.0), "Strip.lo must be finite, got nan"),
+    (lambda: HalfStripComplement(math.inf), "HalfStripComplement.a must be "
+                                            "finite, got inf"),
+    (lambda: HalfStripComplement(1.0, math.nan), "HalfStripComplement.x0 must "
+                                                 "be finite, got nan"),
+    (lambda: HalfStripComplement(1.0, -math.inf), "HalfStripComplement.x0 "
+                                                  "must be finite, got -inf"),
+], ids=["rectangle_a", "rectangle_b", "strip_both", "strip_hi", "strip_nan",
+        "halfstrip_a", "halfstrip_x0_nan", "halfstrip_x0_inf"])
+def test_rectilinear_domains_reject_non_finite_parameters(make, message):
+    # On an infinite rectangle or strip Euler-Maruyama marks every path ok
+    # at a NaN exit with an infinite time and walk-on-spheres walks every
+    # path to the step cap; a NaN x0 would blame the start.
+    with pytest.raises(BadParameters, match=re.escape(message)):
+        make()

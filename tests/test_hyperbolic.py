@@ -273,7 +273,7 @@ def test_neighbor_pairs_match_per_depth_search(domain, a, half, factor,
     for f in (factor, factor / 2):
         floor = min_cell if min_cell is not None else f * clear / 8
         centers, halves = hyperbolic._build_leaves(
-            domain, a, a, half, f, floor, 0.02, prune, 200_000)
+            domain, a, half, f, floor, 0.02, prune, 200_000)
         gap = np.maximum(np.abs(centers.real - a.real),
                          np.abs(centers.imag - a.imag)) + halves
         assert np.any(gap >= half * (1 - 1e-12))
@@ -313,7 +313,7 @@ def test_neighbor_pairs_do_not_depend_on_leaf_order():
     clear = float(domain.boundary_distance(np.complex128(a)))
     half = 1.2 * 1000 + 4 * clear
     centers, halves = hyperbolic._build_leaves(
-        domain, a, a, half, 0.1, 0.1 * clear / 8, 0.01, 0.0, 600_000)
+        domain, a, half, 0.1, 0.1 * clear / 8, 0.01, 0.0, 600_000)
     order, rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
     perm = np.random.default_rng(16).permutation(centers.size)
     p_order, p_rows, p_cols = hyperbolic._neighbor_pairs(
@@ -331,7 +331,7 @@ def test_neighbor_pairs_are_the_touching_leaves_at_depth_31():
     # the leaves whose closed cells meet.
     a, half = 0.3 + 1e-7j, 12.0
     centers, halves = hyperbolic._build_leaves(
-        HalfPlane("north"), a, a, half, 0.8, 1e-8, 0.02, 0.0, 600_000)
+        HalfPlane("north"), a, half, 0.8, 1e-8, 0.02, 0.0, 600_000)
     assert np.round(np.log2(half / halves.min())) == hyperbolic._MAX_DEPTH
     got = _pair_keys(*hyperbolic._neighbor_pairs(centers, halves, a, half))
     n, tol = centers.size, 0.5 * halves.min()

@@ -125,9 +125,13 @@ def test_wos_exit_point_on_boundary():
     assert np.all(d.boundary_distance(b.exit_point) < 1e-9)
 
 
-def test_wos_start_outside_domain():
-    with pytest.raises(PointOutsideDomain):
-        wos_exit_batch(Disk(0j, 1.0), 2 + 0j, RngStream(10).substream(), 1)
+@pytest.mark.parametrize("kernel, name", [
+    pytest.param(wos_exit_batch, "walk-on-spheres", id="wos"),
+    pytest.param(em_exit_batch, "Euler-Maruyama", id="em")])
+def test_wos_start_outside_domain(kernel, name):
+    with pytest.raises(PointOutsideDomain,
+                       match=f"^{name} start outside the domain$"):
+        kernel(Disk(0j, 1.0), 2 + 0j, RngStream(10).substream(), 1)
 
 
 @pytest.mark.parametrize("kernel, cfg", [

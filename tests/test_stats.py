@@ -45,7 +45,7 @@ def test_wilson_interval_basics():
 def test_hill_on_synthetic_pareto():
     gen = RngStream(201).substream()
     x = gen.pareto(1.0, 200_000) + 1.0     # P(X > t) = t^-1
-    est = hill_tail_index(x, 0.05)
+    est = hill_tail_index(x)
     assert abs(est.value - 1.0) < 0.1
     assert est.n == 10_000
 
@@ -54,13 +54,22 @@ def test_hill_alpha_two():
     gen = RngStream(202).substream()
     u = gen.random(200_000)
     x = u ** -0.5                           # P(X > t) = t^-2
-    est = hill_tail_index(x, 0.05)
+    est = hill_tail_index(x)
     assert abs(est.value - 2.0) < 0.15
 
 
 def test_hill_needs_tail_mass():
     with pytest.raises(TooFewTailSamples):
-        hill_tail_index(np.ones(100) + np.arange(100), 0.05)
+        hill_tail_index(np.ones(100) + np.arange(100))
+
+
+def test_hill_tail_minimum_is_25():
+    # 5% of 499 samples is 24 order statistics, of 500 exactly 25.
+    x = 1.0 + np.arange(500)
+    with pytest.raises(TooFewTailSamples, match="24 tail samples above the "
+                                                "cutoff; need 25$"):
+        hill_tail_index(x[:499])
+    assert hill_tail_index(x).n == 25
 
 
 def test_moment_verdict_rule():
