@@ -4,7 +4,8 @@ Subsystems:
 
 * :mod:`bmx.geometry`, :mod:`bmx.combs` -- plane domains, predicates,
   boundary labels, and the iterated half-strip construction;
-* :mod:`bmx.maps` -- closed-form analytic maps and Hardy norms;
+* :mod:`bmx.maps` -- the linear and Koebe-parabola maps and Hardy
+  norms;
 * :mod:`bmx.rng`, :mod:`bmx.disk_time`, :mod:`bmx.sim` -- reproducible
   streams and the exit-sampling kernels (exact, walk-on-spheres,
   Euler-Maruyama);
@@ -21,9 +22,8 @@ from .geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                        check_delta_starlike)
 from .hyperbolic import (CircleTarget, QhConfig, quasi_hyperbolic_distance,
                          quasi_hyperbolic_profile)
-from .maps import (AnalyticMap, Compose, Exp, HardyNormProfile,
-                   KoebeParabola, Linear, Mobius, PowerBranch, PowerInt,
-                   WedgePower, default_r_grid, hardy_norm_profile)
+from .maps import (AnalyticMap, HardyNormProfile, KoebeParabola, Linear,
+                   default_r_grid, hardy_norm_profile)
 from .rng import RngStream
 from .sim import (EmConfig, ExitBatch, WosConfig, em_exit_batch,
                   sample_disk_exit_batch, sample_halfplane_exit_batch,

@@ -32,13 +32,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import maps as maps_mod
 from .combs import build_comb
 from .errors import BadParameters, BmxError, ConfigError
 from .geometry import (Annulus, BoundaryLabel, Disk, HalfPlane,
                        HalfStripComplement, KoebeSlit, ParabolaComplement,
                        Rectangle, SpiralPair, Strip, Wedge)
 from .hyperbolic import QhConfig
+from .maps import Linear
 from .rng import RngStream
 from .sim import EmConfig, WosConfig
 from .stats import (CLASS_FINITE, estimate_hardy_number, estimate_moment,
@@ -76,10 +76,13 @@ def _call(node, expr: str):
 
 
 def _arg(node, expr: str):
-    """A nested call, a bare word, or what ``_number`` reads."""
-    if isinstance(node, ast.Name):
-        return node.id
-    value = _call(node, expr) if isinstance(node, ast.Call) else _number(node)
+    """A bare word, one with a sign such as ``-inf``, or what ``_number``
+    reads."""
+    signed = (isinstance(node, ast.UnaryOp)
+              and isinstance(node.op, (ast.UAdd, ast.USub)))
+    if isinstance(node.operand if signed else node, ast.Name):
+        return ast.unparse(node)
+    value = _number(node)
     if value is None:
         raise ConfigError(f"bad argument {ast.unparse(node)!r} in {expr!r}")
     return value
@@ -109,7 +112,7 @@ def _comb(n: int, a: list, b: list, side: str):
 
 
 # name -> (builder, parsers of the required arguments, parsers of the
-# optional ones); a lone parser last takes any number of arguments.
+# optional ones).
 _DOMAINS = {
     "rectangle": (Rectangle, (float, float), ()),
     "annulus": (Annulus, (float, float), ()),
@@ -123,29 +126,15 @@ _DOMAINS = {
     "spiralpair": (SpiralPair, (), (str,)),
     "comb": (_comb, (_int_arg, list, list, str), ()),
 }
-_MAPS = {
-    "linear": (maps_mod.Linear, (complex,), ()),
-    "powerint": (maps_mod.PowerInt, (_int_arg,), (complex,)),
-    "powerbranch": (maps_mod.PowerBranch, (float,), ()),
-    "mobius": (maps_mod.Mobius, (complex,), ()),
-    "koebeparabola": (maps_mod.KoebeParabola, (), ()),
-    "wedgepower": (maps_mod.WedgePower, (float,), ()),
-    "exp": (maps_mod.Exp, (), ()),
-    "compose": (lambda *stages: maps_mod.Compose(stages), (),
-                lambda call: _build(_MAPS, "map", call)),
-}
+_MAPS = {"linear": (Linear, (complex,), ())}
 
 
 def _build(table, kind: str, call):
     """Build a ``(name, args)`` call from ``table``; errors name the call."""
-    if not isinstance(call, tuple):  # a word or number such as compose(3)
-        raise ValueError(f"arguments must be {kind} calls, got {call!r}")
     name, args = call
     if name not in table:
         raise ConfigError(f"unknown {kind} {name!r}")
     build, required, optional = table[name]
-    if callable(optional):
-        optional = (optional,) * (len(args) - len(required))
     if not len(required) <= len(args) <= len(required) + len(optional):
         raise ConfigError(f"bad {kind} spec {name!r}: takes {len(required)} "
                           f"required and {len(optional)} optional argument(s),"
@@ -162,7 +151,7 @@ def parse_domain(expr: str):
 
 
 def parse_map(expr: str):
-    """The map a call such as ``compose(linear(2), exp)`` names."""
+    """The map a call such as ``linear(3)`` names."""
     return _build(_MAPS, "map", parse_call(expr))
 
 

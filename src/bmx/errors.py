@@ -13,10 +13,6 @@ class PointOutsideDomain(BmxError):
     """A query point that must lie inside the domain does not."""
 
 
-class OnBranchCut(BmxError):
-    """Analytic map evaluated on a branch cut where no side has been chosen."""
-
-
 class AtPole(BmxError):
     """Analytic map evaluated at a pole or other non-removable singularity."""
 

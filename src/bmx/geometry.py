@@ -409,6 +409,7 @@ class Annulus(Domain):
     R: float
 
     def __post_init__(self):
+        _require_finite(self, "r", "R")
         if not (0 < self.r < self.R):
             raise BadParameters("annulus needs 0 < r < R")
 

@@ -1,20 +1,21 @@
 """Closed-form analytic maps and Hardy-norm profiles.
 
-All maps evaluate vectorized over complex ndarrays.  Branch conventions:
-powers and logarithms use the principal branch with Arg in (-pi, pi].
-Evaluation requests on a branch cut raise :class:`~bmx.errors.OnBranchCut`
-rather than silently choosing a side, and poles raise
-:class:`~bmx.errors.AtPole`.
+Two maps, both evaluated vectorized over complex ndarrays: ``Linear``
+(z -> c z, the map ``pushforward_check`` applies to exit points) and
+``KoebeParabola`` (4/(1+z)^2, whose Hardy-norm profile is criterion 5's).
+Any :class:`AnalyticMap` with an ``evaluate`` has a profile; evaluating a
+map at its pole raises :class:`~bmx.errors.AtPole`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtPole, BadParameters, OnBranchCut, QuadratureFailure
+from .errors import AtPole, BadParameters, QuadratureFailure
 
 
 def _asarr(z):
@@ -30,85 +31,17 @@ class AnalyticMap:
 
 @dataclass(frozen=True)
 class Linear(AnalyticMap):
-    """z -> c z for a nonzero c."""
+    """z -> c z for a finite nonzero c."""
 
     c: complex
 
     def __post_init__(self):
-        if self.c == 0:
-            raise BadParameters("linear coefficient must be nonzero")
+        if not (cmath.isfinite(self.c) and self.c != 0):
+            raise BadParameters(f"linear coefficient must be finite and "
+                                f"nonzero, got {self.c!r}")
 
     def evaluate(self, z):
         return self.c * _asarr(z)
-
-
-@dataclass(frozen=True)
-class PowerInt(AnalyticMap):
-    """z -> xi * z**n for a nonzero integer n and nonzero xi (negative n
-    has a pole at 0)."""
-
-    n: int
-    xi: complex = 1.0 + 0j
-
-    def __post_init__(self):
-        if self.n == 0:
-            raise BadParameters("power exponent must be nonzero")
-        if self.xi == 0:
-            raise BadParameters("power coefficient must be nonzero")
-
-    def evaluate(self, z):
-        z = _asarr(z)
-        if self.n < 0 and np.any(z == 0):
-            raise AtPole("negative power evaluated at 0")
-        return self.xi * z ** self.n
-
-
-def _principal_power(z, alpha):
-    """e^{alpha Log z} with Arg in (-pi, pi]; caller guards cut and pole."""
-    return np.exp(alpha * np.log(_asarr(z)))
-
-
-def _check_principal_cut(z, what="principal power"):
-    z = _asarr(z)
-    if np.any(z == 0):
-        raise AtPole(f"{what} evaluated at 0")
-    on_cut = (z.imag == 0.0) & (z.real < 0.0)
-    if np.any(on_cut):
-        raise OnBranchCut(f"{what} evaluated on the negative real axis")
-
-
-@dataclass(frozen=True)
-class PowerBranch(AnalyticMap):
-    """z -> z**alpha via the principal logarithm, alpha in (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0 < self.alpha < 1):
-            raise BadParameters("branch power exponent must lie in (0, 1)")
-
-    def evaluate(self, z):
-        _check_principal_cut(z, "z**alpha")
-        return _principal_power(z, self.alpha)
-
-
-@dataclass(frozen=True)
-class Mobius(AnalyticMap):
-    """z -> (z - alpha)/(z - conj(alpha)); maps the upper half-plane onto the
-    unit disk, with alpha going to 0.  Pole at conj(alpha)."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        if not self.alpha.imag > 0:
-            raise BadParameters("Mobius parameter needs positive imaginary part")
-
-    def evaluate(self, z):
-        z = _asarr(z)
-        pole = np.conj(self.alpha)
-        if np.any(z == pole):
-            raise AtPole("Mobius map evaluated at its pole")
-        return (z - self.alpha) / (z - pole)
 
 
 @dataclass(frozen=True)
@@ -121,56 +54,6 @@ class KoebeParabola(AnalyticMap):
         if np.any(z == -1):
             raise AtPole("4/(1+z)^2 evaluated at -1")
         return 4.0 / (1.0 + z) ** 2
-
-
-@dataclass(frozen=True)
-class WedgePower(AnalyticMap):
-    """z -> ((1-z)/(1+z))^(theta/pi), the disk onto the wedge of aperture
-    theta bisected by the positive real axis."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not (0 < self.theta <= 2 * math.pi):
-            raise BadParameters("wedge aperture must lie in (0, 2*pi]")
-
-    def evaluate(self, z):
-        z = _asarr(z)
-        if np.any(z == -1):
-            raise AtPole("((1-z)/(1+z))^a evaluated at -1")
-        w = (1.0 - z) / (1.0 + z)
-        if np.any(w == 0):
-            raise AtPole("((1-z)/(1+z))^a evaluated at 1 (Log 0)")
-        on_cut = (w.imag == 0.0) & (w.real < 0.0)
-        if np.any(on_cut):
-            raise OnBranchCut("wedge power hit its inherited cut |z|>=1 on R")
-        return _principal_power(w, self.theta / math.pi)
-
-
-@dataclass(frozen=True)
-class Exp(AnalyticMap):
-    """z -> e^z."""
-
-    def evaluate(self, z):
-        return np.exp(_asarr(z))
-
-
-@dataclass(frozen=True)
-class Compose(AnalyticMap):
-    """Left-to-right composition: Compose([f, g]) evaluates g(f(z))."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if len(self.stages) == 0:
-            raise BadParameters("composition needs at least one stage")
-
-    def evaluate(self, z):
-        w = _asarr(z)
-        for stage in self.stages:
-            w = stage.evaluate(w)
-        return w
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 import json
 import math
 import os
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from bmx.cli import (Scenario, main, parse_call, parse_config, parse_domain,
-                     parse_map, parse_region, run, run_scenario)
+from bmx.cli import (_DOMAINS, _MAPS, Scenario, main, parse_call,
+                     parse_config, parse_domain, parse_map, parse_region, run,
+                     run_scenario)
 from bmx.errors import ConfigError
 from bmx.geometry import (Annulus, BoundaryLabel, HalfPlane,
                           HalfStripComplement, Rectangle, SpiralPair, Strip,
                           Wedge)
-from bmx.maps import Compose, Exp, Linear, PowerBranch, PowerInt
+from bmx.maps import Linear
 from bmx.rng import RngStream
 from bmx.sim import WosConfig
 from bmx.stats import estimate_hardy_number, exit_proportion, run_exits
@@ -42,21 +44,22 @@ def strip_wall_time(report):
 
 
 def test_parse_call_nested():
-    name, args = parse_call("compose(linear(2), exp())")
-    assert name == "compose"
-    assert args[0] == ("linear", [2])
-    assert args[1] == ("exp", [])
     assert parse_call("Comb(1, [1, 2.5], [-5], V)") == (
         "comb", [1, [1, 2.5], [-5], "V"])
-    assert parse_call("MOBIUS(-1+1j)") == ("mobius", [-1 + 1j])
+    assert parse_call("LINEAR(-1+1j)") == ("linear", [-1 + 1j])
     assert parse_call("strip(-1, 1e-3)") == ("strip", [-1, 0.001])
-    assert parse_call("compose(Linear(-2j), exp)") == (
-        "compose", [("linear", [-2j]), "exp"])
+    # A word may carry a sign, so -inf is spelled the way inf is.
+    assert parse_call("strip(-inf, +inf)") == ("strip", ["-inf", "+inf"])
     # A bare name is a call with no arguments.
     assert parse_call("koebeslit") == ("koebeslit", [])
-    for bad in ("rectangle(a=2, b=1)", "os.system(1)", "rectangle('2', 1)"):
+    for bad in ("rectangle(a=2, b=1)", "os.system(1)", "rectangle('2', 1)",
+                "strip(--inf, 1)"):
         with pytest.raises(ConfigError, match=re.escape(repr(bad))):
             parse_call(bad)
+    # A call is not an argument: no spec nests calls.
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad argument 'linear(2)' in 'linear(linear(2))'")):
+        parse_call("linear(linear(2))")
 
 
 def test_parse_domain_variants():
@@ -79,28 +82,30 @@ def test_parse_domain_variants():
         parse_domain("rectangle(1)")
 
 
+@pytest.mark.parametrize("header, table", [("domain", _DOMAINS),
+                                           ("map", _MAPS)])
+def test_readme_tables_list_every_spec(header, table):
+    # A spec deleted from the CLI cannot stay documented, nor a new one go
+    # undocumented.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.search(rf"^\| {header} \| optional \|.*\n\| --- .*\n"
+                     rf"((?:\|.*\n)*)", readme, re.M).group(1)
+    names = re.findall(r"^\| `(\w+)", rows, re.M)
+    assert sorted(names) == sorted(table)
+
+
 def test_parse_map_variants():
     assert parse_map("linear(3)") == Linear(3)
-    assert parse_map("powerbranch(0.5)") == PowerBranch(0.5)
-    assert parse_map("powerint(2)") == PowerInt(2)
-    # A fractional power is an error, not a silent z^2.
-    with pytest.raises(ConfigError, match="2.5"):
-        parse_map("powerint(2.5)")
-    m = parse_map("compose(linear(2), exp())")
-    assert m == Compose((Linear(2), Exp()))
-    nested = parse_map("compose(linear(2), compose(exp()))")
-    assert nested == Compose((Linear(2), Compose((Exp(),))))
-    with pytest.raises(ConfigError):
-        parse_map("spiral(1)")
-    with pytest.raises(ConfigError, match="map calls"):
-        parse_map("compose(linear(1), compose(3))")
-    # A zero coefficient makes a constant map, which is not conformal.
+    assert parse_map("Linear(-2j)") == Linear(-2j)
+    for name in ("spiral", "exp", "compose"):
+        with pytest.raises(ConfigError, match=f"unknown map '{name}'"):
+            parse_map(f"{name}(1)")
+    # A zero coefficient makes a constant map, which is not conformal, and
+    # an infinite one sends every exit off the plane.
     with pytest.raises(ConfigError, match="'linear'.*nonzero"):
         parse_map("linear(0)")
-    with pytest.raises(ConfigError, match="'powerint'.*nonzero"):
-        parse_map("powerint(2, 0)")
-    with pytest.raises(ConfigError, match="'linear'"):
-        parse_map("compose(exp(), linear(0j))")
+    with pytest.raises(ConfigError, match="'linear'.*finite.*-inf"):
+        parse_map("linear(-inf)")
 
 
 def test_spaced_digits_are_errors(tmp_path):
@@ -116,11 +121,11 @@ def test_spaced_digits_are_errors(tmp_path):
 @pytest.mark.parametrize("parse, spec, required, optional, got", [
     (parse_domain, "wedge(1.5707963267948966, 3)", 1, 0, 2),
     (parse_domain, "koebeslit(5)", 0, 0, 1),
-    (parse_map, "exp(1)", 0, 0, 1),
+    (parse_map, "linear(1, 2)", 1, 0, 2),
     (parse_domain, "rectangle(2, 1, 5)", 2, 0, 3),
     (parse_domain, "halfstripcomplement(1, 0, 2)", 1, 1, 3),
     (parse_domain, "disk()", 2, 0, 0),
-], ids=["wedge", "koebeslit", "exp", "rectangle", "halfstripcomplement",
+], ids=["wedge", "koebeslit", "linear", "rectangle", "halfstripcomplement",
         "disk"])
 def test_argument_count_is_checked(parse, spec, required, optional, got):
     name = spec.split("(")[0]
@@ -134,7 +139,6 @@ def test_optional_arguments_take_defaults():
     assert parse_domain("halfplane") == HalfPlane("north")
     assert parse_domain("spiralpair()") == SpiralPair("U")
     assert parse_domain("halfstripcomplement(1)") == HalfStripComplement(1, 0)
-    assert parse_map("powerint(-2)") == PowerInt(-2, 1)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -142,7 +146,12 @@ def test_optional_arguments_take_defaults():
                          "must be positive"),
     ("halfplane(up)", "bad domain spec 'halfplane': unknown half-plane "
                       "direction 'up'"),
-], ids=["rectangle", "halfplane"])
+    # A signed word reaches the domain's own check, as inf does.
+    ("strip(-inf, 1)", "bad domain spec 'strip': Strip.lo must be finite, "
+                       "got -inf"),
+    ("halfstripcomplement(1, -inf)", "bad domain spec 'halfstripcomplement': "
+     "HalfStripComplement.x0 must be finite, got -inf"),
+], ids=["rectangle", "halfplane", "strip_minus_inf", "halfstrip_minus_inf"])
 def test_bad_domain_parameters_name_the_spec(spec, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_domain(spec)
@@ -444,7 +453,7 @@ def test_bad_map_and_region_recorded_not_fatal(tmp_path):
 experiment = pushforward_check
 domain = rectangle(1, 1)
 start = 0
-map = compose(linear(1), compose(3))
+map = linear(linear(1))
 image = rectangle(1, 1)
 n = 100
 
@@ -462,6 +471,7 @@ n = 100
     assert reports[0]["error"].startswith("ConfigError")
     assert not reports[1]["passed"]
     assert reports[1]["error"].startswith("ConfigError")
+    assert "'linear(1)'" in reports[0]["error"]
     assert "'1e'" in reports[1]["error"]
     assert reports[2]["passed"]
 
@@ -691,15 +701,19 @@ n = 1000
      "start = 2\nregion = abs<2\nkernel = wos\n",
      "ConfigError: bad value for 'domain': bad domain spec "
      "'halfstripcomplement': HalfStripComplement.x0 must be finite, got nan"),
+    ("experiment = harmonic_measure\ndomain = annulus(1, inf)\nstart = 2\n"
+     "region = annulus_inner\nkernel = em\n",
+     "ConfigError: bad value for 'domain': bad domain spec 'annulus': "
+     "Annulus.R must be finite, got inf"),
 ], ids=["disk_center", "disk_radius", "comb_height", "comb_offset",
-        "rectangle_sides", "strip_lines", "halfstrip_x0"])
+        "rectangle_sides", "strip_lines", "halfstrip_x0", "annulus_outer"])
 def test_non_finite_domain_parameters_recorded_not_fatal(tmp_path, section,
                                                          error):
     # Before they were rejected, the comb raised IndexError or
     # PointOutsideDomain, the disk and the NaN half-strip blamed the start,
     # and the disk, the infinite strip and the infinite rectangle walked
     # paths to the step cap (Euler-Maruyama marked the latter two's paths
-    # ok at NaN).
+    # ok at NaN); Euler-Maruyama on the infinite annulus divided inf by inf.
     reports = run(write(tmp_path, "[scenario.bad]\n" + section + BASIC))
     assert reports[0]["error"] == error
     assert not reports[0]["passed"]

@@ -11,7 +11,6 @@ from bmx.disk_time import sample_unit_disk_time
 from bmx.errors import BadParameters, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           ParabolaComplement, Rectangle, Strip, Wedge)
-from bmx.maps import PowerInt
 from bmx.rng import CHUNK_SIZE, RngStream
 from bmx.sim import (EmConfig, ExitBatch, WosConfig, _ChunkDraws,
                      em_exit_batch, sample_disk_exit_batch,
@@ -504,7 +503,7 @@ def test_square_map_sends_disk_exits_to_poisson_kernel():
     n = 50_000
     gen = RngStream(115).substream()
     b = wos_exit_batch(Disk(0j, 1.0), 0.5 + 0j, gen, n)
-    mapped = PowerInt(2).evaluate(b.exit_point)
+    mapped = b.exit_point ** 2
     theta = np.angle(mapped)
     bins = np.linspace(-math.pi, math.pi, 25)
     counts, _ = np.histogram(theta, bins=bins)
