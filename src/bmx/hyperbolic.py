@@ -14,9 +14,13 @@ Edges join every two leaves whose cells touch.  The leaves are sorted
 once in Morton (Z-curve) order, which also numbers the graph's nodes; each
 leaf probes the finest cells past its edge midpoints and corners, computed
 exactly on its integer Morton code, with one ``searchsorted`` per probe
-direction, and each touching pair is kept by exactly one probe.  The int64
-codes hold 31 levels, and a deeper tree (a source very near the boundary)
-raises BadParameters.
+direction, and each touching pair is kept by exactly one probe; a backward
+probe whose answer an earlier leaf's forward probe already found is not
+run.  Probes and edge weights run over blocks of ``_BLOCK`` leaves or
+edges, so their temporaries stay in cache, and the edge arrays are dropped
+once the sparse graph holds them; neither changes a value.  The int64 codes
+hold 31 levels, and a deeper tree (a source very near the boundary) raises
+BadParameters.
 
 Targets are not graph nodes.  A point target is wired to the leaves near
 it, and a circle target |z - source| = R to every leaf whose cell meets the
@@ -114,6 +118,9 @@ _SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
            (1, 0x5555555555555555))   # moves bit b < 32 to bit 2b
 _X_BITS = 0x1555555555555555   # the x bits of a 62-bit Morton code
 _Y_BITS = _X_BITS << 1         # its y bits
+# Leaves per block of neighbor probes and edges per block of weights: a
+# block's arrays stay in a core's L2 cache.  Never changes a result.
+_BLOCK = 16_384
 
 
 def _build_leaves(domain: Domain, source: complex, half: float,
@@ -183,18 +190,23 @@ def _neighbor_pairs(centers, halves, root_center, root_half):
     multiples of s, so it covers the Morton codes [start, start + 4**k),
     start being the interleave of ix and iy.  Leaves are disjoint, so after
     one sort by start the only leaf that can hold a finest cell is the last
-    start at or below its code: one ``searchsorted`` per probe.  A leaf
-    probes the cell just past the middle of each edge and the cell
-    diagonally past each corner, computed exactly on its integer code by
-    dilated arithmetic (Schrack 1992): add s or s/2, or subtract 1, within
-    the x bits and within the y bits.
+    start at or below its code: one ``searchsorted`` per probe direction,
+    over the leaves of one block of ``_BLOCK`` at a time.  A leaf probes the
+    cell just past the middle of each edge and the cell diagonally past
+    each corner, computed exactly on its integer code by dilated arithmetic
+    (Schrack 1992): add s or s/2, or subtract 1, within the x bits and
+    within the y bits.
 
     The probes find every pair of touching leaves: across a shared edge the
     smaller leaf's edge probe lands in the larger, and two leaves that meet
     at a corner land in each other by corner probes.  An edge probe keeps a
     neighbor at least as large as the prober, a corner probe one at most as
     large, and of two leaves of one size the earlier in Morton order keeps
-    the pair, so each pair is found once.  Codes fit an int64 while D <= 31.
+    the pair, so each pair is found once.  A leaf of one size to the W, S
+    or SW is earlier, so the W, S and SW probes keep no pair of equal
+    leaves; they run only for leaves that no earlier leaf of their size has
+    hit with its E, N or NE probe, which leaves the pairs unchanged.  Codes
+    fit an int64 while D <= 31.
     """
     depths = np.round(np.log2(root_half / halves)).astype(np.int64)
     deepest = int(depths.max())
@@ -212,33 +224,50 @@ def _neighbor_pairs(centers, halves, root_center, root_half):
     code = xs | (ys << 1)
     order = np.argsort(code)
     code, ix, iy, size = (v[order] for v in (code, ix, iy, size))
-    xs, ys = code & _X_BITS, code & _Y_BITS
-    span = size * size            # s in the x bits, and the 4**k codes
-    ends = code + span
-    half_span = span >> 2         # s/2 in the x bits (0 when s = 1)
-    # x + s, x + s/2 and x - 1 in the x bits, each with where it stays in
-    # the root box; then the same moves of y in the y bits.
-    x_moves = ((((xs | _Y_BITS) + span) & _X_BITS, ix + size < side),
-               (((xs | _Y_BITS) + half_span) & _X_BITS, True),
-               ((xs - 1) & _X_BITS, ix > 0))
-    y_moves = ((((ys | _X_BITS) + (span << 1)) & _Y_BITS, iy + size < side),
-               (((ys | _X_BITS) + (half_span << 1)) & _Y_BITS, True),
-               ((ys - 2) & _Y_BITS, iy > 0))
-    own = np.arange(code.size)
+    ends = code + size * size
+    # met[i, j]: the leaves that an earlier leaf of their own size has hit
+    # with its forward probe (i, j), NE, E or N, and whose backward probe
+    # (2 - i, 2 - j), SW, W or S, would land back in that leaf.
+    met = {ij: np.zeros(code.size, dtype=bool)
+           for ij in ((0, 0), (0, 1), (1, 0))}
     rows, cols = [], []
-    for (x, x_in), (y, y_in), edge in (
-            (x_moves[i], y_moves[j], 1 in (i, j))
-            for i in range(3) for j in range(3) if (i, j) != (1, 1)):
-        probe = x | y
-        pos = np.searchsorted(code, probe, side="right") - 1
-        hit = x_in & y_in & (pos >= 0) & (probe < ends[pos])
-        # An edge probe (one move of s/2) keeps larger neighbors, a corner
-        # probe smaller ones, and both keep later leaves of their own size.
-        other = size[pos]
-        hit &= ((other > size) if edge else (other < size)) | (
-            (other == size) & (pos > own))
-        rows.append(own[hit])
-        cols.append(pos[hit])
+    for lo in range(0, code.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        s, bx, by = size[block], ix[block], iy[block]
+        xs, ys = code[block] & _X_BITS, code[block] & _Y_BITS
+        span = s * s              # s in the x bits, and the 4**k codes
+        half_span = span >> 2     # s/2 in the x bits (0 when s = 1)
+        # x + s, x + s/2 and x - 1 in the x bits, each with where it stays
+        # in the root box; then the same moves of y in the y bits.
+        x_moves = ((((xs | _Y_BITS) + span) & _X_BITS, bx + s < side),
+                   (((xs | _Y_BITS) + half_span) & _X_BITS, True),
+                   ((xs - 1) & _X_BITS, bx > 0))
+        y_moves = ((((ys | _X_BITS) + (span << 1)) & _Y_BITS, by + s < side),
+                   (((ys | _X_BITS) + (half_span << 1)) & _Y_BITS, True),
+                   ((ys - 2) & _Y_BITS, by > 0))
+        own = np.arange(lo, lo + s.size)
+        # i + j < 2 is a forward probe, i + j > 2 a backward one, and the
+        # forward one of each pair runs first.
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
+                     (2, 2)):
+            (x, x_in), (y, y_in) = x_moves[i], y_moves[j]
+            probe, inside, run = x | y, x_in & y_in, slice(None)
+            if i + j > 2:
+                run = ~met[2 - i, 2 - j][block]
+                probe, inside = probe[run], inside[run]
+            pos = np.searchsorted(code, probe, side="right") - 1
+            hit = inside & (pos >= 0) & (probe < ends[pos])
+            # An edge probe (one move of s/2) keeps larger neighbors, a
+            # corner probe smaller ones, and both keep later leaves of
+            # their own size.
+            other, mine, prober = size[pos], s[run], own[run]
+            same = other == mine
+            hit &= ((other > mine) if 1 in (i, j) else (other < mine)) | (
+                same & (pos > prober))
+            if i + j < 2:
+                met[i, j][pos[hit & same]] = True
+            rows.append(prober[hit])
+            cols.append(pos[hit])
     return order, np.concatenate(rows), np.concatenate(cols)
 
 
@@ -270,18 +299,24 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
     from scipy.sparse import coo_matrix
     centers, halves = _build_leaves(domain, a, box_half, factor, min_cell,
                                     rel_floor, prune, budget)
-    order, *pairs = _neighbor_pairs(centers, halves, a, box_half)
+    order, rows, cols = _neighbor_pairs(centers, halves, a, box_half)
     centers, halves = centers[order], halves[order]
+    weights = np.empty(rows.size)
+    for lo in range(0, rows.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        weights[block] = _segment_weight(domain, centers[rows[block]],
+                                         centers[cols[block]])
     src, src_w = _connect_point(domain, a, centers, halves)
-    rows = np.concatenate([1 + pairs[0], np.zeros(src.size, dtype=np.int64)])
-    cols = np.concatenate([1 + pairs[1], 1 + src])
-    weights = np.concatenate([
-        _segment_weight(domain, centers[pairs[0]], centers[pairs[1]]), src_w])
+    rows = np.concatenate([1 + rows, np.zeros(src.size, dtype=np.int64)])
+    cols = np.concatenate([1 + cols, 1 + src])
+    weights = np.concatenate([weights, src_w])
     ok = np.isfinite(weights)
     n = 1 + centers.size
     graph = coo_matrix((weights[ok], (rows[ok], cols[ok])), shape=(n, n))
+    del rows, cols, weights, ok   # the graph holds the edges from here on
+    graph = graph.tocsr()
     solver = sys.modules[__name__].dijkstra   # through __getattr__ at first
-    dist = solver(graph.tocsr(), directed=False, indices=0)[1:]
+    dist = solver(graph, directed=False, indices=0)[1:]
 
     rad = np.abs(centers - a)
     values = np.empty(len(targets))
@@ -351,8 +386,11 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
             break
         prev, values = values, np.minimum(values, round_values)
         history.append(values)
-        if round_idx and np.max(np.abs(values - prev) / np.maximum(
-                np.abs(values), 1e-30)) <= _REFINE_TARGET:
+        # A target no round has reached yet is not converged; comparing only
+        # finite values keeps inf - inf out of the stop test.
+        if round_idx and np.all(np.isfinite(values)) and np.max(
+                np.abs(values - prev) / np.maximum(np.abs(values), 1e-30)
+        ) <= _REFINE_TARGET:
             break
     if not np.all(np.isfinite(values)):
         raise TargetUnreachable("no grid path reached every target")

@@ -603,6 +603,27 @@ r_schedule = 10 inf
     assert reports[1]["passed"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_unreachable_hardy_radii_recorded_not_fatal(tmp_path):
+    # No circle about 0.2 of radius 2 or 5 meets the unit disk.  The
+    # refinement's stop test compared inf with inf, and under warnings as
+    # errors the whole run ended in a traceback.
+    cfg = """
+[scenario.unreachable]
+experiment = hardy
+domain = disk(0, 1)
+a = 0.2
+r_schedule = 2 5
+""" + BASIC
+    reports = run(write(tmp_path, cfg))
+    assert [r["scenario"]["name"] for r in reports] == ["unreachable",
+                                                        "square"]
+    assert reports[0]["error"] == ("TargetUnreachable: no grid path reached "
+                                   "every target")
+    assert not reports[0]["passed"]
+    assert reports[1]["passed"]
+
+
 def test_hardy_without_graph_keys_is_the_library_default(tmp_path):
     # The schema once restated the graph defaults as its own text, and the
     # scenario fitted 5.7644 after 3 rounds where the bare call fitted
