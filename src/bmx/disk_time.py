@@ -24,7 +24,6 @@ loudly.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -195,6 +194,7 @@ class UnitDiskExitSampler:
 
     def table_checksum(self) -> str:
         """SHA-256 over the knot arrays; pins the table build bit-for-bit."""
+        import hashlib   # here, not at import: it loads OpenSSL's libcrypto
         h = hashlib.sha256()
         h.update(self._u_knots.tobytes())
         h.update(self._t_knots.tobytes())

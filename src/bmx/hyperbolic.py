@@ -17,9 +17,12 @@ exactly on its integer Morton code, with one ``searchsorted`` per probe
 direction, and each touching pair is kept by exactly one probe; a backward
 probe whose answer an earlier leaf's forward probe already found is not
 run.  Probes and edge weights run over blocks of ``_BLOCK`` leaves or
-edges, so their temporaries stay in cache, and the edge arrays are dropped
-once the sparse graph holds them; neither changes a value.  The int64 codes
-hold 31 levels, and a deeper tree (a source very near the boundary) raises
+edges, so their temporaries stay in cache.  A round holds only what its
+graph needs: edge indices are int32 (``QhConfig`` keeps ``max_nodes`` below
+2**31 - 1), each whole-leaf or whole-edge array is replaced rather than
+copied beside its source, and the edge arrays are dropped once the sparse
+graph holds them; none of this changes a value.  The int64 codes hold 31
+levels, and a deeper tree (a source very near the boundary) raises
 BadParameters.
 
 Targets are not graph nodes.  A point target is wired to the leaves near
@@ -106,6 +109,10 @@ class QhConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise BadParameters(f"QhConfig.{name} must be finite and "
                                     f"non-negative, got {value!r}")
+        # The graph numbers its nodes 0..max_nodes in int32.
+        if not self.max_nodes < 2**31 - 1:
+            raise BadParameters(f"QhConfig.max_nodes must be below "
+                                f"2**31 - 1, got {self.max_nodes!r}")
         if not self.max_rounds >= 1:
             raise BadParameters(f"QhConfig.max_rounds must be at least 1, "
                                 f"got {self.max_rounds!r}")
@@ -222,8 +229,13 @@ def _neighbor_pairs(centers, halves, root_center, root_half):
         xs = (xs | (xs << step)) & mask
         ys = (ys | (ys << step)) & mask
     code = xs | (ys << 1)
+    del depths, xs, ys
     order = np.argsort(code)
-    code, ix, iy, size = (v[order] for v in (code, ix, iy, size))
+    # One array at a time, each sorted copy in place of its unsorted one.
+    code = code[order]
+    ix = ix[order]
+    iy = iy[order]
+    size = size[order]
     ends = code + size * size
     # met[i, j]: the leaves that an earlier leaf of their own size has hit
     # with its forward probe (i, j), NE, E or N, and whose backward probe
@@ -266,9 +278,10 @@ def _neighbor_pairs(centers, halves, root_center, root_half):
                 same & (pos > prober))
             if i + j < 2:
                 met[i, j][pos[hit & same]] = True
-            rows.append(prober[hit])
-            cols.append(pos[hit])
-    return order, np.concatenate(rows), np.concatenate(cols)
+            rows.append(prober[hit].astype(np.int32))
+            cols.append(pos[hit].astype(np.int32))
+    rows = np.concatenate(rows)   # and the row pieces go
+    return order, rows, np.concatenate(cols)
 
 
 def _segment_weight(domain, p, q):
@@ -306,13 +319,20 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
         block = slice(lo, lo + _BLOCK)
         weights[block] = _segment_weight(domain, centers[rows[block]],
                                          centers[cols[block]])
-    src, src_w = _connect_point(domain, a, centers, halves)
-    rows = np.concatenate([1 + rows, np.zeros(src.size, dtype=np.int64)])
-    cols = np.concatenate([1 + cols, 1 + src])
-    weights = np.concatenate([weights, src_w])
+    # Infinite weights are no edges; node 0 is the source, wired last.
     ok = np.isfinite(weights)
+    rows = rows[ok]
+    rows += 1
+    cols = cols[ok]
+    cols += 1
+    weights = weights[ok]
+    src, src_w = _connect_point(domain, a, centers, halves)
+    ok = np.isfinite(src_w)
+    rows = np.concatenate([rows, np.zeros(np.sum(ok), dtype=np.int32)])
+    cols = np.concatenate([cols, (1 + src[ok]).astype(np.int32)])
+    weights = np.concatenate([weights, src_w[ok]])
     n = 1 + centers.size
-    graph = coo_matrix((weights[ok], (rows[ok], cols[ok])), shape=(n, n))
+    graph = coo_matrix((weights, (rows, cols)), shape=(n, n))
     del rows, cols, weights, ok   # the graph holds the edges from here on
     graph = graph.tocsr()
     solver = sys.modules[__name__].dijkstra   # through __getattr__ at first

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,12 +61,17 @@ class KoebeParabola(AnalyticMap):
 # Circular L^p means and Hardy norms
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The 15 Gauss-Legendre nodes and weights, computed on first use so
+    that ``import bmx`` does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(15)
 
 
 def _panel_value(f, lo, hi):
+    nodes, weights = _gauss_legendre()
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
+    return half * float(np.sum(weights * f(mid + half * nodes)))
 
 
 def adaptive_quadrature(f, lo: float, hi: float, abs_tol: float = 1e-10,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,9 +35,12 @@ N_BATCH_MEANS = 32
 # Share of the largest exit times behind every moment's Hill tail index.
 _TAIL_FRACTION = 0.05
 _MIN_TAIL = 25   # the fewest of them it is fitted to
-# Draws per block of the Cauchy identities; bounds their working memory,
-# never changes a result.
+# Draws per block of the Cauchy identities, and the longest run their
+# stderrs reduce at once; bounds their working memory, never changes a
+# result.
 _CAUCHY_BLOCK = 65_536
+# numpy sums up to this many float64 values in one unrolled loop, unsplit.
+_PAIRWISE_LEAF = 128
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,9 @@ def run_exits(domain: Domain, start: complex, n: int,
     payloads = [(domain, start, ranges[g[-1]][1] - ranges[g[0]][0], cfg,
                  rng, g) for g in _chunk_groups(len(ranges), workers)]
     if workers > 1 and len(payloads) > 1:
+        # Imported here: the process pool loads multiprocessing, which a
+        # one-worker run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(payloads))) as pool:
             parts = list(pool.map(_group_task, payloads))
@@ -426,11 +431,35 @@ class IdentityCheck:
         return max(off_re, off_im)
 
 
+def _tree_sum(x, leaf=np.sum):
+    """np.sum(x) of a 1-D float64 array bit for bit, as ``leaf`` summed
+    over subtrees of numpy's pairwise summation (Higham 1993) at most
+    max(_CAUCHY_BLOCK, _PAIRWISE_LEAF) long.  numpy splits a run of n >
+    _PAIRWISE_LEAF values at n//2 rounded down to a multiple of 8, a rule
+    that depends on n alone, so the subtrees are known without the data."""
+    n = x.size
+    if n <= max(_CAUCHY_BLOCK, _PAIRWISE_LEAF):
+        return leaf(x)
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(x[:half], leaf) + _tree_sum(x[half:], leaf)
+
+
+def _std(x):
+    """np.std(x, ddof=1) bit for bit, with no temporary longer than a
+    subtree: the mean and the sum of squared deviations both reduce on
+    numpy's own tree, then divide by n - 1 and take np.sqrt as np.var and
+    np.std do."""
+    n = x.size
+    mean = _tree_sum(x) / n
+    squares = _tree_sum(x, lambda run: np.sum(np.square(run - mean)))
+    return np.sqrt(squares / (n - 1))
+
+
 def _complex_mean_check(name, values, target, n) -> IdentityCheck:
     return IdentityCheck(
         name=name, target=complex(target), mean=complex(np.mean(values)),
-        stderr_re=float(np.std(values.real, ddof=1) / math.sqrt(n)),
-        stderr_im=float(np.std(values.imag, ddof=1) / math.sqrt(n)), n=n)
+        stderr_re=float(_std(values.real) / math.sqrt(n)),
+        stderr_im=float(_std(values.imag) / math.sqrt(n)), n=n)
 
 
 def verify_cauchy_identities(gamma: complex, alpha_mobius: complex,
@@ -450,10 +479,11 @@ def verify_cauchy_identities(gamma: complex, alpha_mobius: complex,
     and writes each block's integrand into one n-long complex buffer that
     the three identities share; ``standard_cauchy`` fills its output one
     value at a time, so the blocks are the draws of a single call.  Working
-    memory is about 24 bytes per draw: the buffer, then the real temporary
-    of ``np.std``.  The mean and the stderrs still reduce the whole buffer,
-    because summing per block would change numpy's pairwise-summation tree
-    and so the last digits of every result.
+    memory is about 16 bytes per draw, the buffer alone.  The stderrs
+    reduce it one subtree of numpy's pairwise summation at a time (see
+    _tree_sum): numpy's tree depends on n alone, so summing its subtrees
+    in its own order gives ``np.std(ddof=1)`` bit for bit without the
+    n-long temporary of the squared deviations.
     """
     gamma = complex(gamma)
     am = complex(alpha_mobius)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bmx import hyperbolic
+from bmx.disk_time import get_sampler
 from bmx.errors import (BadParameters, NodeBudgetExceeded, PointOutsideDomain,
                         TargetUnreachable)
 from bmx.geometry import (Annulus, Disk, HalfPlane, KoebeSlit, Rectangle,
@@ -155,12 +156,14 @@ def test_degenerate_hardy_schedule_is_rejected(domain, a, radii, error):
     ("min_cell", 0.0), ("min_cell", -1.0), ("min_cell", math.nan),
     ("min_cell", math.inf), ("rel_floor", -0.02), ("rel_floor", math.nan),
     ("rel_floor", math.inf), ("prune_clearance", -0.1),
-    ("prune_clearance", math.nan), ("prune_clearance", math.inf)])
+    ("prune_clearance", math.nan), ("prune_clearance", math.inf),
+    ("max_nodes", 2**31 - 1), ("max_nodes", 2**31)])
 def test_degenerate_qh_config_is_rejected(field, value):
     # cell_factor = 0 would split cells forever, since the node budget
     # counts only leaves, and a zero or NaN floor splits boundary cells
     # forever; either was reported as a max_nodes overrun.  No round at all
-    # would blame an unreachable target.
+    # would blame an unreachable target, and a graph of 2**31 nodes would
+    # wrap its int32 indices.
     with pytest.raises(BadParameters,
                        match=rf"^QhConfig\.{field} must .*, got {value!r}$"):
         QhConfig(**{field: value})
@@ -186,6 +189,28 @@ def test_scipy_loads_with_the_first_graph():
         bmx.quasi_hyperbolic_distance(bmx.Disk(0j, 1.0), 0j, 0.5 + 0j)
         import scipy.sparse.csgraph
         assert bmx.hyperbolic.dijkstra is scipy.sparse.csgraph.dijkstra
+    """)
+    src = str(Path(hyperbolic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_loads_no_pool_openssl_or_polynomial():
+    # A one-worker run needs no process pool, and the table checksum and
+    # the Gauss-Legendre nodes load hashlib (OpenSSL's libcrypto) and
+    # numpy.polynomial only when first used.  The checksum, imported late,
+    # is still the one test_disk_time pins.
+    pinned = get_sampler().table_checksum()
+    code = textwrap.dedent(f"""
+        import sys
+        import bmx, bmx.cli
+        bmx.get_sampler()
+        bmx.cli.parse_config({str(BATTERY)!r})
+        banned = ("hashlib", "_hashlib", "concurrent.futures.process",
+                  "multiprocessing", "numpy.polynomial")
+        loaded = [m for m in banned if m in sys.modules]
+        assert not loaded, loaded
+        assert bmx.get_sampler().table_checksum() == {pinned!r}
     """)
     src = str(Path(hyperbolic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -448,8 +473,10 @@ def test_hardy_benchmark_profiles_are_pinned():
 def test_wedge_profile_working_set():
     # The wedge_hardy benchmark profile, whose last round has 145,344 leaves
     # and 575,407 edges.  Its traced peak was 79 MB when each edge pass ran
-    # over whole-graph arrays and the edge arrays outlived the graph; in
-    # blocks it is 37.5 MB.
+    # over whole-graph arrays and the edge arrays outlived the graph, and
+    # 37.5 MB in blocks; with int32 edge indices, and each whole-leaf or
+    # whole-edge array replaced rather than copied beside its source, it
+    # is 21.4 MB.
     targets = [CircleTarget(R) for R in (10, 31.6, 100, 316, 1000)]
     # Import scipy.sparse first: its modules (16 MB traced) are not the
     # graph's working set.
@@ -460,7 +487,7 @@ def test_wedge_profile_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 45e6
+    assert peak <= 26e6
 
 
 def test_tree_deeper_than_morton_keys_is_rejected():

@@ -199,7 +199,9 @@ def inline_pool(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr("bmx.stats.ProcessPoolExecutor", InlineExecutor)
+    # run_exits imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        InlineExecutor)
     return sizes
 
 
@@ -428,16 +430,41 @@ def test_cauchy_blocks_equal_one_shot_draws():
 
 
 def test_cauchy_memory_is_bounded_per_draw():
-    # The shared complex buffer (16 B) and np.std's real temporary (8 B);
-    # five full-length complex temporaries per identity took 80 B.
-    n = 400_000
-    tracemalloc.start()
-    try:
-        verify_cauchy_identities(2j, 1j, 0.5, 1.0, n, RngStream(230))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * n
+    # Each further draw costs the shared complex buffer's 16 B and no more;
+    # np.std's real temporary made it 24 B, and five full-length complex
+    # temporaries per identity 80 B.  The blocks' own temporaries do not
+    # grow with n, so the slope between two sizes leaves them out.
+    peaks = []
+    for n in (400_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            verify_cauchy_identities(2j, 1j, 0.5, 1.0, n, RngStream(230))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 17 * 1_600_000
+
+
+@pytest.mark.parametrize("block", [stats._CAUCHY_BLOCK, 97, 1000])
+def test_tree_sum_and_std_are_numpys_bit_for_bit(monkeypatch, block):
+    # numpy's pairwise-summation tree depends on n alone, so the sum over
+    # its subtrees is np.sum and _std is np.std(ddof=1) exactly: on
+    # contiguous arrays and on the strided real and imaginary views, with
+    # leaves shorter or longer than numpy's unsplit 128, around one block
+    # and three, and at 2 block + 22, where (n // 2) % 8 is not 0 and
+    # numpy's first split rounds down.
+    monkeypatch.setattr(stats, "_CAUCHY_BLOCK", block)
+    gen = np.random.default_rng(block)
+    for n in (1, 2, 8, 9, 127, 128, 129, 1000, 4100, block - 1, block,
+              block + 1, 3 * block + 5, 2 * block + 22):
+        z = gen.standard_cauchy(n) + 1j * gen.standard_cauchy(n)
+        for x in (z.real, z.imag, z.real.copy()):
+            assert stats._tree_sum(x) == np.sum(x), n
+            if n == 1:   # no spread: nan, as from np.std
+                with np.errstate(all="ignore"):
+                    assert math.isnan(stats._std(x))
+                continue
+            assert stats._std(x) == np.std(x, ddof=1), n
 
 
 @pytest.mark.parametrize("gamma, am, lam, name", [
