@@ -12,7 +12,10 @@ F(t) ~ A t^{-1/2} exp(-1/(2t)), with A fixed by continuity at the switch
 point.  Sampling is by inverse CDF: a monotone-cubic table over 4096 knots
 covers the bulk, the left tail is inverted by bisection on the asymptotic
 form, and the right tail (where only the leading series term survives)
-analytically.
+analytically.  A draw u finds its table interval without a binary search:
+the bit pattern of its odds u / (1 - u) indexes a bucket over logit(u),
+fine enough that a bucket holds at most one knot, and one compare with
+that knot gives ``searchsorted(u_knots, u, "right") - 1`` exactly.
 
 The Bessel values j_k and J_1(j_k) are pinned module constants and the
 monotone cubic is a port of scipy's (``_MonotoneCubic``), so this module
@@ -24,6 +27,7 @@ loudly.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +36,7 @@ N_TERMS = 50
 T_SWITCH = 0.05      # below: saddlepoint form; above: 50-term series
 T_SINGLE = 3.0       # above: only the leading series term survives in float64
 N_KNOTS = 4096
+_ODDS_BITS = 9       # mantissa bits per logit bucket: one knot at most
 
 # The first N_TERMS positive zeros j_k of J_0 and the values J_1(j_k), as
 # scipy.special's jn_zeros(0, 50) and j1 give them; each repr round-trips
@@ -117,12 +122,30 @@ class _MonotoneCubic:
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
     def __call__(self, u):
-        i = np.minimum(np.searchsorted(self.x, u, "right") - 1,
-                       self.x.size - 2)
-        s = u - self.x[i]
+        return self.on_intervals(u, np.minimum(
+            np.searchsorted(self.x, u, "right") - 1, self.x.size - 2))
+
+    def on_intervals(self, u, i):
+        """The interpolant at the points of the 1-d array u, each on its
+        interval i, in the power-basis order above.  The coefficients are
+        gathered from the rows of ``c``, four contiguous arrays, into one
+        reused buffer."""
+        c0, c1, c2, c3 = self.c
+        s = np.take(self.x, i)
+        np.subtract(u, s, out=s)
         s2 = s * s
-        c0, c1, c2, c3 = self.c[:, i]
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        out = np.take(c2, i)
+        out *= s
+        term = np.take(c3, i)
+        out += term
+        np.take(c1, i, out=term)
+        term *= s2
+        out += term
+        s2 *= s
+        np.take(c0, i, out=term)
+        term *= s2
+        out += term
+        return out
 
 
 class UnitDiskExitSampler:
@@ -142,6 +165,21 @@ class UnitDiskExitSampler:
         self._interp = _MonotoneCubic(u_knots, t_knots)
         self._u_lo = u_knots[0]
         self._u_hi = u_knots[-1]
+        # Buckets over logit(u): the bits of the odds u / (1 - u), a
+        # positive double, order as u does, so its binary exponent and
+        # leading _ODDS_BITS mantissa bits number buckets of logit(u), each
+        # under 2**-_ODDS_BITS of a binade of the odds wide.  At most one
+        # knot lies in a bucket: every knot of a lower bucket lies below u,
+        # every knot of a higher one above, and one compare with the
+        # bucket's own knot (_next, or the next knot up) settles the rest.
+        keys = self._odds_bits(u_knots)
+        self._key_lo = keys[0]
+        counts = np.bincount(keys - self._key_lo)
+        if counts.max() > 1:
+            raise RuntimeError("a logit bucket holds more than one knot")
+        below = np.cumsum(counts) - counts        # knots in lower buckets
+        self._below = below - 1
+        self._next = u_knots[below]
         # F(t) ~ tail_amp * t^{-1/2} exp(-1/(2t)) for small t, glued at the
         # switch point so the assembled CDF is continuous.
         self._tail_amp = self._u_lo * np.sqrt(T_SWITCH) * np.exp(1.0 / (2 * T_SWITCH))
@@ -159,15 +197,45 @@ class UnitDiskExitSampler:
         """E[T] = integral of the survival function, term by term."""
         return float(np.sum(self._coeffs / self._rates))
 
+    @staticmethod
+    def _odds_bits(u):
+        """The odds u / (1 - u) as int64 bit patterns, shifted down to the
+        binary exponent and leading _ODDS_BITS mantissa bits."""
+        odds = np.subtract(1.0, u)
+        np.divide(u, odds, out=odds)
+        key = odds.view(np.int64)
+        key >>= 52 - _ODDS_BITS
+        return key
+
+    def _interval(self, u):
+        """``searchsorted(u_knots, u, "right") - 1`` for u in [0, 1): the
+        index of the last knot at or below u, -1 below the table."""
+        b = self._odds_bits(u)
+        b -= self._key_lo
+        np.clip(b, 0, self._below.size - 1, out=b)
+        i = self._below[b]
+        i += self._next[b] <= u
+        return i
+
     def _invert_left_tail(self, u):
         lo = np.full(u.shape, 1e-6)
         hi = np.full(u.shape, T_SWITCH)
-        for _ in range(80):
+        # At most 80 halvings.  Once a halving leaves lo and hi as they
+        # were, every later one would too, so the loop stops there.  No
+        # bracket settles before its width falls to the float spacing at
+        # T_SWITCH, 52.7 halvings in, so the test starts there; a later
+        # stop would change no bit either.
+        settle = int(math.log2((T_SWITCH - 1e-6) / math.ulp(T_SWITCH)))
+        for k in range(80):
             mid = 0.5 * (lo + hi)
             f = self._tail_amp / np.sqrt(mid) * np.exp(-1.0 / (2.0 * mid))
             small = f < u
-            lo = np.where(small, mid, lo)
-            hi = np.where(small, hi, mid)
+            new_lo = np.where(small, mid, lo)
+            new_hi = np.where(small, hi, mid)
+            if (k >= settle and (new_lo == lo).all()
+                    and (new_hi == hi).all()):
+                break
+            lo, hi = new_lo, new_hi
         return 0.5 * (lo + hi)
 
     def _invert_right_tail(self, u):
@@ -175,19 +243,20 @@ class UnitDiskExitSampler:
         return np.log(self._coeffs[0] / (1.0 - u)) / self._rates[0]
 
     def ppf(self, u):
-        """Quantile function, vectorized over u in (0, 1)."""
+        """Quantile function, vectorized over u in (0, 1).  The table is
+        evaluated at every u, and the tails then overwrite their own."""
         u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        left = u < self._u_lo
-        right = u > self._u_hi
-        mid = ~(left | right)
-        if np.any(mid):
-            out[mid] = self._interp(u[mid])
+        flat = u.ravel()
+        i = self._interval(flat)
+        np.clip(i, 0, N_KNOTS - 2, out=i)
+        out = self._interp.on_intervals(flat, i)
+        left = flat < self._u_lo
         if np.any(left):
-            out[left] = self._invert_left_tail(u[left])
+            out[left] = self._invert_left_tail(flat[left])
+        right = flat > self._u_hi
         if np.any(right):
-            out[right] = self._invert_right_tail(u[right])
-        return out
+            out[right] = self._invert_right_tail(flat[right])
+        return out.reshape(u.shape)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return self.ppf(gen.random(n))

@@ -467,16 +467,17 @@ class Wedge(Domain):
         return p, _generic_codes(p)
 
     def first_boundary_crossing(self, z0, z1):
+        # Both rays in one broadcast pass: row k turns ray k onto the
+        # positive real axis, and the first crossing is the least over rows.
         z0, z1 = _asarr(z0), _asarr(z1)
         half = self.theta / 2
-        s = np.full(z0.shape, np.inf)
-        for phi in [half] if self.theta == 2 * math.pi else [half, -half]:
-            w0 = z0 * np.exp(-1j * phi)
-            w1 = z1 * np.exp(-1j * phi)
-            f = _line_crossing_fraction(w0.imag, w1.imag)
-            dx = w1.real - w0.real
-            xc = w0.real + np.where(np.isfinite(f), f, 0.0) * dx
-            s = np.minimum(s, np.where(xc >= 0.0, f, np.inf))
+        phis = [half] if self.theta == 2 * math.pi else [half, -half]
+        turn = np.array([np.exp(-1j * phi) for phi in phis]).reshape(
+            (-1,) + (1,) * z0.ndim)
+        w0, w1 = z0 * turn, z1 * turn
+        f = _line_crossing_fraction(w0.imag, w1.imag)
+        xc = w0.real + np.where(np.isfinite(f), f, 0.0) * (w1.real - w0.real)
+        s = np.where(xc >= 0.0, f, np.inf).min(axis=0)
         return _end_guard(self, z1, s)
 
 

@@ -314,6 +314,7 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
                                     rel_floor, prune, budget)
     order, rows, cols = _neighbor_pairs(centers, halves, a, box_half)
     centers, halves = centers[order], halves[order]
+    del order   # nothing reads it once the leaves are sorted
     weights = np.empty(rows.size)
     for lo in range(0, rows.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)

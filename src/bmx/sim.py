@@ -7,12 +7,16 @@ paths from one start, ``(start, gen, n)``, per numpy sweep and returns one
 every option from their config, and take one generator, or one per chunk
 of :func:`~bmx.rng.chunk_ranges`: the chunks then advance in lockstep,
 sharing every geometry call of a sweep, while each draws from its own
-generator exactly what a call on that chunk alone would draw.  A path that
-exits records where it left (the shell point, or the crossing point of its
-last step), and after the loop one :meth:`Domain.exit_points` query per
-call turns every record into its nearest boundary point and label; a
-piece-table domain reads both from one nearest-piece search.  The query is
-pointwise, so its result does not depend on which sweep an exit came from.
+generator exactly what a call on that chunk alone would draw.  A sweep
+draws into buffers allocated once per call and moves its paths in place,
+with no complex temporary, by the arithmetic of the plain formulas
+z + r e^{i theta} and z + sqrt(dt) (g0 + i g1), so every bit is theirs.
+A path that exits records where it left (the shell point, or the crossing
+point of its last step), and after the loop one :meth:`Domain.exit_points`
+query per call turns every record into its nearest boundary point and
+label; a piece-table domain reads both from one nearest-piece search.  The
+query is pointwise, so its result does not depend on which sweep an exit
+came from.
 Walk-on-spheres draws the exit law exactly, so it also serves the CLI's
 pushforward check, which maps exit points only.  Walk-on-spheres can also
 mark each path's arrival at the vertical line ``WosConfig.mark_line_re``
@@ -170,14 +174,19 @@ class _ChunkDraws:
 
     ``gen`` is one generator for all ``n`` paths, or a sequence with one
     generator per chunk of ``chunk_ranges(n)``.  :meth:`split` takes the
-    sorted indices of the paths still live; each draw method then draws
-    every chunk's share from that chunk's generator, in path order, and
-    concatenates the shares, so each generator draws exactly what a call on
-    its chunk alone would.  The size argument of a draw method is the live
+    sorted indices of the paths still live and cuts them into each chunk's
+    share ``(generator, lo, hi)``: the live paths ``lo:hi`` of the sweep,
+    empty chunks left out.  Each draw method fills every share's slice of a
+    buffer allocated once for ``n`` paths from that share's generator, in
+    path order, and returns the buffer's live part, so each generator draws
+    exactly what a call on its chunk alone would.  The next draw of the same
+    kind overwrites it.  The size argument of a draw method is the live
     count and is implied by the split.
     """
 
     def __init__(self, gen, n):
+        self._u = np.empty(n)
+        self._g = np.empty((2, n))
         if isinstance(gen, np.random.Generator):
             self._gens = [gen]
             self._bounds = np.empty(0, dtype=np.int64)
@@ -191,21 +200,24 @@ class _ChunkDraws:
 
     def split(self, idx):
         cuts = [0, *np.searchsorted(idx, self._bounds).tolist(), idx.size]
-        self._shares = [(g, hi - lo) for g, lo, hi
+        self._live = idx.size
+        self._shares = [(g, lo, hi) for g, lo, hi
                         in zip(self._gens, cuts, cuts[1:]) if hi > lo]
 
-    def _each(self, draw):
-        parts = [draw(g, m) for g, m in self._shares]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-    def uniform(self, low, high, size):
-        return self._each(lambda g, m: g.uniform(low, high, m))
-
     def random(self, size):
-        return self._each(lambda g, m: g.random(m))
+        """Each share's ``random(m)``."""
+        u = self._u[:self._live]
+        for g, lo, hi in self._shares:
+            g.random(out=u[lo:hi])
+        return u
 
     def standard_normal(self, size):
-        return self._each(lambda g, m: g.standard_normal((*size[:-1], m)))
+        """Each share's ``standard_normal((2, m))``, row 0 drawn first."""
+        g2 = self._g[:, :self._live]
+        for g, lo, hi in self._shares:
+            g.standard_normal(out=g2[0, lo:hi])
+            g.standard_normal(out=g2[1, lo:hi])
+        return g2
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +263,7 @@ def wos_exit_batch(domain: Domain, start: complex,
     idx = np.arange(n)
     z = np.full(n, start)
     t = np.zeros(n) if cfg.with_time else None
+    jumps = np.empty(n, dtype=complex)
     step = 0
     while idx.size:
         d = r = domain.boundary_distance(z)
@@ -279,11 +292,20 @@ def wos_exit_batch(domain: Domain, start: complex,
         if step >= cfg.max_steps:
             steps[idx] = step
             break
+        # z + r e^{i theta}, theta = 2 pi u, the bits of uniform(0, 2 pi):
+        # exp of (0, theta), both parts scaled by r, added to z in place.
         draws.split(idx)
-        theta = draws.uniform(0.0, 2 * math.pi, idx.size)
-        z = z + r * np.exp(1j * theta)
+        jump = jumps[:idx.size]
+        jump.real = 0.0
+        np.multiply(draws.random(idx.size), 2 * math.pi, out=jump.imag)
+        np.exp(jump, out=jump)
+        jump.real *= r
+        jump.imag *= r
+        z += jump
         if t is not None:
-            t = t + r ** 2 * sample_unit_disk_time(draws, idx.size)
+            tau = sample_unit_disk_time(draws, idx.size)
+            tau *= r ** 2
+            t += tau
         step += 1
 
     exit_pt[ok], labels[ok] = domain.exit_points(exit_pt[ok])
@@ -332,29 +354,37 @@ def em_exit_batch(domain: Domain, start: complex,
         d = domain.boundary_distance(z)
         # Relative floor keeps the clock strictly increasing during
         # near-boundary crawls at float resolution.
-        dt = np.maximum(cfg.c * d * d, 1e-18)
-        dt = np.maximum(dt, 4e-16 * t)
+        dt = cfg.c * d
+        dt *= d
+        np.maximum(dt, 1e-18, out=dt)
+        np.maximum(dt, 4e-16 * t, out=dt)
+        # z + sqrt(dt) (g0 + i g1), one real add per part.
         draws.split(idx)
         g = draws.standard_normal((2, idx.size))
-        z1 = z + np.sqrt(dt) * (g[0] + 1j * g[1])
+        g *= np.sqrt(dt)
+        z1 = np.empty_like(z)
+        np.add(z.real, g[0], out=z1.real)
+        np.add(z.imag, g[1], out=z1.imag)
 
         # A step shorter than the clearance d stays in the open disk of
         # radius d about z; a NaN step still reaches the crossing rule.
-        s = np.full(idx.size, np.inf)
-        near = ~(np.abs(z1 - z) < d)
-        if np.any(near):
-            s[near] = domain.first_boundary_crossing(z[near], z1[near])
-        finished = np.isfinite(s)
-        if np.any(finished):
-            done = idx[finished]
-            z0, sf = z[finished], s[finished]
-            exit_pt[done] = z0 + (z1[finished] - z0) * sf
-            exit_t[done] = t[finished] + sf * dt[finished]
+        near = np.flatnonzero(~(np.abs(z1 - z) < d))
+        s = (domain.first_boundary_crossing(z[near], z1[near]) if near.size
+             else np.empty(0))
+        crossed = np.isfinite(s)
+        if np.any(crossed):
+            fin, sf = near[crossed], s[crossed]
+            done = idx[fin]
+            z0 = z[fin]
+            exit_pt[done] = z0 + (z1[fin] - z0) * sf
+            exit_t[done] = t[fin] + sf * dt[fin]
             ok[done] = True
             steps[done] = step
-            keep = ~finished
+            keep = np.ones(idx.size, dtype=bool)
+            keep[fin] = False
             idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
-        z, t = z1, t + dt
+        z = z1
+        t += dt
         if step >= cfg.max_steps:
             steps[idx] = step
             break

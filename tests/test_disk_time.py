@@ -4,8 +4,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import j1, jn_zeros
 
-from bmx.disk_time import (J0_ZEROS, J1_AT_ZEROS, N_TERMS, _MonotoneCubic,
-                           get_sampler, sample_unit_disk_time)
+from bmx.disk_time import (J0_ZEROS, J1_AT_ZEROS, N_TERMS, T_SWITCH,
+                           _MonotoneCubic, get_sampler, sample_unit_disk_time)
 from bmx.rng import RngStream
 
 # Pins the table build from the pinned Bessel constants bit for bit; a
@@ -95,3 +95,78 @@ def test_monotone_cubic_shape_guards_match_scipy():
         assert np.array_equal(ours.c, ref.c)
         u = np.concatenate([np.linspace(x[0], x[-1], 10_001), x])
         assert np.array_equal(ours(u), ref(u))
+
+
+def _knots_and_neighbours(x):
+    """Every knot, both float neighbours of each, and the table ends."""
+    return np.concatenate([x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf), [x[0], x[-1]]])
+
+
+def test_bucketed_interval_is_searchsorted():
+    # The logit-bucket lookup gives searchsorted's interval on the knots,
+    # next to them, at the table ends, on uniforms and at u = 0.
+    s = get_sampler()
+    x = s._u_knots
+    gen = RngStream(42).substream()
+    u = np.concatenate([_knots_and_neighbours(x), gen.random(1_000_000),
+                        [0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(s._interval(u), np.searchsorted(x, u, "right") - 1)
+
+
+def _left_tail_80_steps(s, u):
+    """The left-tail bisection with all 80 halvings."""
+    lo = np.full(u.shape, 1e-6)
+    hi = np.full(u.shape, T_SWITCH)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f = s._tail_amp / np.sqrt(mid) * np.exp(-1.0 / (2.0 * mid))
+        small = f < u
+        lo = np.where(small, mid, lo)
+        hi = np.where(small, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _ppf_searchsorted(s, u):
+    """The quantile function with a binary search for the interval, the
+    coefficients read column by column, and 80 left-tail halvings."""
+    out = np.empty(u.shape)
+    left = u < s._u_lo
+    right = u > s._u_hi
+    mid = ~(left | right)
+    x, c = s._interp.x, s._interp.c
+    i = np.minimum(np.searchsorted(x, u[mid], "right") - 1, x.size - 2)
+    d = u[mid] - x[i]
+    d2 = d * d
+    c0, c1, c2, c3 = c[:, i]
+    out[mid] = c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
+    out[left] = _left_tail_80_steps(s, u[left])
+    out[right] = s._invert_right_tail(u[right])
+    return out
+
+
+def test_left_tail_stops_where_80_halvings_end():
+    s = get_sampler()
+    gen = RngStream(43).substream()
+    u = np.concatenate([gen.uniform(0.0, s._u_lo, 10_000),
+                        np.geomspace(1e-300, s._u_lo, 50)])
+    u = u[(u > 0) & (u < s._u_lo)]
+    assert u.size > 10_000
+    assert s._invert_left_tail(u).tobytes() == _left_tail_80_steps(
+        s, u).tobytes()
+
+
+def test_ppf_is_the_searchsorted_ppf_bit_for_bit():
+    s = get_sampler()
+    gen = RngStream(44).substream()
+    u = np.concatenate([gen.random(1_000_000),
+                        _knots_and_neighbours(s._u_knots),
+                        gen.uniform(0.0, s._u_lo, 200),
+                        1.0 - gen.uniform(0.0, 1.0 - s._u_hi, 200),
+                        [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+    want = _ppf_searchsorted(s, u)
+    assert s.ppf(u).tobytes() == want.tobytes()
+    # Any shape, one draw at a time too.
+    assert s.ppf(u[:12].reshape(3, 4)).tobytes() == want[:12].tobytes()
+    assert s.ppf(u[:12].reshape(3, 4)).shape == (3, 4)
+    assert s.ppf(u[5]).shape == () and s.ppf(u[5]) == want[5]

@@ -12,7 +12,8 @@ from bmx.errors import BadParameters
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, Domain, HalfPlane,
                           HalfStripComplement, KoebeSlit, ParabolaComplement,
                           Rectangle, SpiralPair, Strip, Wedge, _CELLS,
-                          _INDEXED_PIECES, _Rectilinear, check_delta_starlike)
+                          _INDEXED_PIECES, _Rectilinear, _end_guard,
+                          _line_crossing_fraction, check_delta_starlike)
 from bmx.rng import RngStream
 from bmx.sim import WosConfig
 from bmx.stats import run_exits
@@ -643,6 +644,56 @@ def test_wedge_crossing_fractions():
     # Segment staying inside has no crossing.
     s = w.first_boundary_crossing(np.array([2 + 0j]), np.array([3 + 0.5j]))[0]
     assert s == math.inf
+
+
+def _wedge_crossing_per_ray(w, z0, z1):
+    """The wedge's crossing as a loop over its rays, one pass per ray."""
+    half = w.theta / 2
+    s = np.full(z0.shape, np.inf)
+    for phi in [half] if w.theta == 2 * math.pi else [half, -half]:
+        w0 = z0 * np.exp(-1j * phi)
+        w1 = z1 * np.exp(-1j * phi)
+        f = _line_crossing_fraction(w0.imag, w1.imag)
+        dx = w1.real - w0.real
+        xc = w0.real + np.where(np.isfinite(f), f, 0.0) * dx
+        s = np.minimum(s, np.where(xc >= 0.0, f, np.inf))
+    return _end_guard(w, z1, s)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi,
+                                   3 * math.pi / 2, 2 * math.pi])
+def test_wedge_crossing_in_one_pass_equals_the_per_ray_loop(theta):
+    # Both rays in one broadcast pass give the per-ray loop's fractions bit
+    # for bit: on random segments, on segments that end on a ray (or at the
+    # apex, on both) and on segments with a non-finite end.
+    w = Wedge(theta)
+    gen = RngStream(71).substream()
+    n = 4000
+    z0 = (np.exp(gen.uniform(-3, 3, n))
+          * np.exp(1j * gen.uniform(-0.499, 0.499, n) * theta))
+    z1 = z0 + np.exp(gen.uniform(-4, 2, n)) * np.exp(
+        1j * gen.uniform(0, 2 * math.pi, n))
+    half = theta / 2
+    on_ray = np.exp(gen.uniform(-3, 3, 200)) * np.exp(
+        1j * half * gen.choice([-1.0, 1.0], 200))
+    inf, nan = math.inf, math.nan
+    odd = np.array([0j, complex(inf, 0), complex(-inf, 1), complex(1, inf),
+                    complex(nan, 0), complex(0, nan), complex(nan, nan),
+                    complex(inf, inf)])
+    z1 = np.concatenate([z1, on_ray, odd])
+    z0 = np.concatenate([z0, z0[:on_ray.size + odd.size]])
+    assert np.all(w.contains(z0))
+    with np.errstate(invalid="ignore"):
+        got = w.first_boundary_crossing(z0, z1)
+        want = _wedge_crossing_per_ray(w, z0, z1)
+    assert got.shape == want.shape == z0.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).any() and not np.isfinite(got).all()
+    for k in range(3):          # one segment at a time, as 0-d arrays too
+        a = w.first_boundary_crossing(z0[k], z1[k])
+        b = _wedge_crossing_per_ray(w, np.asarray(z0[k]), np.asarray(z1[k]))
+        assert np.shape(a) == np.shape(b) == ()
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_koebe_crossing_only_on_slit():

@@ -11,7 +11,7 @@ from bmx.disk_time import sample_unit_disk_time
 from bmx.errors import BadParameters, PointOutsideDomain
 from bmx.geometry import (Annulus, BoundaryLabel, Disk, HalfPlane, KoebeSlit,
                           ParabolaComplement, Rectangle, Strip, Wedge)
-from bmx.rng import CHUNK_SIZE, RngStream
+from bmx.rng import CHUNK_SIZE, RngStream, chunk_ranges
 from bmx.sim import (EmConfig, ExitBatch, WosConfig, _ChunkDraws,
                      em_exit_batch, sample_disk_exit_batch,
                      sample_halfplane_exit_batch, wos_exit_batch)
@@ -257,8 +257,9 @@ def _split_idx_cases(n):
 
 
 def test_chunk_draw_shares_are_the_chunk_counts():
-    # Each share is the number of live paths in its chunk, as the counts
-    # np.diff takes between the chunk edges; empty chunks get no share.
+    # Each share is the slice lo:hi of the live paths in its chunk, its
+    # length the count np.diff takes between the chunk edges; the shares
+    # tile the live paths in chunk order, and empty chunks get no share.
     n = 3 * CHUNK_SIZE + 5
     gens = [RngStream(68).substream(ci) for ci in range(4)]
     draws = _ChunkDraws(gens, n)
@@ -266,17 +267,55 @@ def test_chunk_draw_shares_are_the_chunk_counts():
         cuts = np.searchsorted(idx, [CHUNK_SIZE * k for k in (1, 2, 3)])
         counts = np.diff(cuts, prepend=0, append=idx.size)
         draws.split(idx)
-        assert draws._shares == [(g, int(m)) for g, m in zip(gens, counts)
-                                 if m]
-        assert all(type(m) is int for _, m in draws._shares)
+        assert [(g, hi - lo) for g, lo, hi in draws._shares] == [
+            (g, int(m)) for g, m in zip(gens, counts) if m]
+        ends = [0, *(hi for _, _, hi in draws._shares)]
+        assert [lo for _, lo, _ in draws._shares] == ends[:-1]
+        assert ends[-1] == idx.size
+        assert all(type(lo) is int and type(hi) is int
+                   for _, lo, hi in draws._shares)
     gen = RngStream(68).substream()
     one = _ChunkDraws(gen, n)
     for idx in _split_idx_cases(n):
         one.split(idx)
-        assert one._shares == ([(gen, idx.size)] if idx.size else [])
+        assert one._shares == ([(gen, 0, idx.size)] if idx.size else [])
     listed = _ChunkDraws([gen], 10)
     listed.split(np.array([3, 4]))
-    assert listed._shares == [(gen, 2)]
+    assert listed._shares == [(gen, 0, 2)]
+
+
+@pytest.mark.parametrize("per_chunk", [False, True])
+def test_chunk_draws_in_place_are_each_generators_own(per_chunk):
+    # Drawn in place, each share is what a fresh generator of its chunk
+    # draws for random(m) and standard_normal((2, m)), bit for bit, sweep
+    # after sweep on one pair of buffers.
+    n = 3 * CHUNK_SIZE + 5
+    chunks = 4 if per_chunk else 1
+
+    def gens():
+        stream = RngStream(69)
+        if per_chunk:
+            return [stream.substream(ci) for ci in range(chunks)]
+        return stream.substream()
+
+    draws, fresh = _ChunkDraws(gens(), n), gens()
+    fresh = fresh if per_chunk else [fresh]
+    for idx in _split_idx_cases(n):
+        draws.split(idx)
+        chunk = np.searchsorted(np.arange(1, chunks) * CHUNK_SIZE, idx,
+                                side="right") if per_chunk else 0 * idx
+        u = draws.random(idx.size).copy()
+        g = draws.standard_normal((2, idx.size)).copy()
+        assert u.shape == (idx.size,) and g.shape == (2, idx.size)
+        want_u, want_g = np.empty(idx.size), np.empty((2, idx.size))
+        for ci, gen in enumerate(fresh):
+            mine = chunk == ci
+            want_u[mine] = gen.random(np.sum(mine))
+        for ci, gen in enumerate(fresh):
+            mine = chunk == ci
+            want_g[:, mine] = gen.standard_normal((2, np.sum(mine)))
+        assert u.tobytes() == want_u.tobytes()
+        assert g.tobytes() == want_g.tobytes()
 
 
 def test_wos_marked_line():
@@ -358,10 +397,40 @@ def test_batch_step_cap_records(kernel):
                               getattr(full, name)[within])
 
 
+class _ConcatDraws:
+    """The kernels' draws as each chunk's fresh array, concatenated: the
+    reference for the buffers the kernels draw into in place."""
+
+    def __init__(self, gen, n):
+        single = isinstance(gen, np.random.Generator)
+        self._gens = [gen] if single else list(gen)
+        ranges = [] if single else chunk_ranges(n)[1:]
+        self._bounds = np.array([lo for lo, _ in ranges], dtype=np.int64)
+
+    def split(self, idx):
+        cuts = [0, *np.searchsorted(idx, self._bounds).tolist(), idx.size]
+        self._shares = [(g, hi - lo) for g, lo, hi
+                        in zip(self._gens, cuts, cuts[1:]) if hi > lo]
+
+    def _each(self, draw):
+        parts = [draw(g, m) for g, m in self._shares]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+    def uniform(self, low, high, size):
+        return self._each(lambda g, m: g.uniform(low, high, m))
+
+    def random(self, size):
+        return self._each(lambda g, m: g.random(m))
+
+    def standard_normal(self, size):
+        return self._each(lambda g, m: g.standard_normal((*size[:-1], m)))
+
+
 def _wos_per_sweep(domain, starts, gen, cfg, mark_line_re=None):
-    """Walk on spheres asking for exit points on every sweep with exits."""
+    """Walk on spheres asking for exit points on every sweep with exits,
+    drawing and moving by the plain formulas."""
     n = starts.size
-    draws = _ChunkDraws(gen, n)
+    draws = _ConcatDraws(gen, n)
     line = mark_line_re
     eps = 1e-6 * (1.0 + np.abs(starts))
     steps = np.zeros(n, dtype=np.int64)
@@ -405,9 +474,10 @@ def _wos_per_sweep(domain, starts, gen, cfg, mark_line_re=None):
 
 
 def _em_per_sweep(domain, starts, gen, cfg):
-    """Euler-Maruyama asking for exit points on every sweep with exits."""
+    """Euler-Maruyama asking for exit points on every sweep with exits,
+    drawing and moving by the plain formulas."""
     n = starts.size
-    draws = _ChunkDraws(gen, n)
+    draws = _ConcatDraws(gen, n)
     steps = np.zeros(n, dtype=np.int64)
     exit_pt = np.full(n, np.nan, dtype=complex)
     exit_t = np.full(n, np.nan)
@@ -464,9 +534,10 @@ V3 = build_comb(3, [1, 40, 41, 100], [-50, 5, -51])[0]
 @pytest.mark.parametrize("per_chunk", [False, True])
 def test_one_exit_query_per_call_equals_per_sweep_queries(
         kernel, domain, start, cfg, line, capped, per_chunk):
-    # A kernel projects its exits once, after the loop; that must give the
-    # exits of a loop that projects them on every sweep, bit for bit.  An
-    # all-capped run makes the one query on an empty array.
+    # A kernel projects its exits once, after the loop, and draws and moves
+    # in place; that must give the exits of a loop that projects them on
+    # every sweep and draws and moves by the plain formulas, bit for bit.
+    # An all-capped run makes the one query on an empty array.
     n = CHUNK_SIZE + 300 if per_chunk else 1500
     starts = np.full(n, complex(start))
 
