@@ -41,8 +41,10 @@ import numpy as np
 from .errors import BadParameters
 
 # Cells per axis of the nearest-piece index of a piece table.  On the comb
-# scenarios 64 leaves about 7 candidates per point on V_5 and 128 about 6,
-# while 256 costs more to build than it saves.
+# scenarios, measured on the upper half of V_5's polyline, a point's call
+# measures it against about 6 rows at 64 (4.8 of them its own cell's
+# pieces), 5 at 128 (2.1) and 4.5 at 256 (2.0), and 256 costs more to
+# build than it saves.
 _CELLS = 128
 
 # Fewest pieces a table needs for an index.  A cell lookup costs about as
@@ -205,6 +207,165 @@ def _circle_crossing_fraction(w0, w1, radius, leaving_disk):
     return np.where(hit, np.clip(s, 0.0, 1.0), np.inf)
 
 
+def _piece_table(pieces):
+    """(horizontal, level, lo, hi, label) of a list of (p, q, label) pieces,
+    one entry per piece: a piece is {across == level, lo <= along <= hi},
+    where along is Re z on a horizontal piece and Im z on a vertical one."""
+    p, q, label = (np.array(c) for c in zip(*pieces))
+    p, q = p.astype(complex), q.astype(complex)
+    horiz = p.imag == q.imag
+    ends = np.where(horiz, [p.real, q.real], [p.imag, q.imag])
+    return (horiz, np.where(horiz, p.imag, p.real), ends.min(axis=0),
+            ends.max(axis=0), label.astype(np.int64))
+
+
+def _cell_index(table):
+    """Nearest-piece index of a piece table: (x0, x scale, y0, y scale,
+    lists, count, columns), or None for a table of fewer than
+    _INDEXED_PIECES pieces or without finite end coordinates on both axes.
+
+    A grid of _CELLS x _CELLS cells spans the finite end coordinates, each
+    axis widened by half its extent on both sides (an axis without extent
+    takes the other's, or 1).  Cell c keeps the pieces that may hold the
+    nearest point of one of its points: list l = lists[c], the count[l]
+    pieces in column l of columns[0], in piece order, padded with its last.
+    A piece is left out only if its distance from the cell exceeds the
+    smallest farthest-corner distance of any piece (distance to a segment
+    is convex, so its largest value on a cell is at a corner), by a margin
+    far above rounding; so each point's first nearest piece is kept.  The
+    cells share a few dozen distinct lists, and ``columns`` holds the listed
+    pieces and their horizontal, level, lo and hi, gathered once: row j of
+    each is the j-th piece of every list, so a call gathers each attribute
+    of its points' candidates with one ``take`` from a table of a few kB.
+    """
+    horiz, level, lo, hi = table[:4]
+    box = (np.where(horiz, lo, level), np.where(horiz, hi, level),
+           np.where(horiz, level, lo), np.where(horiz, level, hi))
+    ends = [c[np.isfinite(c)] for c in (np.concatenate(box[:2]),
+                                        np.concatenate(box[2:]))]
+    if not (len(horiz) >= _INDEXED_PIECES and ends[0].size and ends[1].size):
+        return None
+    spans = [np.ptp(c) for c in ends]
+    near, far, grid = [], [], []
+    for c, span, b0, b1 in zip(ends, spans, box[::2], box[1::2]):
+        span = span or max(spans) or 1.0
+        a, b = c.min() - span / 2, c.max() + span / 2
+        grid += [a, _CELLS / (b - a)]
+        # A point's cell, found with rounding, may miss the point by a few
+        # ulps: the bounds are taken over cells widened by more.
+        edges = np.linspace(a, b, _CELLS + 1)
+        slack = 1e-9 * (abs(a) + abs(b))
+        c0, c1 = edges[:-1] - slack, edges[1:] + slack
+        b0, b1 = b0[:, None], b1[:, None]
+        # Per piece and cell, on this axis: the squared gap to the piece,
+        # and the larger squared distance to it from the cell's two edges.
+        near.append(np.maximum(np.maximum(b0 - c1, c0 - b1), 0.0) ** 2)
+        far.append(np.maximum(np.abs(c0 - np.clip(c0, b0, b1)),
+                              np.abs(c1 - np.clip(c1, b0, b1))) ** 2)
+    lower = near[0][:, :, None] + near[1][:, None, :]
+    upper = (far[0][:, :, None] + far[1][:, None, :]).min(axis=0)
+    keep = (lower <= upper * (1 + 1e-9)).reshape(len(horiz), -1)
+    # Cells with equal bits share a list (np.unique on rows is 40x slower).
+    bits = np.packbits(keep, axis=0)
+    order = np.lexsort(bits[::-1])
+    bits = bits[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    lists = np.empty(order.size, dtype=np.intp)
+    lists[order] = np.cumsum(new) - 1
+    keep = keep[:, order[new]].T
+    count = keep.sum(axis=1)
+    row, piece = np.nonzero(keep)
+    end = np.cumsum(count)
+    cand = np.empty((count.size, count.max()), dtype=np.intp)
+    cand[:] = piece[end - 1, None]
+    cand[row, np.arange(piece.size) - (end - count)[row]] = piece
+    columns = [np.ascontiguousarray(c[cand.T])
+               for c in (np.arange(len(horiz)), *table[:4])]
+    # A padding entry is a horizontal line at infinity: no gap along it, so
+    # no hypot, and infinitely far from every finite point.
+    pad = np.arange(cand.shape[1])[:, None] >= count
+    for c, v in zip(columns[1:], (True, np.inf, -np.inf, np.inf)):
+        c[pad] = v
+    return (*grid, lists, count, columns)
+
+
+def _feet(x, y, horiz, level, lo, hi, finite):
+    """(distance, foot's along coordinate) of the points (x, y) against the
+    pieces (horiz, level, lo, hi), broadcast together; ``finite`` if every
+    point is.
+
+    The distance is hypot(gap, across), gap = along - foot, but hypot is
+    called only where the point lies beyond the piece's ends (along !=
+    foot), 44% of the comb's entries: elsewhere the gap is ±0, and
+    hypot(±0, across) is |across| exactly (C99 F.10.4.3), which is stored
+    instead.  So a point at a ray's infinite end has no gap along the ray
+    (not inf - inf), and its distance is the limit along its line."""
+    across = np.where(horiz, y, x) - level
+    along = np.where(horiz, x, y)
+    foot = np.minimum(np.maximum(along, lo), hi)
+    off = along != foot
+    gap = (along - foot if finite else
+           np.subtract(along, foot, out=np.zeros(foot.shape), where=off))
+    d = np.abs(across)
+    np.hypot(gap, across, out=d, where=off)
+    return d, foot
+
+
+def _measure(x, y, pieces, first, cand=None, finite=True):
+    """(distance,) from each point (x, y) to the nearest of the pieces
+    (horiz, level, lo, hi), given with a row per piece and a column per
+    point, or with one column for every point; with ``first`` also the
+    first nearest of them, its row or its entry of ``cand``, and its foot's
+    along coordinate.  The distance is reduced down the rows, a column-wise
+    ``np.minimum`` over all points at once."""
+    d, foot = _feet(x, y, *pieces, finite)
+    if not first:
+        return (np.minimum.reduce(d, axis=0),)
+    j = np.argmin(d, axis=0)
+    # Gathered flat: cheaper per call than 2-D indexing.
+    at = j * d.shape[1] + np.arange(j.size)
+    return (d.reshape(-1)[at], j if cand is None else cand.reshape(-1)[at],
+            foot.reshape(-1)[at])
+
+
+def _measure_all(table, x, y, first):
+    """``_measure`` against every piece of a table, at points that need not
+    be finite."""
+    return _measure(x, y, [c[:, None] for c in table[:4]], first,
+                    finite=np.isfinite(x).all() and np.isfinite(y).all())
+
+
+def _nearest_piece(table, cells, x, y, first=True):
+    """``_measure`` over a whole piece table for each point (x, y), flat
+    arrays.  With an index, a point of its grid is measured against its
+    cell's pieces only; any other point, or a point that is not finite, is
+    measured at the grid's corner and then again against every piece."""
+    if cells is None:
+        return _measure_all(table, x, y, first)
+    x0, sx, y0, sy, lists, count, columns = cells
+    fx, fy = (x - x0) * sx, (y - y0) * sy
+    grid = (fx >= 0) & (fx < _CELLS) & (fy >= 0) & (fy < _CELLS)
+    off = None if grid.all() else np.flatnonzero(~grid)
+    if off is not None:
+        fx, fy = np.where(grid, fx, 0.0), np.where(grid, fy, 0.0)
+        xg, yg = np.where(grid, x, x0), np.where(grid, y, y0)
+    else:
+        xg, yg = x, y
+    cell = lists[fx.astype(np.intp) * _CELLS + fy.astype(np.intp)]
+    # Each list is padded to the longest, so the call's longest list sets
+    # the number of rows.
+    width = count[cell].max(initial=1)
+    piece, *rows = (c[:width] for c in columns)
+    rows = [c.take(cell, axis=1) for c in rows]
+    out = _measure(xg, yg, rows, first,
+                   piece.take(cell, axis=1) if first else None)
+    if off is not None:
+        for o, v in zip(out, _measure_all(table, x[off], y[off], first)):
+            o[off] = v
+    return out
+
+
 class _Rectilinear(Domain):
     """A domain whose boundary is a table of horizontal and vertical pieces.
 
@@ -213,133 +374,33 @@ class _Rectilinear(Domain):
     ray), and the BoundaryLabel code of the points nearest it.  Nearest
     points, labels and exit crossings are read from the table; a tie goes to
     the earlier piece.  Subclasses keep closed forms only for ``contains``
-    and ``boundary_distance``, which the kernels call on every sweep.
+    and ``boundary_distance``, which the kernels call on every sweep; the
+    comb, which has none, measures its distance on half its table.
     """
 
     @cached_property
     def _table(self):
-        """(horizontal, level, lo, hi, label), one entry per piece: a piece
-        is {across == level, lo <= along <= hi}, where along is Re z on a
-        horizontal piece and Im z on a vertical one."""
-        p, q, label = (np.array(c) for c in zip(*self.pieces()))
-        p, q = p.astype(complex), q.astype(complex)
-        horiz = p.imag == q.imag
-        ends = np.where(horiz, [p.real, q.real], [p.imag, q.imag])
-        return (horiz, np.where(horiz, p.imag, p.real), ends.min(axis=0),
-                ends.max(axis=0), label.astype(np.int64))
+        """(horizontal, level, lo, hi, label), one entry per piece: see
+        ``_piece_table``."""
+        return _piece_table(self.pieces())
 
-    def _coords(self, z, k=slice(None)):
-        """(across - level, along) of z against pieces k, every piece by
-        default, broadcast together."""
-        horiz, level = (c[k] for c in self._table[:2])
+    def _coords(self, z):
+        """(across - level, along) of z against every piece, broadcast
+        together."""
+        horiz, level = self._table[:2]
         return (np.where(horiz, z.imag, z.real) - level,
                 np.where(horiz, z.real, z.imag))
 
     @cached_property
     def _cells(self):
-        """Nearest-piece index: (x0, x scale, y0, y scale, count, cand), or
-        None for a table of fewer than _INDEXED_PIECES pieces or without
-        finite end coordinates on both axes.
-
-        A grid of _CELLS x _CELLS cells spans the finite end coordinates,
-        each axis widened by half its extent on both sides (an axis without
-        extent takes the other's, or 1).  Cell c keeps in cand[c] the
-        count[c] pieces that may hold the nearest point of one of its
-        points, in piece order, padded with its last.  A piece is left out
-        only if its distance from the cell exceeds the smallest
-        farthest-corner distance of any piece (distance to a segment is
-        convex, so its largest value on a cell is at a corner), by a margin
-        far above rounding; so each point's first nearest piece is kept.
-        """
-        horiz, level, lo, hi = self._table[:4]
-        box = (np.where(horiz, lo, level), np.where(horiz, hi, level),
-               np.where(horiz, level, lo), np.where(horiz, level, hi))
-        ends = [c[np.isfinite(c)] for c in (np.concatenate(box[:2]),
-                                            np.concatenate(box[2:]))]
-        if not (len(horiz) >= _INDEXED_PIECES and ends[0].size
-                and ends[1].size):
-            return None
-        spans = [np.ptp(c) for c in ends]
-        near, far, grid = [], [], []
-        for c, span, b0, b1 in zip(ends, spans, box[::2], box[1::2]):
-            span = span or max(spans) or 1.0
-            a, b = c.min() - span / 2, c.max() + span / 2
-            grid += [a, _CELLS / (b - a)]
-            # A point's cell, found with rounding, may miss the point by a
-            # few ulps: the bounds are taken over cells widened by more.
-            edges = np.linspace(a, b, _CELLS + 1)
-            slack = 1e-9 * (abs(a) + abs(b))
-            c0, c1 = edges[:-1] - slack, edges[1:] + slack
-            b0, b1 = b0[:, None], b1[:, None]
-            # Per piece and cell, on this axis: the squared gap to the
-            # piece, and the larger squared distance to it from the cell's
-            # two edges.
-            near.append(np.maximum(np.maximum(b0 - c1, c0 - b1), 0.0) ** 2)
-            far.append(np.maximum(np.abs(c0 - np.clip(c0, b0, b1)),
-                                  np.abs(c1 - np.clip(c1, b0, b1))) ** 2)
-        lower = near[0][:, :, None] + near[1][:, None, :]
-        upper = (far[0][:, :, None] + far[1][:, None, :]).min(axis=0)
-        keep = (lower <= upper * (1 + 1e-9)).reshape(len(horiz), -1)
-        count = keep.sum(axis=0)
-        cell, piece = np.nonzero(keep.T)
-        end = np.cumsum(count)
-        cand = np.empty((count.size, count.max()), dtype=np.intp)
-        cand[:] = piece[end - 1, None]
-        cand[cell, np.arange(piece.size) - (end - count)[cell]] = piece
-        return (*grid, count, cand)
-
-    def _feet(self, z, k=None):
-        """(distance, foot's along coordinate) of z against pieces k, every
-        piece when k is None.  Only that search meets points that are not
-        finite; at a ray's infinite end such a point has no gap along the
-        ray (not inf - inf), so its distance is the limit along its line."""
-        masked = k is None and not np.isfinite(z).all()
-        k = slice(None) if k is None else k
-        across, along = self._coords(z, k)
-        lo, hi = (c[k] for c in self._table[2:4])
-        foot = np.minimum(np.maximum(along, lo), hi)
-        gap = (np.subtract(along, foot, out=np.zeros(foot.shape),
-                           where=along != foot) if masked else along - foot)
-        return np.hypot(gap, across), foot
-
-    def _measure(self, z, k, first):
-        """(distance,) from each point of z to the nearest of the pieces k,
-        a row per point, or of every piece when k is None; with ``first``
-        also the first nearest of them and its foot's along coordinate."""
-        d, foot = self._feet(z[:, None], k)
-        if not first:
-            return (d.min(axis=-1),)
-        j = np.argmin(d, axis=-1)
-        # Gathered flat: cheaper per call than 2-D indexing.
-        at = np.arange(j.size) * d.shape[1] + j
-        return (d.reshape(-1)[at], j if k is None else k.reshape(-1)[at],
-                foot.reshape(-1)[at])
+        """The table's nearest-piece index: see ``_cell_index``."""
+        return _cell_index(self._table)
 
     def _nearest(self, z, first=True):
-        """``_measure`` over the whole table for each point of z, flattened.
-        A point of the index's grid is measured against its cell's pieces
-        only; any other point, or a point that is not finite, against every
-        piece."""
+        """``_nearest_piece`` of the table for each point of z, flattened."""
         z = _asarr(z).reshape(-1)
-        if self._cells is None:
-            return self._measure(z, None, first)
-        x0, sx, y0, sy, count, cand = self._cells
-        fx, fy = (z.real - x0) * sx, (z.imag - y0) * sy
-        grid = (fx >= 0) & (fx < _CELLS) & (fy >= 0) & (fy < _CELLS)
-        inside = grid.all()
-        if not inside:
-            fx, fy = fx[grid], fy[grid]
-        cell = fx.astype(np.intp) * _CELLS + fy.astype(np.intp)
-        # Each cell's row is padded with its last piece, so the call's widest
-        # cell sets the width.
-        rows = cand[cell, :count[cell].max(initial=1)]
-        if inside:
-            return self._measure(z, rows, first)
-        out = [np.empty(z.size, dtype=t) for t in (float, np.intp, float)]
-        for part, k in ((grid, rows), (~grid, None)):
-            for o, v in zip(out, self._measure(z[part], k, first)):
-                o[part] = v
-        return out
+        return _nearest_piece(self._table, self._cells, z.real, z.imag,
+                              first)
 
     def boundary_distance(self, z):
         return self._nearest(z, first=False)[0].reshape(np.shape(z))[()]
@@ -393,12 +454,15 @@ class Rectangle(_Rectilinear):
         return (np.abs(z.real) < self.a) & (np.abs(z.imag) < self.b)
 
     def boundary_distance(self, z):
+        # The distance is |max(qx, qy)| except beyond a corner, where both
+        # are positive and it is hypot(qx, qy): hypot(q, 0) is q exactly
+        # (C99 F.10.4.3), so hypot is called only where it is the answer.
         z = _asarr(z)
         qx = np.abs(z.real) - self.a
         qy = np.abs(z.imag) - self.b
-        outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
-        inside = np.minimum(np.maximum(qx, qy), 0.0)
-        return np.abs(outside + inside)
+        d = np.abs(np.maximum(qx, qy), out=np.empty(z.shape))
+        np.hypot(qx, qy, out=d, where=(qx > 0) & (qy > 0))
+        return d[()]        # a scalar for a scalar, as a plain ufunc gives
 
 
 @dataclass(frozen=True)
@@ -644,9 +708,13 @@ class KoebeSlit(_Rectilinear):
         return ~on_slit
 
     def boundary_distance(self, z):
+        # Where x <= -1/4 the distance is |Im z|; hypot is called only
+        # elsewhere, where it is the answer.  A NaN real part fails the test
+        # and takes hypot, as np.where of both branches would give it.
         z = _asarr(z)
-        return np.where(z.real <= -0.25, np.abs(z.imag),
-                        np.hypot(z.real + 0.25, z.imag))
+        d = np.abs(z.imag, out=np.empty(z.shape))
+        np.hypot(z.real + 0.25, z.imag, out=d, where=~(z.real <= -0.25))
+        return d
 
 
 @dataclass(frozen=True)

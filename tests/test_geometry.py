@@ -186,6 +186,68 @@ def test_closed_forms_equal_the_piece_table(domain):
                           _Rectilinear.boundary_distance(domain, z))
 
 
+def _koebe_distance_where(slit, z):
+    """KoebeSlit's distance as np.where of both branches, hypot everywhere."""
+    z = np.asarray(z, dtype=complex)
+    return np.where(z.real <= -0.25, np.abs(z.imag),
+                    np.hypot(z.real + 0.25, z.imag))
+
+
+def _rectangle_distance_sdf(rect, z):
+    """Rectangle's distance as the signed-distance formula, hypot
+    everywhere."""
+    z = np.asarray(z, dtype=complex)
+    qx = np.abs(z.real) - rect.a
+    qy = np.abs(z.imag) - rect.b
+    outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+    inside = np.minimum(np.maximum(qx, qy), 0.0)
+    return np.abs(outside + inside)
+
+
+@pytest.mark.parametrize("domain, reference", [
+    (KoebeSlit(), _koebe_distance_where),
+    (Rectangle(2, 1), _rectangle_distance_sdf),
+    (Rectangle(0.75, 3), _rectangle_distance_sdf),
+], ids=["koebe", "rectangle(2, 1)", "rectangle(0.75, 3)"])
+def test_closed_forms_call_hypot_only_where_it_is_the_answer(domain,
+                                                             reference):
+    # The closed forms skip hypot where its argument is ±0 or where the
+    # other branch is taken; every distance must stay that of the formula
+    # that calls it everywhere, bit for bit, with its type and shape.
+    gen = RngStream(24).substream()
+    nan, inf = math.nan, math.inf
+    edges = [-0.25, 0.0]
+    if isinstance(domain, Rectangle):
+        edges = [-domain.a, domain.a, -domain.b, domain.b, 0.0]
+    edges = np.array(edges)
+    beside = np.concatenate([edges, np.nextafter(edges, -inf),
+                             np.nextafter(edges, inf)])
+    other = np.concatenate([beside, gen.uniform(-5, 5, 200), [0.0, -0.0]])
+    z = np.concatenate([
+        _random_and_on_axis_points(gen, 4.0),
+        # Both sides of x = -1/4, of the rectangle's sides and of its
+        # corners, and the slit with both signs of zero.
+        (beside[:, None] + 1j * other).ravel(),
+        (other[:, None] + 1j * beside).ravel(),
+        gen.uniform(-9, -0.25, 500) + 0j, np.conj(gen.uniform(-9, -0.25, 500)
+                                                 + 0j),
+        [complex(x, y) for x in (nan, inf, -inf, 1.0, -0.25, -3.0)
+         for y in (nan, inf, -inf, 0.0, -0.0, 0.5)]])
+    want = reference(domain, z)
+    got = domain.boundary_distance(z)
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    grid = z[:600].reshape(20, 30)
+    got, want = domain.boundary_distance(grid), reference(domain, grid)
+    assert got.shape == (20, 30) and got.tobytes() == want.tobytes()
+    for point in (complex(z[7]), complex(-0.25, 0.5), complex(nan, 1.0),
+                  np.complex128(3 + 4j), np.asarray(complex(1.5, -2.0))):
+        got, want = domain.boundary_distance(point), reference(domain, point)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.shape(got) == () and got.tobytes() == want.tobytes()
+
+
 V5, W5 = build_comb(5, [1, 40, 41, 100, 101, 900], [-50, 5, -51, 6, -52])
 V2, W2 = build_comb(2, [1, 2, 4], [-4, 16])
 PIECE_TABLES = [
@@ -286,7 +348,10 @@ def _cell_edge_points(domain, gen, n=5000):
 def test_cell_index_equals_the_full_table(domain):
     # The index measures a point against its cell's pieces only; distance,
     # nearest point and label must still be those of the whole table, bit
-    # for bit, ties to the earlier piece included.
+    # for bit, ties to the earlier piece included.  The domain's own
+    # distance (a closed form, or the comb's upper half at |Im z|) must
+    # equal it too: the points come in conjugate pairs, and the real axis
+    # with both signs of zero.
     gen = RngStream(23).substream()
     far = 10.0 ** gen.uniform(0, 6, 5000) * np.exp(2j * math.pi
                                                    * gen.random(5000))
@@ -296,6 +361,9 @@ def test_cell_index_equals_the_full_table(domain):
         far, [1e6, -1e6j, complex(nan, 0), complex(0, nan), complex(inf, 1),
               complex(-inf, -1), complex(1, inf), complex(inf, -inf),
               complex(-inf, 0.5)]])
+    axis = np.concatenate([z.real, gen.uniform(-1e3, 1e3, 2000)])
+    z = np.concatenate([z, np.conj(z), axis + 0j, np.conj(axis + 0j)])
+    assert np.signbit(z.imag[-axis.size:]).all()
     want = _full_table_exits(domain, z)
     got = (_Rectilinear.boundary_distance(domain, z),
            *_Rectilinear.exit_points(domain, z))
@@ -304,17 +372,23 @@ def test_cell_index_equals_the_full_table(domain):
         assert a.dtype == b.dtype
         assert a[finite].tobytes() == b[finite].tobytes()
         assert np.array_equal(a, b, equal_nan=True)     # NaN signs may vary
+    own = domain.boundary_distance(z)
+    assert own.dtype == want[0].dtype
+    assert own[finite].tobytes() == want[0][finite].tobytes()
     # Only the combs have enough pieces for an index.
     assert (domain._cells is None) == (len(domain.pieces()) < _INDEXED_PIECES)
     if domain._cells is None:
         return
+    assert np.array_equal(own, want[0], equal_nan=True)
     # Each cell lists its candidates in piece order, so argmin keeps the
     # earlier piece on a tie, and most cells list one or two.
-    count, cand = domain._cells[4:]
+    lists, count, columns = domain._cells[4:]
+    cand = columns[0].T
     assert np.all(np.diff(cand, axis=1) >= 0)
     assert np.all(np.diff(cand, axis=1)[np.arange(cand.shape[1] - 1)
                                         < count[:, None] - 1] > 0)
-    assert count.mean() < 2
+    assert len(np.unique(cand, axis=0)) == len(cand)
+    assert lists.shape == (_CELLS ** 2,) and count[lists].mean() < 2
 
 
 @pytest.mark.parametrize("domain, z, want", [
