@@ -85,21 +85,9 @@ def _require_finite(domain, *names):
                                 f"finite, got {value!r}")
 
 
-def _ray_distance(z, phi):
-    """Distance from z to the ray {t e^{i phi} : t >= 0}."""
-    w = _asarr(z) * np.exp(-1j * phi)
-    return np.where(w.real >= 0.0, np.abs(w.imag), np.abs(w))
-
-
 def _generic_codes(z):
     """The GENERIC label code for every point of z."""
     return np.full(np.shape(z), int(BoundaryLabel.GENERIC), dtype=np.int64)
-
-
-def _ray_project(z, phi):
-    w = _asarr(z) * np.exp(-1j * phi)
-    t = np.maximum(w.real, 0.0)
-    return t * np.exp(1j * phi)
 
 
 class Domain:
@@ -290,36 +278,42 @@ def _cell_index(table):
     return (*grid, lists, count, columns)
 
 
-def _feet(x, y, horiz, level, lo, hi, finite):
+def _feet(x, y, horiz, level, lo, hi):
     """(distance, foot's along coordinate) of the points (x, y) against the
-    pieces (horiz, level, lo, hi), broadcast together; ``finite`` if every
-    point is.
+    pieces (horiz, level, lo, hi), broadcast together.
 
     The distance is hypot(gap, across), gap = along - foot, but hypot is
-    called only where the point lies beyond the piece's ends (along !=
-    foot), 44% of the comb's entries: elsewhere the gap is ±0, and
-    hypot(±0, across) is |across| exactly (C99 F.10.4.3), which is stored
-    instead.  So a point at a ray's infinite end has no gap along the ray
-    (not inf - inf), and its distance is the limit along its line."""
+    called only on the entries where the point lies beyond the piece's ends
+    (along != foot), 44% of the comb's, gathered: elsewhere the gap is ±0,
+    and hypot(±0, across) is |across| exactly (C99 F.10.4.3), which is
+    stored instead.  So a point at a ray's infinite end has no gap along the
+    ray (not inf - inf), and its distance is the limit along its line."""
     across = np.where(horiz, y, x) - level
     along = np.where(horiz, x, y)
     foot = np.minimum(np.maximum(along, lo), hi)
-    off = along != foot
-    gap = (along - foot if finite else
-           np.subtract(along, foot, out=np.zeros(foot.shape), where=off))
     d = np.abs(across)
-    np.hypot(gap, across, out=d, where=off)
+    k, (a, f, c) = _gathered(along != foot, along, foot, across)
+    d.reshape(-1)[k] = np.hypot(a - f, c)
     return d, foot
 
 
-def _measure(x, y, pieces, first, cand=None, finite=True):
+def _gathered(where, *arrays):
+    """The flat positions where ``where`` holds, and the entries of each
+    array there.  hypot on gathered entries makes the same calls on the
+    same values as hypot masked with where=, and costs less: numpy's masked
+    loop restarts its inner loop on every run of the mask."""
+    k = where.ravel().nonzero()[0]
+    return k, [a.reshape(-1)[k] for a in arrays]
+
+
+def _measure(x, y, pieces, first, cand=None):
     """(distance,) from each point (x, y) to the nearest of the pieces
     (horiz, level, lo, hi), given with a row per piece and a column per
     point, or with one column for every point; with ``first`` also the
     first nearest of them, its row or its entry of ``cand``, and its foot's
     along coordinate.  The distance is reduced down the rows, a column-wise
     ``np.minimum`` over all points at once."""
-    d, foot = _feet(x, y, *pieces, finite)
+    d, foot = _feet(x, y, *pieces)
     if not first:
         return (np.minimum.reduce(d, axis=0),)
     j = np.argmin(d, axis=0)
@@ -330,10 +324,8 @@ def _measure(x, y, pieces, first, cand=None, finite=True):
 
 
 def _measure_all(table, x, y, first):
-    """``_measure`` against every piece of a table, at points that need not
-    be finite."""
-    return _measure(x, y, [c[:, None] for c in table[:4]], first,
-                    finite=np.isfinite(x).all() and np.isfinite(y).all())
+    """``_measure`` against every piece of a table."""
+    return _measure(x, y, [c[:, None] for c in table[:4]], first)
 
 
 def _nearest_piece(table, cells, x, y, first=True):
@@ -461,7 +453,8 @@ class Rectangle(_Rectilinear):
         qx = np.abs(z.real) - self.a
         qy = np.abs(z.imag) - self.b
         d = np.abs(np.maximum(qx, qy), out=np.empty(z.shape))
-        np.hypot(qx, qy, out=d, where=(qx > 0) & (qy > 0))
+        k, (x, y) = _gathered((qx > 0) & (qy > 0), qx, qy)
+        d.reshape(-1)[k] = np.hypot(x, y)
         return d[()]        # a scalar for a scalar, as a plain ufunc gives
 
 
@@ -515,30 +508,55 @@ class Wedge(Domain):
         z = _asarr(z)
         return (z != 0) & (np.abs(np.angle(z)) < self.theta / 2)
 
-    def boundary_distance(self, z):
+    @cached_property
+    def _phis(self):
+        """The boundary rays' angles phi: theta/2 and then -theta/2, or one
+        ray at theta = 2*pi."""
         half = self.theta / 2
-        d = _ray_distance(z, half)
-        if self.theta < 2 * math.pi:
-            d = np.minimum(d, _ray_distance(z, -half))
+        return [half] if self.theta == 2 * math.pi else [half, -half]
+
+    @cached_property
+    def _turns(self):
+        """exp(-i phi) of each ray, the rotations that turn the rays onto the
+        positive real axis, computed once."""
+        return np.array([np.exp(-1j * phi) for phi in self._phis])
+
+    def _turned(self, z):
+        """z turned by each ray's rotation: row k lays ray k on the positive
+        real axis."""
+        z = _asarr(z)
+        return z * self._turns.reshape((-1,) + (1,) * z.ndim)
+
+    @staticmethod
+    def _ray_rows(w):
+        """Row k: the distance to ray k of the points turned as in w, |Im w|
+        where Re w >= 0 and |w| elsewhere (NaN included), taken on those
+        entries only."""
+        d = np.abs(w.imag)
+        k, (far,) = _gathered(~(w.real >= 0.0), w)
+        d.reshape(-1)[k] = np.abs(far)
         return d
 
+    def boundary_distance(self, z):
+        return np.minimum.reduce(self._ray_rows(self._turned(z)), axis=0)
+
     def exit_points(self, z):
-        half = self.theta / 2
-        p = _ray_project(z, half)
-        if self.theta < 2 * math.pi:
-            p = np.where(_ray_distance(z, half) <= _ray_distance(z, -half),
-                         p, _ray_project(z, -half))
+        # The foot on ray k is max(Re w, 0) turned back; the nearer ray's
+        # is kept, the first on a tie.
+        w = self._turned(z)
+        back = np.array([np.exp(1j * phi) for phi in self._phis])
+        feet = np.maximum(w.real, 0.0) * back.reshape(
+            (-1,) + (1,) * (w.ndim - 1))
+        p = feet[0]
+        if len(feet) == 2:
+            d = self._ray_rows(w)
+            p = np.where(d[0] <= d[1], p, feet[1])
         return p, _generic_codes(p)
 
     def first_boundary_crossing(self, z0, z1):
         # Both rays in one broadcast pass: row k turns ray k onto the
         # positive real axis, and the first crossing is the least over rows.
-        z0, z1 = _asarr(z0), _asarr(z1)
-        half = self.theta / 2
-        phis = [half] if self.theta == 2 * math.pi else [half, -half]
-        turn = np.array([np.exp(-1j * phi) for phi in phis]).reshape(
-            (-1,) + (1,) * z0.ndim)
-        w0, w1 = z0 * turn, z1 * turn
+        w0, w1 = self._turned(z0), self._turned(z1)
         f = _line_crossing_fraction(w0.imag, w1.imag)
         xc = w0.real + np.where(np.isfinite(f), f, 0.0) * (w1.real - w0.real)
         s = np.where(xc >= 0.0, f, np.inf).min(axis=0)
@@ -713,7 +731,8 @@ class KoebeSlit(_Rectilinear):
         # and takes hypot, as np.where of both branches would give it.
         z = _asarr(z)
         d = np.abs(z.imag, out=np.empty(z.shape))
-        np.hypot(z.real + 0.25, z.imag, out=d, where=~(z.real <= -0.25))
+        k, (x, y) = _gathered(~(z.real <= -0.25), z.real, z.imag)
+        d.reshape(-1)[k] = np.hypot(x + 0.25, y)
         return d
 
 

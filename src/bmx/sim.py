@@ -11,7 +11,9 @@ generator exactly what a call on that chunk alone would draw.  A sweep
 draws into buffers allocated once per call and moves its paths in place,
 with no complex temporary, by the arithmetic of the plain formulas
 z + r e^{i theta} and z + sqrt(dt) (g0 + i g1), so every bit is theirs.
-A path that exits records where it left (the shell point, or the crossing
+The few paths that leave on a sweep are taken by position, the many that
+stay by mask, and only the state the next sweep reads is compacted.  A
+path that exits records where it left (the shell point, or the crossing
 point of its last step), and after the loop one :meth:`Domain.exit_points`
 query per call turns every record into its nearest boundary point and
 label; a piece-table domain reads both from one nearest-piece search.  The
@@ -274,13 +276,16 @@ def wos_exit_batch(domain: Domain, start: complex,
             line_hit[idx[gap < eps]] = True
             r = np.where(line_hit[idx], d, np.minimum(d, gap))
         shell = d < eps
-        if np.any(shell):
-            done = idx[shell]
-            exit_pt[done] = z[shell]
+        out = np.flatnonzero(shell)
+        if out.size:
+            # The few exits are gathered by position, the many stayers by
+            # mask.
+            done = idx[out]
+            exit_pt[done] = z[out]
             ok[done] = True
             steps[done] = step
             if t is not None:
-                exit_t[done] = t[shell]
+                exit_t[done] = t[out]
             keep = ~shell
             idx, z, r = idx[keep], z[keep], r[keep]
             if t is not None:
@@ -369,22 +374,25 @@ def em_exit_batch(domain: Domain, start: complex,
         # A step shorter than the clearance d stays in the open disk of
         # radius d about z; a NaN step still reaches the crossing rule.
         near = np.flatnonzero(~(np.abs(z1 - z) < d))
-        s = (domain.first_boundary_crossing(z[near], z1[near]) if near.size
-             else np.empty(0))
-        crossed = np.isfinite(s)
-        if np.any(crossed):
+        fin = near              # no near step, no exit
+        if near.size:
+            s = domain.first_boundary_crossing(z[near], z1[near])
+            crossed = np.isfinite(s)
             fin, sf = near[crossed], s[crossed]
+        if fin.size:
             done = idx[fin]
             z0 = z[fin]
             exit_pt[done] = z0 + (z1[fin] - z0) * sf
             exit_t[done] = t[fin] + sf * dt[fin]
             ok[done] = True
             steps[done] = step
+            t += dt
             keep = np.ones(idx.size, dtype=bool)
             keep[fin] = False
-            idx, z1, t, dt = idx[keep], z1[keep], t[keep], dt[keep]
+            idx, z1, t = idx[keep], z1[keep], t[keep]
+        else:
+            t += dt
         z = z1
-        t += dt
         if step >= cfg.max_steps:
             steps[idx] = step
             break

@@ -375,6 +375,20 @@ def test_cell_index_equals_the_full_table(domain):
     own = domain.boundary_distance(z)
     assert own.dtype == want[0].dtype
     assert own[finite].tobytes() == want[0][finite].tobytes()
+    # The gathered hypots keep their input's shape: a 2-D block, and one
+    # point as a scalar and as a 0-d array, give the flat call's entries.
+    block = z[:600].reshape(20, 30)
+    for a, b in zip((_Rectilinear.boundary_distance(domain, block),
+                     *_Rectilinear.exit_points(domain, block),
+                     domain.boundary_distance(block)), (*got, own)):
+        assert a.shape == (20, 30) and a.tobytes() == b[:600].tobytes()
+    for k in (0, 7, 599):
+        for point in (complex(z[k]), np.asarray(z[k])):
+            for a, b in zip((_Rectilinear.boundary_distance(domain, point),
+                             *_Rectilinear.exit_points(domain, point),
+                             domain.boundary_distance(point)), (*got, own)):
+                assert np.shape(a) == ()
+                assert np.asarray(a).tobytes() == b[k].tobytes()
     # Only the combs have enough pieces for an index.
     assert (domain._cells is None) == (len(domain.pieces()) < _INDEXED_PIECES)
     if domain._cells is None:
@@ -768,6 +782,107 @@ def test_wedge_crossing_in_one_pass_equals_the_per_ray_loop(theta):
         b = _wedge_crossing_per_ray(w, np.asarray(z0[k]), np.asarray(z1[k]))
         assert np.shape(a) == np.shape(b) == ()
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _wedge_distance_per_ray(w, z):
+    """The wedge's distance as the least over its rays of the distance to
+    each, turned by a rotation computed per call and taken as np.where of
+    both branches, |w| everywhere."""
+    def to_ray(phi):
+        v = np.asarray(z, dtype=complex) * np.exp(-1j * phi)
+        return np.where(v.real >= 0.0, np.abs(v.imag), np.abs(v))
+    half = w.theta / 2
+    d = to_ray(half)
+    if w.theta < 2 * math.pi:
+        d = np.minimum(d, to_ray(-half))
+    return d
+
+
+def _wedge_exit_per_ray(w, z):
+    """The wedge's nearest boundary point as the foot on each ray, turned by
+    rotations computed per call, kept where that ray is the nearer by the
+    per-ray distance (the first ray on a tie)."""
+    def to_ray(phi):
+        v = np.asarray(z, dtype=complex) * np.exp(-1j * phi)
+        return np.where(v.real >= 0.0, np.abs(v.imag), np.abs(v))
+
+    def foot(phi):
+        v = np.asarray(z, dtype=complex) * np.exp(-1j * phi)
+        return np.maximum(v.real, 0.0) * np.exp(1j * phi)
+    half = w.theta / 2
+    p = foot(half)
+    if w.theta < 2 * math.pi:
+        p = np.where(to_ray(half) <= to_ray(-half), p, foot(-half))
+    return p
+
+
+def _wedge_crossing_turned_per_call(w, z0, z1):
+    """The wedge's one-pass crossing with its rotations computed per call."""
+    z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
+    half = w.theta / 2
+    phis = [half] if w.theta == 2 * math.pi else [half, -half]
+    turn = np.array([np.exp(-1j * phi) for phi in phis]).reshape(
+        (-1,) + (1,) * z0.ndim)
+    w0, w1 = z0 * turn, z1 * turn
+    f = _line_crossing_fraction(w0.imag, w1.imag)
+    xc = w0.real + np.where(np.isfinite(f), f, 0.0) * (w1.real - w0.real)
+    s = np.where(xc >= 0.0, f, np.inf).min(axis=0)
+    return _end_guard(w, z1, s)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 3 * math.pi / 2,
+                                   2 * math.pi])
+def test_wedge_rotations_computed_once_equal_the_per_call_forms(theta):
+    # The wedge turns points by rotations computed once, and its distance
+    # takes |w| only where Re w < 0 (or NaN); distance, nearest point and
+    # crossing must be those of the per-call forms bit for bit, with their
+    # shapes: on random
+    # points, points on the rays and the slit, 0 and ±0 imaginary parts,
+    # NaN and ±inf, as flat, 2-D, 0-d and scalar input.
+    w = Wedge(theta)
+    gen = RngStream(72).substream()
+    n = 3000
+    z = np.exp(gen.uniform(-3, 3, n)) * np.exp(1j * gen.uniform(-4, 4, n))
+    half = theta / 2
+    on_ray = np.exp(gen.uniform(-3, 3, 200)) * np.exp(
+        1j * half * gen.choice([-1.0, 1.0], 200))
+    inf, nan = math.inf, math.nan
+    odd = np.array([complex(x, y) for x in (0.0, -0.0, 1.0, -1.0, nan, inf,
+                                            -inf)
+                    for y in (0.0, -0.0, 1.0, -1.0, nan, inf, -inf)])
+    z0 = np.concatenate([z, on_ray, odd, -gen.uniform(0, 5, 50) + 0j,
+                         np.conj(-gen.uniform(0, 5, 50) + 0j)])
+    z1 = np.concatenate([z0[:n] + np.exp(gen.uniform(-4, 2, n)) * np.exp(
+        1j * gen.uniform(0, 2 * math.pi, n)), z0[::-1][:z0.size - n]])
+    assert np.signbit(z0.imag[-50:]).all()
+    with np.errstate(invalid="ignore"):
+        pairs = [(w.boundary_distance(z0), _wedge_distance_per_ray(w, z0)),
+                 (w.exit_points(z0)[0], _wedge_exit_per_ray(w, z0)),
+                 (w.first_boundary_crossing(z0, z1),
+                  _wedge_crossing_turned_per_call(w, z0, z1))]
+        block0, block1 = z0[:600].reshape(20, 30), z1[:600].reshape(20, 30)
+        pairs += [(w.boundary_distance(block0),
+                   _wedge_distance_per_ray(w, block0)),
+                  (w.exit_points(block0)[0], _wedge_exit_per_ray(w, block0)),
+                  (w.first_boundary_crossing(block0, block1),
+                   _wedge_crossing_turned_per_call(w, block0, block1))]
+        for k in (0, n + 5, n + 200, z0.size - 1):
+            for p0, p1 in ((complex(z0[k]), complex(z1[k])),
+                           (np.asarray(z0[k]), np.asarray(z1[k]))):
+                pairs += [(w.boundary_distance(p0),
+                           _wedge_distance_per_ray(w, p0)),
+                          (w.exit_points(p0)[0], _wedge_exit_per_ray(w, p0)),
+                          (w.first_boundary_crossing(p0, p1),
+                           _wedge_crossing_turned_per_call(w, p0, p1))]
+    for got, want in pairs:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for got, want in pairs[1::3]:       # a 0-d array or a scalar, as before
+        assert type(got) is type(want)
+    assert np.isnan(pairs[0][0]).any() and np.isinf(pairs[0][0]).any()
+    assert np.isnan(pairs[1][0]).any() and np.isinf(pairs[1][0]).any()
+    assert np.isfinite(pairs[2][0]).any() and not np.isfinite(
+        pairs[2][0]).all()
 
 
 def test_koebe_crossing_only_on_slit():

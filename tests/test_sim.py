@@ -537,14 +537,17 @@ def test_one_exit_query_per_call_equals_per_sweep_queries(
     # A kernel projects its exits once, after the loop, and draws and moves
     # in place; that must give the exits of a loop that projects them on
     # every sweep and draws and moves by the plain formulas, bit for bit.
-    # An all-capped run makes the one query on an empty array.
-    n = CHUNK_SIZE + 300 if per_chunk else 1500
+    # An all-capped run makes the one query on an empty array.  Per chunk,
+    # in the runs without a capped path, the short third chunk empties
+    # first and sweeps without an exit follow, so the kernel also draws
+    # from a split with a chunk left out, on sweeps that compact nothing.
+    n = 2 * CHUNK_SIZE + 300 if per_chunk else 1500
     starts = np.full(n, complex(start))
 
     def gen():
         stream = RngStream(118)
         if per_chunk:
-            return [stream.substream(ci) for ci in range(2)]
+            return [stream.substream(ci) for ci in range(3)]
         return stream.substream()
 
     if kernel == "wos":
@@ -556,6 +559,12 @@ def test_one_exit_query_per_call_equals_per_sweep_queries(
         want = _em_per_sweep(domain, starts, gen(), cfg)
     assert {"none": got.ok.all(), "some": got.ok.any() and not got.ok.all(),
             "all": not got.ok.any()}[capped]
+    if per_chunk and capped == "none":
+        first, second, third = (got.steps[lo:lo + CHUNK_SIZE].max()
+                                for lo in range(0, n, CHUNK_SIZE))
+        assert third < min(first, second)
+        assert np.setdiff1d(np.arange(third + 1, max(first, second)),
+                            got.steps).size
     for name in ("exit_point", "exit_time", "label", "steps", "ok",
                  "line_hit"):
         a, b = getattr(got, name), getattr(want, name)
