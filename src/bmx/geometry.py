@@ -814,6 +814,13 @@ class SpiralPair(Domain):
     of the full search, and the solved ones run the same arithmetic: every
     distance, point and label is that of the full search bit for bit.
     About 1.5 of the 4 brackets of a point are solved.
+
+    The n points' four brackets are the rows of contiguous (4, n) arrays,
+    the two crossings on gamma1 and then the two on gamma2, so the reach,
+    the pruning and the least candidate reduce down a row each, and the
+    solved brackets are gathered by their row and column.  Each element
+    runs the arithmetic of a broadcast (..., 2, 2) layout, so the results
+    are that layout's bit for bit.
     """
 
     side: str = "U"
@@ -834,25 +841,27 @@ class SpiralPair(Domain):
     def _nearest(self, z):
         """(distance, nearest boundary point, GAMMA1/GAMMA2 code) for each z.
 
-        gamma2 = -gamma1, so gamma2 is measured as gamma1 from -z.
+        gamma2 = -gamma1, so gamma2 is measured as gamma1 from -z, and
+        |-z| = |z|.  The four candidate brackets of the n points are the
+        rows of (4, n) arrays: the first two crossings for z, then for -z.
         """
         z = _asarr(z)
-        w = np.stack([z, -z], axis=-1)[..., None]
-        r = np.abs(w)
+        w = np.stack([z.reshape(-1), -z.reshape(-1)])
+        r = np.abs(w[0])
         theta = np.mod(np.angle(w), 2 * math.pi)
-        k = np.ceil((r - 1.5 * math.pi - theta) / (2 * math.pi)) + [0, 1]
-        t_k = theta + 2 * math.pi * k
+        k = np.ceil((r - 1.5 * math.pi - theta) / (2 * math.pi))
+        theta = theta[[0, 0, 1, 1]]
+        t_k = theta + 2 * math.pi * (k[[0, 0, 1, 1]] + [[0], [1], [0], [1]])
         lo = np.maximum(t_k - math.pi / 2, 0.0)
         hi = np.maximum(t_k + math.pi / 2, 0.0)
         # Only brackets that can hold the nearest point are solved (see the
         # class docstring); NaN fails the test, so a non-finite z keeps all.
-        reach = np.minimum(r, np.abs(r - t_k)).min(axis=(-2, -1),
-                                                   keepdims=True)
+        reach = np.minimum(r, np.abs(r - t_k).min(axis=0))
         gap = np.maximum(np.maximum(lo - r, r - hi), 0.0)
         solve = ~(gap > reach + 1e-6 * (1 + r))
         r2 = r**2
-        r, theta, lo, hi = (np.broadcast_to(a, solve.shape)[solve]
-                            for a in (r, theta, lo, hi))
+        at = np.nonzero(solve)    # (rows, columns) of the solved brackets
+        r, theta, lo, hi = r[at[1]], theta[at], lo[at], hi[at]
 
         def h_and_slope(t):
             cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
@@ -874,15 +883,15 @@ class SpiralPair(Domain):
             t = np.clip(t - np.where(up, h, 0.0) / np.where(up, dh, 1.0),
                         lo, hi)
         g, t_all = np.full(solve.shape, np.inf), np.zeros(solve.shape)
-        g[solve] = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
-        t_all[solve] = t
+        g[at] = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
+        t_all[at] = t
         # The origin, where both arms start, is the last candidate.
-        t = np.where(g < r2, t_all, 0.0).reshape(*z.shape, 4)
-        g = np.minimum(g, r2).reshape(*z.shape, 4)
-        # Candidates 0-1 lie on gamma1 and 2-3 on gamma2; ties go to gamma1.
-        j = np.argmin(g, axis=-1)
-        t = np.take_along_axis(t, j[..., None], axis=-1)[..., 0]
-        on_gamma1 = j < 2
+        t = np.where(g < r2, t_all, 0.0)
+        g = np.minimum(g, r2)
+        # Rows 0-1 lie on gamma1 and 2-3 on gamma2; ties go to gamma1.
+        j = np.argmin(g, axis=0)
+        t = t[j, np.arange(j.size)].reshape(z.shape)
+        on_gamma1 = (j < 2).reshape(z.shape)
         point = np.where(on_gamma1, 1.0, -1.0) * t * np.exp(1j * t)
         code = np.where(on_gamma1, int(BoundaryLabel.GAMMA1),
                         int(BoundaryLabel.GAMMA2)).astype(np.int64)

@@ -5,11 +5,12 @@ distance to the boundary.  We overestimate the infimum by a shortest path in
 a graph whose nodes are quadtree cell centers, refined so that a cell's size
 is at most ``cell_factor`` times its center clearance, with 8-neighbor edges
 weighted |edge| / clearance(midpoint).  Each refinement round halves the
-factor and solves its own graph, the source plus that round's leaves; a
-target's value after round r is the least over rounds 0..r, so the estimate
-decreases monotonically and converges from above; rounds stop once
-successive values agree within 1% (``_REFINE_TARGET``), or after
-``max_rounds`` rounds.
+factor, grows the last round's quadtree, measuring a cell's clearance only
+where the bounds its parent's clearance gives leave a test open, and solves
+its own graph, the source plus that round's leaves; a target's value after
+round r is the least over rounds 0..r, so the estimate decreases
+monotonically and converges from above; rounds stop once successive values
+agree within 1% (``_REFINE_TARGET``), or after ``max_rounds`` rounds.
 Edges join every two leaves whose cells touch.  The leaves are sorted
 once in Morton (Z-curve) order, which also numbers the graph's nodes; each
 leaf probes the finest cells past its edge midpoints and corners, computed
@@ -81,9 +82,11 @@ class QhConfig:
     ``rel_floor`` * |z - source|), ``min_cell`` None meaning ``cell_factor``
     * clearance(source) / 8; cells entirely below ``prune_clearance`` are
     dropped.  Round r halves the first three r times, for at most
-    ``max_rounds`` rounds.  ``max_nodes`` bounds the leaves of each round's
-    own graph: over it, the first round raises NodeBudgetExceeded and a
-    later one ends the refinement, reported as ``node_budget_hit``."""
+    ``max_rounds`` rounds, and grows round r - 1's quadtree rather than a
+    new one (see ``_build_leaves``).  ``max_nodes`` bounds the leaves of
+    each round's own graph: over it, the first round raises
+    NodeBudgetExceeded and a later one ends the refinement, reported as
+    ``node_budget_hit``."""
 
     cell_factor: float = 0.2
     min_cell: float | None = None
@@ -132,8 +135,9 @@ _BLOCK = 16_384
 
 def _build_leaves(domain: Domain, source: complex, half: float,
                   factor: float, min_cell: float, rel_floor: float,
-                  prune: float, node_budget: int):
-    """Quadtree leaves (centers, halves) of the box ``source`` +- ``half``.
+                  prune: float, node_budget: int, tree=None, keep=False):
+    """Quadtree leaves (centers, halves) of the box ``source`` +- ``half``,
+    and the frontier the next round grows from (None unless ``keep``).
 
     A cell becomes a leaf when its size is at most factor * clearance; cells
     straddling the boundary refine down to a floor and survive only if their
@@ -142,49 +146,110 @@ def _build_leaves(domain: Domain, source: complex, half: float,
     radius octave.  Fully exterior cells and cells entirely below the
     ``prune`` clearance are dropped.  Leaves deeper than ``_MAX_DEPTH``
     raise BadParameters, more than ``node_budget`` NodeBudgetExceeded.
+
+    A round grows the last round's tree: ``tree`` is the frontier an
+    earlier call returned, which this call consumes, or None for the root.
+    Each round halves ``factor``, ``min_cell`` and ``rel_floor``, so every
+    threshold halves exactly: a cell split in one round splits in the next,
+    and a dropped cell stays dropped, as neither the exterior nor the prune
+    test reads the round.  The frontier is what may change: the round's
+    leaves and its exterior cells at the floor, by depth, each with its
+    ``contains`` and its clearance bounds.
+
+    A cell's clearance is known as an interval [lo, hi]: the root's is
+    [-inf, inf], and a child's is its parent's widened by the child's
+    half-diagonal q sqrt 2 plus a rounding margin 1e-9 (1 + |hi| + |x| +
+    |y|), as clearance is 1-Lipschitz; where the lower end stays above 0,
+    the child lies on its parent's side of the boundary.  The exterior,
+    prune and leaf tests are each monotone in the clearance, so
+    ``boundary_distance`` runs only where the interval leaves one of them
+    open, and pins that cell's interval to the value: a cell is measured
+    at most once per profile.  A round still walks its cells a depth at a
+    time, so it finds, counts and checks the same leaves, bit for bit, as a
+    walk from the root that measures every cell.
     """
-    cx = np.array([source.real])
-    cy = np.array([source.imag])
-    hs = np.array([half])
+    if tree is None:
+        x, y = np.array([source.real]), np.array([source.imag])
+        tree = {0: (x, y, np.array([-np.inf]), np.array([np.inf]),
+                    domain.contains(x + 1j * y))}
+    grown = {} if keep else None
     out_c, out_h = [], []
     total = 0
-    while cx.size:
-        centers = cx + 1j * cy
-        clear = domain.boundary_distance(centers)
-        inside = domain.contains(centers)
+    children = None   # the cells split at the last depth, made into four
+    while children is not None or tree:
+        if children is None:
+            depth = min(tree)
+        parts = [p for p in (children, tree.pop(depth, None)) if p is not None]
+        cx, cy, lo, hi, inside = (np.concatenate(a) if len(parts) > 1 else a[0]
+                                  for a in zip(*parts))
+        hs = half / 2**depth
         diag = hs * math.sqrt(2.0)
-        fully_out = ~inside & (clear > diag)
-        pruned = clear + diag < prune
-        drop = fully_out | pruned
-        floor = np.maximum(min_cell, rel_floor * np.abs(centers - source))
-        is_leaf = inside & (2 * hs <= factor * clear) & ~drop
-        at_floor = (hs <= floor) & ~is_leaf & ~drop
-        leaf = is_leaf | (at_floor & inside)
-        if np.any(leaf):
-            depth = round(math.log2(half / hs[0]))
+        centers = cx + 1j * cy
+        at_floor = hs <= np.maximum(min_cell,
+                                    rel_floor * np.abs(centers - source))
+        # The drop and leaf tests at both ends of each clearance interval;
+        # a cell where they differ is measured.
+        out = ~inside
+        live = ~((out & (lo > diag)) | (hi + diag < prune))
+        need = live & (((out & (hi > diag)) | (lo + diag < prune)) | (
+            inside & ~at_floor & (factor * lo < 2 * hs)
+            & (2 * hs <= factor * hi)))
+        k = np.flatnonzero(need)
+        if k.size:
+            clear = domain.boundary_distance(centers[k])
+            lo[k] = clear
+            hi[k] = clear
+            live[k] = ~((out[k] & (clear > diag)) | (clear + diag < prune))
+        leaf = inside & live & (at_floor | (2 * hs <= factor * lo))
+        i = np.flatnonzero(leaf)
+        if i.size:
             if depth > _MAX_DEPTH:
                 d_a = float(domain.boundary_distance(np.complex128(source)))
                 raise BadParameters(
                     f"quadtree depth {depth} exceeds the {_MAX_DEPTH}-level "
                     f"limit of its Morton keys (source clearance {d_a:.3g}, "
                     f"min_cell {min_cell:.3g} this round, box half {half:g})")
-            out_c.append(centers[leaf])
-            out_h.append(hs[leaf])
-            total += int(np.sum(leaf))
+            out_c.append(centers[i])
+            out_h.append(np.full(i.size, hs))
+            total += i.size
             if total > node_budget:
                 raise NodeBudgetExceeded(
                     f"graph needs more than max_nodes={node_budget} leaves "
                     f"(cell factor {factor:g})")
-        split = ~leaf & ~drop & ~at_floor
-        cx, cy, hs = cx[split], cy[split], hs[split]
-        if cx.size:
-            q = hs / 2
-            cx = np.concatenate([cx - q, cx + q, cx - q, cx + q])
-            cy = np.concatenate([cy - q, cy - q, cy + q, cy + q])
-            hs = np.concatenate([q, q, q, q])
+        if keep:
+            i = np.flatnonzero(live & (at_floor | leaf))
+            grown[depth] = (cx[i], cy[i], lo[i], hi[i], inside[i])
+        i = np.flatnonzero(live & ~at_floor & ~leaf)
+        children = _split(domain, cx[i], cy[i], lo[i], hi[i], inside[i],
+                          hs / 2) if i.size else None
+        depth += 1
     if not out_c:
         raise TargetUnreachable("no interior cells found")
-    return np.concatenate(out_c), np.concatenate(out_h)
+    return np.concatenate(out_c), np.concatenate(out_h), grown
+
+
+def _split(domain, cx, cy, lo, hi, inside, q):
+    """The four children, of half-width ``q``, of the cells centered at
+    (``cx``, ``cy``): their centers, clearance bounds and ``contains``.
+
+    A child lies within q sqrt 2 of its parent, so its clearance is the
+    parent's within that and a rounding margin, and where that bound stays
+    above 0 the child is on its parent's side of the boundary: only the
+    others are asked.
+    """
+    wide = q * math.sqrt(2.0) + 1e-9 * (1 + np.abs(hi) + np.abs(cx)
+                                        + np.abs(cy))
+    lo = np.maximum(lo - wide, 0.0)
+    hi += wide
+    west, east, south, north = cx - q, cx + q, cy - q, cy + q
+    cx = np.concatenate([west, east, west, east])
+    cy = np.concatenate([south, south, north, north])
+    lo, hi, inside = (np.concatenate([a, a, a, a])
+                      for a in (lo, hi, inside))
+    ask = np.flatnonzero(lo == 0)
+    if ask.size:
+        inside[ask] = domain.contains(cx[ask] + 1j * cy[ask])
+    return cx, cy, lo, hi, inside
 
 
 def _neighbor_pairs(centers, halves, root_center, root_half):
@@ -304,14 +369,16 @@ def _connect_point(domain, point, centers, halves):
 
 
 def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
-                  box_half, budget):
+                  box_half, budget, tree=None, keep=False):
     """One refinement round: shortest paths from ``a`` (node 0) over this
     round's leaves (nodes 1..n) alone, and each target's value read off as
     the least leaf distance plus the wire from that leaf to the target.
-    Targets are not graph nodes, so no path passes through one."""
+    Targets are not graph nodes, so no path passes through one.  Returns
+    (values, the tree the next round grows from); see ``_build_leaves``."""
     from scipy.sparse import coo_matrix
-    centers, halves = _build_leaves(domain, a, box_half, factor, min_cell,
-                                    rel_floor, prune, budget)
+    centers, halves, tree = _build_leaves(domain, a, box_half, factor,
+                                          min_cell, rel_floor, prune, budget,
+                                          tree, keep)
     order, rows, cols = _neighbor_pairs(centers, halves, a, box_half)
     centers, halves = centers[order], halves[order]
     del order   # nothing reads it once the leaves are sorted
@@ -340,17 +407,18 @@ def _round_values(domain, a, targets, factor, min_cell, rel_floor, prune,
     dist = solver(graph, directed=False, indices=0)[1:]
 
     rad = np.abs(centers - a)
+    reach, off_source = 2.0 * halves * math.sqrt(2.0), rad > 0
     values = np.empty(len(targets))
     for k, target in enumerate(targets):
         if isinstance(target, CircleTarget):
-            idx = np.where((np.abs(rad - target.radius)
-                            <= 2.0 * halves * math.sqrt(2.0)) & (rad > 0))[0]
+            idx = np.where((np.abs(rad - target.radius) <= reach)
+                           & off_source)[0]
             on_circle = a + (centers[idx] - a) / rad[idx] * target.radius
             w = _segment_weight(domain, centers[idx], on_circle)
         else:
             idx, w = _connect_point(domain, complex(target), centers, halves)
         values[k] = np.min(dist[idx] + w, initial=np.inf)
-    return values
+    return values, tree
 
 
 def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
@@ -363,7 +431,10 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     (so nonincreasing in r), and budget_hit is True when ``max_nodes``
     stopped the refinement before ``max_rounds`` rounds or convergence.
     Every value is the quasi-hyperbolic length (by the midpoint rule) of a
-    real path in the domain from ``a`` to its target.
+    real path in the domain from ``a`` to its target.  Each round grows the
+    last round's quadtree and measures a cell's clearance only where its
+    1-Lipschitz bounds leave a test open; its leaves are, bit for bit, those
+    of the round built alone from the root.
     """
     a = complex(a)
     if not cmath.isfinite(a):
@@ -393,13 +464,14 @@ def quasi_hyperbolic_profile(domain: Domain, a: complex, targets,
     values = np.full(len(targets), np.inf)
     history = []
     budget_hit = False
+    tree = None
     for round_idx in range(cfg.max_rounds):
         scale = 2 ** round_idx
         try:
-            round_values = _round_values(
+            round_values, tree = _round_values(
                 domain, a, targets, cfg.cell_factor / scale, min_cell / scale,
                 cfg.rel_floor / scale, cfg.prune_clearance, box_half,
-                cfg.max_nodes)
+                cfg.max_nodes, tree, keep=round_idx + 1 < cfg.max_rounds)
         except NodeBudgetExceeded:
             if not history:
                 raise

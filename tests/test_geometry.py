@@ -679,6 +679,89 @@ def test_spiral_pruned_nearest_matches_full_search_bit_for_bit():
                 assert np.array_equal(got, ref)
 
 
+def _spiral_nearest_broadcast(z):
+    """SpiralPair's pruned nearest-point search on broadcast (..., 2, 2)
+    brackets, gathered by a boolean mask: the form before the flat rows."""
+    z = np.asarray(z, dtype=complex)
+    w = np.stack([z, -z], axis=-1)[..., None]
+    r = np.abs(w)
+    theta = np.mod(np.angle(w), 2 * math.pi)
+    k = np.ceil((r - 1.5 * math.pi - theta) / (2 * math.pi)) + [0, 1]
+    t_k = theta + 2 * math.pi * k
+    lo = np.maximum(t_k - math.pi / 2, 0.0)
+    hi = np.maximum(t_k + math.pi / 2, 0.0)
+    reach = np.minimum(r, np.abs(r - t_k)).min(axis=(-2, -1), keepdims=True)
+    gap = np.maximum(np.maximum(lo - r, r - hi), 0.0)
+    solve = ~(gap > reach + 1e-6 * (1 + r))
+    r2 = r**2
+    r, theta, lo, hi = (np.broadcast_to(a, solve.shape)[solve]
+                        for a in (r, theta, lo, hi))
+
+    def h_and_slope(t):
+        cos_u, sin_u = np.cos(t - theta), np.sin(t - theta)
+        return (t - r * cos_u + r * t * sin_u,
+                1 + 2 * r * sin_u + r * t * cos_u)
+
+    for _ in range(10):
+        t = (lo + hi) / 2
+        h, dh = h_and_slope(t)
+        rising = (h >= 0) & (dh > 0)
+        hi = np.where(rising, t, hi)
+        lo = np.where(rising, lo, t)
+    t = (lo + hi) / 2
+    for _ in range(3):
+        h, dh = h_and_slope(t)
+        up = dh > 0
+        t = np.clip(t - np.where(up, h, 0.0) / np.where(up, dh, 1.0),
+                    lo, hi)
+    g, t_all = np.full(solve.shape, np.inf), np.zeros(solve.shape)
+    g[solve] = r**2 + t**2 - 2 * r * t * np.cos(t - theta)
+    t_all[solve] = t
+    t = np.where(g < r2, t_all, 0.0).reshape(*z.shape, 4)
+    g = np.minimum(g, r2).reshape(*z.shape, 4)
+    j = np.argmin(g, axis=-1)
+    t = np.take_along_axis(t, j[..., None], axis=-1)[..., 0]
+    on_gamma1 = j < 2
+    point = np.where(on_gamma1, 1.0, -1.0) * t * np.exp(1j * t)
+    code = np.where(on_gamma1, int(BoundaryLabel.GAMMA1),
+                    int(BoundaryLabel.GAMMA2)).astype(np.int64)
+    return np.abs(z - point), point, code
+
+
+def test_spiral_nearest_in_flat_rows_equals_the_broadcast_form():
+    # The four brackets of each point as rows of (4, n) arrays give the
+    # distance, nearest point and code of the broadcast (..., 2, 2) form bit
+    # for bit, with their types and shapes: on both arms, within 1e-3 of
+    # the origin, out to radius 60, at 0 and at non-finite points.
+    gen = RngStream(38).substream()
+    n = 8_000
+    t = gen.uniform(0, 60, n)
+    nan, inf = math.nan, math.inf
+    z = np.concatenate([
+        t * np.exp(1j * t), -t * np.exp(1j * t),
+        gen.uniform(0, 1e-3, n) * np.exp(1j * gen.uniform(-math.pi, math.pi,
+                                                          n)),
+        gen.uniform(0, 60, n) * np.exp(1j * gen.uniform(-math.pi, math.pi,
+                                                        n)),
+        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    bad = np.array([complex(x, y) for x in (nan, inf, -inf, 0.0, 1.5)
+                    for y in (nan, inf, -inf, 0.0, -2.0)][:-1])
+    cases = [z, z[:600].reshape(20, 30), np.zeros(0, dtype=complex),
+             complex(z[5]), np.complex128(3 - 4j), np.asarray(0.5 + 2j),
+             0j, bad, bad.reshape(4, 6), complex(nan, 1.0),
+             np.complex128(complex(-inf, 0.0))]
+    for side in ("U", "complement"):
+        sp = SpiralPair(side)
+        for case in cases:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = sp._nearest(case)
+                want = _spiral_nearest_broadcast(case)
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and a.dtype == b.dtype
+                assert np.shape(a) == np.shape(b)
+                assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("side, start", [
     ("U", np.exp(2.5708j)), ("complement", np.exp(1j * (1 + 1.5 * math.pi)))])
 def test_spiral_walk_on_spheres_exits_on_the_arms(side, start):

@@ -306,7 +306,7 @@ def test_neighbor_pairs_match_per_depth_search(domain, a, half, factor,
     clear = float(domain.boundary_distance(np.complex128(a)))
     for f in (factor, factor / 2):
         floor = min_cell if min_cell is not None else f * clear / 8
-        centers, halves = hyperbolic._build_leaves(
+        centers, halves, _ = hyperbolic._build_leaves(
             domain, a, half, f, floor, 0.02, prune, 200_000)
         gap = np.maximum(np.abs(centers.real - a.real),
                          np.abs(centers.imag - a.imag)) + halves
@@ -346,8 +346,8 @@ def test_edge_weights_in_small_blocks_are_the_one_pass_weights(monkeypatch):
     # falls on the slit (weight inf) are left out.
     domain, a, half = KoebeSlit(), 1 + 0j, 12.0
     floor = 0.2 * float(domain.boundary_distance(np.complex128(a))) / 8
-    centers, halves = hyperbolic._build_leaves(domain, a, half, 0.2, floor,
-                                               0.02, 0.0, 200_000)
+    centers, halves, _ = hyperbolic._build_leaves(domain, a, half, 0.2,
+                                                  floor, 0.02, 0.0, 200_000)
     order, rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
     centers = centers[order]
     want = hyperbolic._segment_weight(domain, centers[rows], centers[cols])
@@ -404,7 +404,7 @@ def test_neighbor_pairs_do_not_depend_on_leaf_order():
     domain, a = Wedge(math.pi / 2), 1 + 0j
     clear = float(domain.boundary_distance(np.complex128(a)))
     half = 1.2 * 1000 + 4 * clear
-    centers, halves = hyperbolic._build_leaves(
+    centers, halves, _ = hyperbolic._build_leaves(
         domain, a, half, 0.1, 0.1 * clear / 8, 0.01, 0.0, 600_000)
     order, rows, cols = hyperbolic._neighbor_pairs(centers, halves, a, half)
     perm = np.random.default_rng(16).permutation(centers.size)
@@ -422,7 +422,7 @@ def test_neighbor_pairs_are_the_touching_leaves_at_depth_31():
     # must be exact: checked against all leaf pairs, the pairs are exactly
     # the leaves whose closed cells meet.
     a, half = 0.3 + 1e-7j, 12.0
-    centers, halves = hyperbolic._build_leaves(
+    centers, halves, _ = hyperbolic._build_leaves(
         HalfPlane("north"), a, half, 0.8, 1e-8, 0.02, 0.0, 600_000)
     assert np.round(np.log2(half / halves.min())) == hyperbolic._MAX_DEPTH
     got = _pair_keys(*hyperbolic._neighbor_pairs(centers, halves, a, half))
@@ -468,6 +468,137 @@ def test_hardy_benchmark_profiles_are_pinned():
         values, _, _ = quasi_hyperbolic_profile(
             domain, a, [CircleTarget(R) for R in radii], cfg)
         assert values.tolist() == want
+
+
+def _build_leaves_from_root(domain, source, half, factor, min_cell,
+                            rel_floor, prune, node_budget):
+    """Quadtree leaves (centers, halves) as one round built them alone: a
+    walk from the root, a depth at a time, that measures every cell."""
+    cx = np.array([source.real])
+    cy = np.array([source.imag])
+    hs = np.array([half])
+    out_c, out_h = [], []
+    total = 0
+    while cx.size:
+        centers = cx + 1j * cy
+        clear = domain.boundary_distance(centers)
+        inside = domain.contains(centers)
+        diag = hs * math.sqrt(2.0)
+        fully_out = ~inside & (clear > diag)
+        pruned = clear + diag < prune
+        drop = fully_out | pruned
+        floor = np.maximum(min_cell, rel_floor * np.abs(centers - source))
+        is_leaf = inside & (2 * hs <= factor * clear) & ~drop
+        at_floor = (hs <= floor) & ~is_leaf & ~drop
+        leaf = is_leaf | (at_floor & inside)
+        if np.any(leaf):
+            depth = round(math.log2(half / hs[0]))
+            if depth > hyperbolic._MAX_DEPTH:
+                raise BadParameters(f"quadtree depth {depth}")
+            out_c.append(centers[leaf])
+            out_h.append(hs[leaf])
+            total += int(np.sum(leaf))
+            if total > node_budget:
+                raise NodeBudgetExceeded(
+                    f"graph needs more than max_nodes={node_budget} leaves "
+                    f"(cell factor {factor:g})")
+        split = ~leaf & ~drop & ~at_floor
+        cx, cy, hs = cx[split], cy[split], hs[split]
+        if cx.size:
+            q = hs / 2
+            cx = np.concatenate([cx - q, cx + q, cx - q, cx + q])
+            cy = np.concatenate([cy - q, cy - q, cy + q, cy + q])
+            hs = np.concatenate([q, q, q, q])
+    if not out_c:
+        raise TargetUnreachable("no interior cells found")
+    return np.concatenate(out_c), np.concatenate(out_h)
+
+
+def _sorted_leaves(centers, halves):
+    """Leaves as bytes in one order that does not depend on the build's:
+    by center, x then y (leaves are disjoint, so no two share a center)."""
+    order = np.lexsort((centers.imag, centers.real))
+    return centers[order].tobytes(), halves[order].tobytes()
+
+
+SPIRAL_CFG = QhConfig(cell_factor=0.25, rel_floor=0.0, prune_clearance=0.45,
+                      min_cell=0.5, max_rounds=1, max_nodes=500_000)
+R_SCHEDULE = [10, 31.6, 100, 316, 1000]
+
+
+@pytest.mark.parametrize("domain, a, radii, cfg, rounds", [
+    pytest.param(Wedge(math.pi / 2), 1, R_SCHEDULE, QhConfig(), 3,
+                 id="wedge_hardy"),
+    pytest.param(KoebeSlit(), 1, R_SCHEDULE, QhConfig(), 2,
+                 id="koebe_hardy"),
+    pytest.param(SpiralPair("U"), -0.8415 + 0.5403j, [6, 12, 24, 48],
+                 SPIRAL_CFG, 1, id="spiral_hardy"),
+    pytest.param(Wedge(math.pi / 2), 1, R_SCHEDULE,
+                 QhConfig(prune_clearance=0.3), 3, id="wedge_pruned"),
+    pytest.param(Wedge(math.pi / 2), 1, R_SCHEDULE,
+                 QhConfig(max_nodes=20_000), 2, id="wedge_budget"),
+])
+def test_grown_rounds_equal_rounds_built_from_the_root(monkeypatch, domain,
+                                                       a, radii, cfg, rounds):
+    # Each round grows the last round's tree and measures a cell only where
+    # its clearance bounds leave a test open, yet finds the leaves that a
+    # walk from the root measuring every cell finds, bit for bit; a round
+    # over max_nodes is over it both ways, with the same message.
+    build, seen = hyperbolic._build_leaves, []
+
+    def checked(*args):
+        try:
+            want = _build_leaves_from_root(*args[:8])
+        except NodeBudgetExceeded as exc:
+            with pytest.raises(NodeBudgetExceeded) as info:
+                build(*args)
+            assert str(info.value) == str(exc)
+            seen.append(None)
+            raise
+        out = build(*args)
+        assert _sorted_leaves(*out[:2]) == _sorted_leaves(*want)
+        seen.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(hyperbolic, "_build_leaves", checked)
+    _, history, budget_hit = quasi_hyperbolic_profile(
+        domain, a, [CircleTarget(R) for R in radii], cfg)
+    assert len(seen) == rounds
+    assert budget_hit == (seen[-1] is None)
+    assert len(history) == rounds - budget_hit
+
+
+def test_grown_wedge_round_measures_fewer_cells(monkeypatch):
+    # The third round of the wedge_hardy profile measured every one of its
+    # 202,125 cells when each round was built from the root.
+    measure, build = Wedge.boundary_distance, hyperbolic._build_leaves
+    counts, building = [], [False]
+
+    def counted(self, z):
+        if building[0]:   # the graph's own calls are not counted
+            counts[-1] += np.size(z)
+        return measure(self, z)
+
+    def each_round(*args):
+        counts.append(0)
+        building[0] = True
+        try:
+            return build(*args)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(Wedge, "boundary_distance", counted)
+    monkeypatch.setattr(hyperbolic, "_build_leaves", each_round)
+    domain = Wedge(math.pi / 2)
+    quasi_hyperbolic_profile(domain, 1, [CircleTarget(R) for R in R_SCHEDULE],
+                             QhConfig())
+    assert len(counts) == 3 and counts[2] < 202_125
+    clear = float(measure(domain, np.complex128(1)))
+    counts.append(0)
+    building[0] = True
+    _build_leaves_from_root(domain, 1 + 0j, 1.2 * 1000 + 4 * clear, 0.2 / 4,
+                            0.2 * clear / 8 / 4, 0.02 / 4, 0.0, 600_000)
+    assert counts[3] == 202_125
 
 
 def test_wedge_profile_working_set():
